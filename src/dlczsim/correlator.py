@@ -3,11 +3,17 @@
 A coincidence is co-occurrence within one trial.  Multiple clicks of the same
 detector in a trial count once.  Count tables from disjoint trial ranges merge
 by componentwise addition, so accumulation shards freely.
+
+A trial's click pattern is a bitmask whose bit i is detector i of the mode's
+channel order (D1 is bit 0).  Each count-table field N_S counts the trials in
+which every detector of the subset bitmask S clicked, and each metric is a ratio
+of products of such counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +22,46 @@ from .params import DetectionMode, Detector
 from .photon_model import UNDEFINED
 
 LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
+
+_DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
+              DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
+
+# CountTable field -> bitmask of the detector subset whose joint clicks it counts
+_SUBSETS = {
+    DetectionMode.SINGLE: {"n_trials": 0b00, "n1": 0b01, "n2": 0b10, "n12": 0b11},
+    DetectionMode.SPLIT: {"n_trials": 0b000, "n1": 0b001, "n2a": 0b010, "n2b": 0b100,
+                          "n1_2a": 0b011, "n1_2b": 0b101, "n2a_2b": 0b110,
+                          "n1_2a_2b": 0b111},
+}
+
+# metric -> (numerator subsets, denominator subsets); qc is pc / eta2
+_METRICS = {
+    DetectionMode.SINGLE: {
+        "p1": ((0b01,), (0b00,)),
+        "p2": ((0b10,), (0b00,)),
+        "p12": ((0b11,), (0b00,)),
+        "g12": ((0b11, 0b00), (0b01, 0b10)),
+        "pc": ((0b11,), (0b01,)),
+        "naive_ratio": ((0b10,), (0b01,)),
+    },
+    DetectionMode.SPLIT: {
+        "p1": ((0b001,), (0b000,)),
+        "w": ((0b001, 0b111), (0b011, 0b101)),
+    },
+}
+
+_NAMES = ("p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio")
+
+# pattern codes in the category order of the seeded bootstrap's multinomial draw
+_DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
+               DetectionMode.SPLIT: [0b000, 0b010, 0b100, 0b110,
+                                     0b001, 0b011, 0b101, 0b111]}
+
+
+def _zeta(mode: DetectionMode) -> np.ndarray:
+    """Z[p, S] = 1 if subset S lies in pattern p: subset counts = pattern counts @ Z."""
+    codes = np.arange(len(_SUBSETS[mode]))
+    return (codes[:, None] & codes == codes).astype(np.int64)
 
 
 @dataclass
@@ -40,71 +86,50 @@ class CountTable:
     n1_2a_2b: int = 0
 
 
+def _add_patterns(table: CountTable, patterns: np.ndarray) -> CountTable:
+    """Add trials given as a count per click-pattern code to the table."""
+    subsets = patterns @ _zeta(table.mode)
+    return replace(table, **{name: getattr(table, name) + int(subsets[s])
+                             for name, s in _SUBSETS[table.mode].items()})
+
+
 def accumulate(table: CountTable, records: RecordStream) -> CountTable:
     """Add a record stream's trials to the table.  The stream must match the table's mode."""
-    det = records.detector_id
-    if table.mode is DetectionMode.SINGLE:
-        if np.any((det == int(Detector.D2A)) | (det == int(Detector.D2B))):
-            raise ValueError("split-mode records fed to a single-mode count table")
-    else:
-        if np.any(det == int(Detector.D2)):
-            raise ValueError("single-mode records fed to a split-mode count table")
-
-    def trials_of(d: Detector) -> np.ndarray:
-        return np.unique(records.trial_index[det == int(d)])
-
-    t = replace(table)
-    t.n_trials += records.n_trials
-    t1 = trials_of(Detector.D1)
-    t.n1 += len(t1)
-    if table.mode is DetectionMode.SINGLE:
-        t2 = trials_of(Detector.D2)
-        t.n2 += len(t2)
-        t.n12 += len(np.intersect1d(t1, t2, assume_unique=True))
-        return t
-    ta = trials_of(Detector.D2A)
-    tb = trials_of(Detector.D2B)
-    tab = np.intersect1d(ta, tb, assume_unique=True)
-    t.n2a += len(ta)
-    t.n2b += len(tb)
-    t.n1_2a += len(np.intersect1d(t1, ta, assume_unique=True))
-    t.n1_2b += len(np.intersect1d(t1, tb, assume_unique=True))
-    t.n2a_2b += len(tab)
-    t.n1_2a_2b += len(np.intersect1d(t1, tab, assume_unique=True))
-    return t
+    bits = np.zeros(len(records), np.uint8)
+    for i, d in enumerate(_DETECTORS[table.mode]):
+        bits[records.detector_id == d] = 1 << i
+    if not bits.all():
+        raise ValueError(f"records of other detectors fed to a {table.mode.value}-mode count table")
+    trials, inverse = np.unique(records.trial_index, return_inverse=True)
+    codes = np.zeros(len(trials), np.uint8)
+    np.bitwise_or.at(codes, inverse, bits)
+    patterns = np.bincount(codes, minlength=len(_SUBSETS[table.mode]))
+    patterns[0] = records.n_trials - len(trials)
+    return _add_patterns(table, patterns)
 
 
 def accumulate_clicks(table: CountTable, clicks: tuple[np.ndarray, ...]) -> CountTable:
     """Fast path: accumulate boolean click arrays (from event_sim.simulate_clicks)."""
-    t = replace(table)
-    if table.mode is DetectionMode.SINGLE:
-        c1, c2 = clicks
-        t.n_trials += len(c1)
-        t.n1 += int(c1.sum())
-        t.n2 += int(c2.sum())
-        t.n12 += int((c1 & c2).sum())
-        return t
-    c1, ca, cb = clicks
-    t.n_trials += len(c1)
-    t.n1 += int(c1.sum())
-    t.n2a += int(ca.sum())
-    t.n2b += int(cb.sum())
-    t.n1_2a += int((c1 & ca).sum())
-    t.n1_2b += int((c1 & cb).sum())
-    t.n2a_2b += int((ca & cb).sum())
-    t.n1_2a_2b += int((c1 & ca & cb).sum())
-    return t
+    if len(clicks) != len(_DETECTORS[table.mode]):
+        raise ValueError(f"a {table.mode.value}-mode count table takes one array per detector")
+    codes = sum(c.astype(np.uint8) << i for i, c in enumerate(clicks))
+    return _add_patterns(table, np.bincount(codes, minlength=len(_SUBSETS[table.mode])))
+
+
+def table_from_patterns(mode: DetectionMode, counts: dict[tuple[bool, ...], int]) -> CountTable:
+    """Count table of trials given as a count per click pattern, keyed like
+    `photon_model.click_pattern_distribution` (channel-order booleans)."""
+    patterns = np.zeros(len(_SUBSETS[mode]), np.int64)
+    for pattern, n in counts.items():
+        patterns[sum(1 << i for i, clicked in enumerate(pattern) if clicked)] += n
+    return _add_patterns(CountTable(mode=mode), patterns)
 
 
 def merge(a: CountTable, b: CountTable) -> CountTable:
     """Combine tables built from disjoint trial ranges."""
     if a.mode is not b.mode:
         raise ValueError("cannot merge count tables of different detection modes")
-    out = replace(a)
-    for name in ("n_trials", "n1", "n2", "n2a", "n2b", "n12",
-                 "n1_2a", "n1_2b", "n2a_2b", "n1_2a_2b"):
-        setattr(out, name, getattr(a, name) + getattr(b, name))
-    return out
+    return replace(a, **{name: getattr(a, name) + getattr(b, name) for name in _SUBSETS[a.mode]})
 
 
 @dataclass
@@ -135,151 +160,60 @@ class MetricsWithErrors:
     n_boot: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        names = ["p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio"]
-        out = {}
-        for n in names:
-            out[n] = getattr(self, n)
-            out[n + "_se"] = getattr(self, n + "_se")
-        return out
+        return {k: getattr(self, k) for name in _NAMES for k in (name, name + "_se")}
 
 
-def _category_counts(t: CountTable) -> tuple[np.ndarray, list[tuple[bool, ...]]]:
-    """Per-trial click-pattern category counts recovered from the table."""
-    if t.mode is DetectionMode.SINGLE:
-        n11 = t.n12
-        n10 = t.n1 - t.n12
-        n01 = t.n2 - t.n12
-        n00 = t.n_trials - t.n1 - t.n2 + t.n12
-        cats = [(False, False), (True, False), (False, True), (True, True)]
-        return np.array([n00, n10, n01, n11]), cats
-    full = t.n1_2a_2b
-    x_ab = full
-    x_a = t.n1_2a - full
-    x_b = t.n1_2b - full
-    x_o = t.n1 - t.n1_2a - t.n1_2b + full
-    o_ab = t.n2a_2b - full
-    o_a = t.n2a - t.n1_2a - o_ab
-    o_b = t.n2b - t.n1_2b - o_ab
-    o_o = t.n_trials - (x_ab + x_a + x_b + x_o + o_ab + o_a + o_b)
-    cats = [(False, False, False), (False, True, False), (False, False, True),
-            (False, True, True), (True, False, False), (True, True, False),
-            (True, False, True), (True, True, True)]
-    counts = np.array([o_o, o_a, o_b, o_ab, x_o, x_a, x_b, x_ab])
-    if np.any(counts < 0):
-        raise ValueError("inconsistent count table")
-    return counts, cats
+def _metric_values(counts: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
+    """Metrics per row of subset counts (exact Python ints); NaN where a denominator is 0."""
+    vals = {}
+    for name, (num, den) in _METRICS[mode].items():
+        top = np.prod(counts[:, num], axis=1)
+        bottom = np.prod(counts[:, den], axis=1)
+        defined = bottom != 0
+        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(float)
+    if "pc" in vals:
+        vals["qc"] = vals["pc"] / eta2
+    return vals
 
 
-def _point_metrics(t: CountTable, eta2: float) -> tuple[dict[str, float], set[str]]:
-    n = t.n_trials
-    vals: dict[str, float] = {}
-    undef: set[str] = set()
-    vals["p1"] = t.n1 / n
-    if t.mode is DetectionMode.SINGLE:
-        vals["p2"] = t.n2 / n
-        vals["p12"] = t.n12 / n
-        if t.n1 and t.n2:
-            vals["g12"] = t.n12 * n / (t.n1 * t.n2)
-        else:
-            vals["g12"] = UNDEFINED
-            undef.add("g12")
-        if t.n1:
-            vals["pc"] = t.n12 / t.n1
-            vals["qc"] = vals["pc"] / eta2
-            vals["naive_ratio"] = t.n2 / t.n1
-        else:
-            vals.update(pc=UNDEFINED, qc=UNDEFINED, naive_ratio=UNDEFINED)
-            undef.update({"pc", "qc", "naive_ratio"})
-        undef.add("w")
-    else:
-        if t.n1_2a and t.n1_2b:
-            vals["w"] = t.n1 * t.n1_2a_2b / (t.n1_2a * t.n1_2b)
-        else:
-            vals["w"] = UNDEFINED
-            undef.add("w")
-        undef.update({"p2", "p12", "g12", "pc", "qc", "naive_ratio"})
-    return vals, undef
-
-
-def _delta_errors(t: CountTable, eta2: float) -> dict[str, float]:
-    """Delta-method standard errors from the multinomial covariance of the counts."""
-    n = t.n_trials
-    ses: dict[str, float] = {}
-
-    def ratio_se(grad: np.ndarray, probs: np.ndarray, joint: np.ndarray) -> float:
-        cov = (joint - np.outer(probs, probs)) / n
-        var = float(grad @ cov @ grad)
-        return float(np.sqrt(max(var, 0.0)))
-
-    if t.mode is DetectionMode.SINGLE:
-        p1, p2, p12 = t.n1 / n, t.n2 / n, t.n12 / n
-        ses["p1"] = np.sqrt(p1 * (1 - p1) / n)
-        ses["p2"] = np.sqrt(p2 * (1 - p2) / n)
-        ses["p12"] = np.sqrt(p12 * (1 - p12) / n)
-        probs = np.array([p1, p2, p12])
-        # E[Zi Zj] = probability that all detectors involved in i and j clicked
-        joint = np.array([[p1, p12, p12], [p12, p2, p12], [p12, p12, p12]])
-        if p1 > 0 and p2 > 0:
-            ses["g12"] = ratio_se(
-                np.array([-p12 / (p1 * p1 * p2), -p12 / (p1 * p2 * p2), 1 / (p1 * p2)]),
-                probs, joint)
-        if p1 > 0:
-            ses["pc"] = ratio_se(np.array([-p12 / (p1 * p1), 0.0, 1 / p1]), probs, joint)
-            ses["qc"] = ses["pc"] / eta2
-            ses["naive_ratio"] = ratio_se(np.array([-p2 / (p1 * p1), 1 / p1, 0.0]),
-                                          probs, joint)
-        return ses
-
-    p1, qa, qb, tt = t.n1 / n, t.n1_2a / n, t.n1_2b / n, t.n1_2a_2b / n
-    ses["p1"] = np.sqrt(p1 * (1 - p1) / n)
-    if qa > 0 and qb > 0:
-        probs = np.array([p1, qa, qb, tt])
-        joint = np.array([[p1, qa, qb, tt],
-                          [qa, qa, tt, tt],
-                          [qb, tt, qb, tt],
-                          [tt, tt, tt, tt]])
-        grad = np.array([tt / (qa * qb),
-                         -p1 * tt / (qa * qa * qb),
-                         -p1 * tt / (qa * qb * qb),
-                         p1 / (qa * qb)])
-        ses["w"] = ratio_se(grad, probs, joint)
+def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
+                  vals: dict[str, float]) -> dict[str, float]:
+    """Delta-method standard errors of the defined metrics, through the covariance
+    Cov(Z_S, Z_T) = q[S | T] - q_S q_T of the indicators Z_S that all of S clicked."""
+    n = counts[0]
+    q = (counts / n).astype(float)
+    masks = np.arange(len(q))
+    cov = q[masks[:, None] | masks] - np.outer(q, q)
+    ses = {}
+    for name, (num, den) in _METRICS[mode].items():
+        if math.isnan(vals[name]):
+            continue
+        grad = np.zeros(len(q))
+        for s, e in [(s, 1) for s in num] + [(s, -1) for s in den]:
+            if q[s] > 0:   # Z_S of a subset that never clicked has no (co)variance
+                grad[s] += e * vals[name] / q[s]
+        ses[name] = math.sqrt(max(float(grad @ cov @ grad) / n, 0.0))
+    if "pc" in ses:
+        ses["qc"] = ses["pc"] / eta2
     return ses
 
 
-def _bootstrap_errors(t: CountTable, eta2: float, n_boot: int, seed: int) -> dict[str, float]:
+def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
+                      n_boot: int, seed: int) -> dict[str, float]:
     """Whole-trial bootstrap: resample the per-trial click-pattern multinomial."""
-    counts, cats = _category_counts(t)
-    probs = counts / t.n_trials
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(t.n_trials, probs, size=n_boot)
-
-    reps: dict[str, list[float]] = {}
-    for row in draws:
-        bt = CountTable(mode=t.mode, n_trials=t.n_trials)
-        if t.mode is DetectionMode.SINGLE:
-            lut = dict(zip(cats, row))
-            bt.n1 = int(lut[(True, False)] + lut[(True, True)])
-            bt.n2 = int(lut[(False, True)] + lut[(True, True)])
-            bt.n12 = int(lut[(True, True)])
-        else:
-            lut = dict(zip(cats, row))
-            bt.n1 = int(sum(v for c, v in lut.items() if c[0]))
-            bt.n2a = int(sum(v for c, v in lut.items() if c[1]))
-            bt.n2b = int(sum(v for c, v in lut.items() if c[2]))
-            bt.n1_2a = int(sum(v for c, v in lut.items() if c[0] and c[1]))
-            bt.n1_2b = int(sum(v for c, v in lut.items() if c[0] and c[2]))
-            bt.n2a_2b = int(sum(v for c, v in lut.items() if c[1] and c[2]))
-            bt.n1_2a_2b = int(lut[(True, True, True)])
-        vals, _ = _point_metrics(bt, eta2)
-        for k, v in vals.items():
-            reps.setdefault(k, []).append(v)
-
+    zeta = _zeta(mode)
+    order = _DRAW_ORDER[mode]
+    n = counts[0]
+    parity = (-1) ** np.array([bin(s).count("1") for s in range(len(zeta))])
+    patterns = counts.astype(np.int64) @ (zeta * np.outer(parity, parity))  # inverse of zeta
+    if np.any(patterns < 0):
+        raise ValueError("inconsistent count table")
+    draws = np.random.default_rng(seed).multinomial(n, patterns[order] / n, size=n_boot)
     ses = {}
-    for k, arr in reps.items():
-        a = np.array(arr)
+    for name, a in _metric_values((draws @ zeta[order]).astype(object), mode, eta2).items():
         good = np.isfinite(a)
         if good.sum() >= 2:
-            ses[k] = float(np.std(a[good], ddof=1))
+            ses[name] = float(np.std(a[good], ddof=1))
     return ses
 
 
@@ -291,27 +225,25 @@ def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta
     if method not in ("delta", "bootstrap"):
         raise ValueError(f"unknown error method {method!r}")
 
-    vals, undef = _point_metrics(table, eta2)
+    mode = table.mode
+    subsets = _SUBSETS[mode]
+    counts = np.array([getattr(table, name) for name in sorted(subsets, key=subsets.get)],
+                      dtype=object)   # Python ints indexed by subset bitmask
+    vals = {name: float(v[0]) for name, v in _metric_values(counts[None], mode, eta2).items()}
     if method == "delta":
-        ses = _delta_errors(table, eta2)
+        ses = _delta_errors(counts, mode, eta2, vals)
     else:
-        ses = _bootstrap_errors(table, eta2, n_boot, seed)
+        ses = _bootstrap_errors(counts, mode, eta2, n_boot, seed)
 
-    warns = []
-    relevant = (("n1", "n2", "n12") if table.mode is DetectionMode.SINGLE
-                else ("n1", "n2a", "n2b", "n1_2a", "n1_2b", "n1_2a_2b"))
-    low = [name for name in relevant if getattr(table, name) < LOW_COUNT]
-    if low:
-        warns.append("low-count: " + ",".join(low))
-
-    out = MetricsWithErrors(mode=table.mode, n_trials=table.n_trials, method=method,
-                            undefined=frozenset(undef), warnings=tuple(warns),
-                            n_boot=n_boot if method == "bootstrap" else 0)
-    for k, v in vals.items():
-        setattr(out, k, v)
-    for k, v in ses.items():
-        setattr(out, k + "_se", v)
-    return out
+    # singles and counts including D1; the unheralded n2a_2b only feeds the bootstrap
+    low = [name for name, s in subsets.items()
+           if s and (s & 1 or not s & (s - 1)) and getattr(table, name) < LOW_COUNT]
+    return MetricsWithErrors(
+        mode=mode, n_trials=table.n_trials, method=method,
+        undefined=frozenset(k for k in _NAMES if math.isnan(vals.get(k, UNDEFINED))),
+        warnings=("low-count: " + ",".join(low),) if low else (),
+        n_boot=n_boot if method == "bootstrap" else 0,
+        **vals, **{k + "_se": v for k, v in ses.items()})
 
 
 def report_text(m: MetricsWithErrors) -> str:

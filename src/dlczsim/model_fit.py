@@ -292,7 +292,7 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     flags = []
     if len(r_vec) <= d:
         flags.append("under-determined")
-    cov, errs = _gauss_newton_covariance(base, free_names, natural, dataset, flags)
+    cov, errs = _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags)
     if not best.success:
         flags.append("non-convergence")
 
@@ -303,7 +303,7 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
                      start_objectives=tuple(start_objs))
 
 
-def _gauss_newton_covariance(base, free_names, natural, dataset, flags):
+def _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags):
     """Covariance from a finite-difference Jacobian of the weighted residuals."""
     p0, alt0 = _apply_free(base, free_names, natural)
     r0 = residuals(p0, dataset, alt0)
@@ -311,6 +311,8 @@ def _gauss_newton_covariance(base, free_names, natural, dataset, flags):
     jac = np.zeros((len(r0), d))
     for j in range(d):
         step = max(abs(natural[j]) * 1e-5, 1e-12)
+        if natural[j] + step > bounds[free_names[j]][1]:   # at the upper bound: step back
+            step = -step
         bumped = natural.copy()
         bumped[j] += step
         p1, alt1 = _apply_free(base, free_names, bumped)

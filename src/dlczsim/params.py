@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields, replace
 
 
@@ -60,8 +61,9 @@ class ModelParams:
         if not 0.0 < self.chi_ref < 1.0:
             raise ValueError(f"chi_ref must be in (0, 1), got {self.chi_ref}")
         for name in ("bg1_coherent", "bg2_coherent", "bg1_incoherent", "bg2_incoherent"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("retrieval_eff", "eta1", "eta2_path", "eta_apd", "bs_transmission", "bs_ratio"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -77,23 +77,20 @@ class Metrics:
     undefined: frozenset = frozenset()
 
 
-def _silent_prob(chi: float, silent: tuple[Channel, ...]) -> float:
-    """P(every detector in `silent` sees zero photons in one trial).
+def _subset_pgfs(chi: float, chans: tuple[Channel, ...]) -> list[float]:
+    """G[S] = P(no pair photon reaches any detector of S); bit i of S is channel i.
 
-    The pair-photon routings to distinct field-2 detectors are mutually exclusive per
-    photon, so a field-2 photon misses all silent field-2 detectors with probability
-    1 - sum of their efficiencies.  Backgrounds factor out as Poisson zeros.
+    Pair-photon routings to distinct field-2 detectors are mutually exclusive per
+    photon, so a field-2 photon misses those of S with probability 1 - their summed
+    efficiencies.
     """
-    x = 1.0
-    y = 1.0
-    bg = 0.0
-    for ch in silent:
-        bg += ch.bg_mean
-        if ch.detector is Detector.D1:
-            x -= ch.pair_eff
-        else:
-            y -= ch.pair_eff
-    return math.exp(-bg) * tmss_pgf(chi, x, y)
+    codes = np.arange(1 << len(chans))
+    x = np.ones(len(codes))
+    y = np.ones(len(codes))
+    for i, ch in enumerate(chans):
+        arg = x if ch.detector is Detector.D1 else y
+        arg[codes >> i & 1 == 1] -= ch.pair_eff
+    return tmss_pgf(chi, x, y).tolist()
 
 
 def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> dict[tuple[bool, ...], float]:
@@ -104,36 +101,23 @@ def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> 
     """
     chans = config.channels(params)
     k = len(chans)
-    silent = {}
-    for subset in itertools.product((False, True), repeat=k):
-        chosen = tuple(c for c, s in zip(chans, subset) if s)
-        silent[subset] = _silent_prob(params.chi, chosen)
+    codes = np.arange(1 << k)
+    bg = np.zeros(len(codes))
+    for i, ch in enumerate(chans):
+        bg[codes >> i & 1 == 1] += ch.bg_mean
+    # P(every detector of bitmask S sees zero photons); backgrounds are Poisson
+    silent = [math.exp(-b) * g for b, g in zip(bg.tolist(), _subset_pgfs(params.chi, chans))]
     dist = {}
     for pattern in itertools.product((False, True), repeat=k):
-        # pattern[i] == True means detector i clicked; sum over supersets of the
-        # silent set with alternating signs.
-        quiet = tuple(not c for c in pattern)
+        # sum over supersets of the silent set with alternating signs
+        quiet = sum(1 << i for i in range(k) if not pattern[i])
+        clicked = [i for i in range(k) if pattern[i]]
         total = 0.0
-        free = [i for i in range(k) if not quiet[i]]
-        for extra in itertools.product((False, True), repeat=len(free)):
-            sub = list(quiet)
-            for i, on in zip(free, extra):
-                sub[i] = on
-            total += (-1) ** sum(extra) * silent[tuple(sub)]
+        for extra in itertools.product((False, True), repeat=len(clicked)):
+            sub = quiet | sum(1 << i for i, on in zip(clicked, extra) if on)
+            total += (-1) ** sum(extra) * silent[sub]
         dist[pattern] = max(total, 0.0)
     return dist
-
-
-def _pgf_of_subset(chi: float, subset: tuple[Channel, ...]) -> float:
-    """Pair-photon pgf argument product for a jointly-silent detector subset."""
-    x = 1.0
-    y = 1.0
-    for ch in subset:
-        if ch.detector is Detector.D1:
-            x -= ch.pair_eff
-        else:
-            y -= ch.pair_eff
-    return tmss_pgf(chi, x, y)
 
 
 def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:
@@ -145,19 +129,14 @@ def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics
     floating point and the g12 = 1 / w = 1 limits hold to machine precision.
     """
     chans = config.channels(params)
-    chi = params.chi
     B = [math.exp(-ch.bg_mean) for ch in chans]
-    G = {}
-    n = len(chans)
-    for r in range(1, n + 1):
-        for idx in itertools.combinations(range(n), r):
-            G[idx] = _pgf_of_subset(chi, tuple(chans[i] for i in idx))
-    p = [1.0 - B[i] * G[(i,)] for i in range(n)]
+    G = _subset_pgfs(params.chi, chans)   # indexed by channel bitmask
+    p = [1.0 - B[i] * G[1 << i] for i in range(len(chans))]
 
     def excess(i: int, j: int) -> float:
         # s_ij - s_i s_j, with the background factors pulled out so that it
         # vanishes identically when the pgf factorizes
-        return B[i] * B[j] * (G[(i, j)] - G[(i,)] * G[(j,)])
+        return B[i] * B[j] * (G[1 << i | 1 << j] - G[1 << i] * G[1 << j])
 
     if config.mode is DetectionMode.SINGLE:
         return Statistics(
@@ -169,11 +148,11 @@ def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics
 
     d1a, d1b, dab = excess(0, 1), excess(0, 2), excess(1, 2)
     # third-order excess of the joint silence probability
-    t = B[0] * B[1] * B[2] * (G[(0, 1, 2)]
-                              - G[(0,)] * G[(1, 2)]
-                              - G[(1,)] * G[(0, 2)]
-                              - G[(2,)] * G[(0, 1)]
-                              + 2.0 * G[(0,)] * G[(1,)] * G[(2,)])
+    t = B[0] * B[1] * B[2] * (G[0b111]
+                              - G[0b001] * G[0b110]
+                              - G[0b010] * G[0b101]
+                              - G[0b100] * G[0b011]
+                              + 2.0 * G[0b001] * G[0b010] * G[0b100])
     triple = (p[0] * p[1] * p[2]
               + d1a * p[2] + d1b * p[1] + dab * p[0]
               - t)
@@ -273,21 +252,6 @@ def _trinom_pmf(n: int, pa: float, pb: float) -> np.ndarray:
     return pmf
 
 
-def _poisson_zero(mean: float, kmax: int) -> tuple[float, float]:
-    """(P(0), P(>=1)) for a Poisson count, by explicit summation up to kmax.
-
-    The tail beyond kmax is folded into the >=1 bucket, which is where it belongs
-    for click detection; the returned pair always sums to 1.
-    """
-    k = np.arange(kmax + 1)
-    pmf = np.exp(-mean + k * np.log(mean) - gammaln(k + 1)) if mean > 0 else None
-    p0 = math.exp(-mean)
-    if pmf is not None:
-        # consistency of the truncated enumeration with the closed-form zero term
-        assert abs(pmf[0] - p0) < 1e-13
-    return p0, 1.0 - p0
-
-
 def brute_force_statistics(params: ModelParams, config: DetectionConfig,
                            nmax: int = 60) -> tuple[Statistics, float]:
     """Independent oracle: enumerate pair number, thinning outcomes, and splitter routing.
@@ -305,16 +269,16 @@ def brute_force_statistics(params: ModelParams, config: DetectionConfig,
                       stacklevel=2)
 
     d1 = chans[0]
-    z1_0, z1_1 = _poisson_zero(d1.bg_mean, nmax)
+    z1_1 = 1.0 - math.exp(-d1.bg_mean)   # P(>= 1 background count)
 
     split = config.mode is DetectionMode.SPLIT
     if split:
         ca, cb = chans[1], chans[2]
-        za_0, za_1 = _poisson_zero(ca.bg_mean, nmax)
-        zb_0, zb_1 = _poisson_zero(cb.bg_mean, nmax)
+        za_1 = 1.0 - math.exp(-ca.bg_mean)
+        zb_1 = 1.0 - math.exp(-cb.bg_mean)
     else:
         c2 = chans[1]
-        z2_0, z2_1 = _poisson_zero(c2.bg_mean, nmax)
+        z2_1 = 1.0 - math.exp(-c2.bg_mean)
 
     acc = {}
 

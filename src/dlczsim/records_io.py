@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 
 import numpy as np
@@ -49,14 +50,6 @@ def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _stream_mode(detector_ids: np.ndarray) -> DetectionMode:
-    has_d2 = np.any(detector_ids == int(Detector.D2))
-    has_split = np.any((detector_ids == int(Detector.D2A)) | (detector_ids == int(Detector.D2B)))
-    if has_d2 and has_split:
-        raise ValueError("stream mixes D2 with D2a/D2b records")
-    return DetectionMode.SPLIT if has_split else DetectionMode.SINGLE
-
-
 def read_records(source, schedule: TrialSchedule | None = None,
                  n_trials: int | None = None) -> RecordStream:
     """Read either format (binary detected by magic).  Raises RecordFormatError on corruption."""
@@ -82,38 +75,62 @@ def _read_binary(data: bytes, schedule, n_trials) -> RecordStream:
     payload = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
     return _build_stream(payload["trial_index"].astype(np.uint64),
                          payload["detector_id"].astype(np.uint8),
-                         payload["offset_ns"].astype(np.uint32), schedule, n_trials)
+                         payload["offset_ns"].astype(np.uint32), schedule, n_trials,
+                         lambda i: _HEADER.size + i * _RECORD_DTYPE.itemsize)
 
 
 def _read_csv(data: bytes, schedule, n_trials) -> RecordStream:
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError("CSV is not UTF-8 text", exc.start) from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != "trial_index,detector,offset_ns":
         raise RecordFormatError("missing or malformed CSV header", 0)
     trials, dets, offs = [], [], []
+    for pos, line in _csv_records(lines):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise RecordFormatError(f"bad CSV record {line!r}", pos)
+        try:
+            trials.append(int(parts[0]))
+            dets.append(int(Detector.from_label(parts[1].strip())))
+            offs.append(int(parts[2]))
+        except ValueError:
+            raise RecordFormatError(f"bad CSV record {line!r}", pos) from None
+        if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
+            raise RecordFormatError(f"CSV record {line!r} out of range", pos)
+    return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
+                         np.array(offs, np.uint32), schedule, n_trials,
+                         lambda i: next(itertools.islice(_csv_records(lines), i, None))[0])
+
+
+def _csv_records(lines):
+    """(byte position, text) of each non-blank record line after the header."""
     pos = len(lines[0]) + 1
     for line in lines[1:]:
         if line.strip():
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise RecordFormatError(f"bad CSV record {line!r}", pos)
-            try:
-                trials.append(int(parts[0]))
-                dets.append(int(Detector.from_label(parts[1].strip())))
-                offs.append(int(parts[2]))
-            except ValueError:
-                raise RecordFormatError(f"bad CSV record {line!r}", pos) from None
+            yield pos, line
         pos += len(line) + 1
-    return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
-                         np.array(offs, np.uint32), schedule, n_trials)
 
 
-def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials) -> RecordStream:
-    mode = _stream_mode(detector_id)
-    if schedule is None:
-        schedule = TrialSchedule()
+def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials,
+                  record_offset) -> RecordStream:
+    """Validate decoded columns; `record_offset(i)` is the byte position of record i."""
+    split = (detector_id == Detector.D2A) | (detector_id == Detector.D2B)
+    single = detector_id == Detector.D2
+    # a record is mixed once both single- and split-mode records have appeared
+    mixed = (split & np.logical_or.accumulate(single)) | (single & np.logical_or.accumulate(split))
     if n_trials is None:
         n_trials = int(trial_index.max()) + 1 if len(trial_index) else 0
+    for bad, message in ((detector_id > max(Detector), "unknown detector id"),
+                         (mixed, "stream mixes D2 with D2a/D2b records"),
+                         (trial_index >= n_trials, f"trial index >= n_trials = {n_trials}")):
+        if bad.any():
+            raise RecordFormatError(message, record_offset(int(np.argmax(bad))))
+    if schedule is None:
+        schedule = TrialSchedule()
+    mode = DetectionMode.SPLIT if split.any() else DetectionMode.SINGLE
     return RecordStream(mode=mode, schedule=schedule, n_trials=n_trials,
                         trial_index=trial_index, detector_id=detector_id,
                         offset_ns=offset_ns)

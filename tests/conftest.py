@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dlczsim import DetectionConfig, DetectionMode, ModelParams
-from dlczsim.correlator import CountTable
+from dlczsim.correlator import CountTable, table_from_patterns
 from dlczsim.photon_model import click_pattern_distribution
 
 
@@ -36,21 +36,7 @@ def table_from_multinomial(params: ModelParams, mode: DetectionMode, n_trials: i
     probs = np.array([dist[c] for c in cats])
     probs = probs / probs.sum()
     counts = rng.multinomial(n_trials, probs)
-    lut = dict(zip(cats, counts))
-    t = CountTable(mode=mode, n_trials=n_trials)
-    if mode is DetectionMode.SINGLE:
-        t.n1 = int(sum(v for c, v in lut.items() if c[0]))
-        t.n2 = int(sum(v for c, v in lut.items() if c[1]))
-        t.n12 = int(lut[(True, True)])
-    else:
-        t.n1 = int(sum(v for c, v in lut.items() if c[0]))
-        t.n2a = int(sum(v for c, v in lut.items() if c[1]))
-        t.n2b = int(sum(v for c, v in lut.items() if c[2]))
-        t.n1_2a = int(sum(v for c, v in lut.items() if c[0] and c[1]))
-        t.n1_2b = int(sum(v for c, v in lut.items() if c[0] and c[2]))
-        t.n2a_2b = int(sum(v for c, v in lut.items() if c[1] and c[2]))
-        t.n1_2a_2b = int(lut[(True, True, True)])
-    return t
+    return table_from_patterns(mode, dict(zip(cats, counts)))
 
 
 @pytest.fixture

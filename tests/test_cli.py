@@ -64,6 +64,14 @@ class TestSimulate:
         assert rc == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["bg1_coherent = nan", "bg2_incoherent = inf"])
+    def test_non_finite_background_rejected(self, tmp_path, capsys, line):
+        pf = tmp_path / "bad.txt"
+        pf.write_text(f"chi = 0.1\n{line}\n")
+        rc = main(["simulate", "--params", str(pf), "--out", str(tmp_path / "x.pdr")])
+        assert rc == 1
+        assert line.split()[0] in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_matches_analytic(self, tmp_path, params_file):
@@ -105,6 +113,17 @@ class TestAnalyze:
     def test_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pdr"
         bad.write_bytes(b"PDR1" + b"\x01\x00\x00\x00" + b"\xff" * 11)
+        assert main(["analyze", str(bad)]) == 2
+        assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        b"trial_index,detector,offset_ns\n1,D1,0\n\xff\xfe,D2,300\n",
+        b"trial_index,detector,offset_ns\n1,D1,0\n1,D2,300\n2,D2a,300\n",
+        b"trial_index,detector,offset_ns\n-1,D1,0\n",
+    ], ids=["not-utf8", "mixed-modes", "negative-trial"])
+    def test_malformed_records_exit_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
         assert main(["analyze", str(bad)]) == 2
         assert "byte offset" in capsys.readouterr().err
 

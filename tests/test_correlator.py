@@ -63,6 +63,14 @@ class TestAccumulate:
             accumulate(CountTable(mode=DetectionMode.SINGLE), s2)
 
 
+    def test_foreign_detectors_rejected(self):
+        with pytest.raises(ValueError):
+            accumulate(CountTable(mode=DetectionMode.SINGLE), stream_from_clicks({9: [1]}))
+        with pytest.raises(ValueError):
+            accumulate_clicks(CountTable(mode=DetectionMode.SPLIT),
+                              (np.ones(3, bool), np.ones(3, bool)))
+
+
 class TestMerge:
     def test_identity(self):
         t = CountTable(mode=DetectionMode.SINGLE, n_trials=10, n1=2, n2=2, n12=1)
@@ -163,3 +171,86 @@ class TestEstimate:
         t = CountTable(mode=DetectionMode.SINGLE, n_trials=1000, n1=100, n2=80, n12=30)
         text = report_text(estimate_metrics(t))
         assert "g12 = " in text and "n_trials = 1000" in text
+
+
+PIN_SINGLE = CountTable(mode=DetectionMode.SINGLE, n_trials=1_000_000,
+                        n1=12_345, n2=8_765, n12=1_234)
+PIN_SPLIT = CountTable(mode=DetectionMode.SPLIT, n_trials=1_000_000, n1=50_000,
+                       n2a=9_000, n2b=8_800, n1_2a=3_000, n1_2b=2_900, n2a_2b=400,
+                       n1_2a_2b=150)
+
+
+def _ratio_se(grad, probs, joint, n):
+    cov = (joint - np.outer(probs, probs)) / n
+    return math.sqrt(max(float(grad @ cov @ grad), 0.0))
+
+
+class TestPinnedEstimators:
+    """Estimators against hand-derived formulas and stored bootstrap reports."""
+
+    def test_single_mode_delta_formulas(self):
+        t, eta2 = PIN_SINGLE, 0.3
+        n = t.n_trials
+        p1, p2, p12 = t.n1 / n, t.n2 / n, t.n12 / n
+        probs = np.array([p1, p2, p12])
+        joint = np.array([[p1, p12, p12], [p12, p2, p12], [p12, p12, p12]])
+        pc_se = _ratio_se(np.array([-p12 / (p1 * p1), 0.0, 1 / p1]), probs, joint, n)
+        expected = {
+            "p1": (p1, math.sqrt(p1 * (1 - p1) / n)),
+            "p2": (p2, math.sqrt(p2 * (1 - p2) / n)),
+            "p12": (p12, math.sqrt(p12 * (1 - p12) / n)),
+            "g12": (p12 / (p1 * p2), _ratio_se(
+                np.array([-p12 / (p1 * p1 * p2), -p12 / (p1 * p2 * p2), 1 / (p1 * p2)]),
+                probs, joint, n)),
+            "pc": (p12 / p1, pc_se),
+            "qc": (p12 / p1 / eta2, pc_se / eta2),
+            "naive_ratio": (p2 / p1, _ratio_se(np.array([-p2 / (p1 * p1), 1 / p1, 0.0]),
+                                               probs, joint, n)),
+        }
+        m = estimate_metrics(t, eta2=eta2)
+        for name, (value, se) in expected.items():
+            assert getattr(m, name) == pytest.approx(value, rel=1e-12, abs=0), name
+            assert getattr(m, name + "_se") == pytest.approx(se, rel=1e-12, abs=0), name
+        assert math.isnan(m.w) and math.isnan(m.w_se)
+        assert m.undefined == {"w"}
+
+    def test_split_mode_delta_formulas(self):
+        t = PIN_SPLIT
+        n = t.n_trials
+        p1, qa, qb, tt = t.n1 / n, t.n1_2a / n, t.n1_2b / n, t.n1_2a_2b / n
+        probs = np.array([p1, qa, qb, tt])
+        joint = np.array([[p1, qa, qb, tt], [qa, qa, tt, tt],
+                          [qb, tt, qb, tt], [tt, tt, tt, tt]])
+        grad = np.array([tt / (qa * qb), -p1 * tt / (qa * qa * qb),
+                         -p1 * tt / (qa * qb * qb), p1 / (qa * qb)])
+        m = estimate_metrics(t, eta2=0.3)
+        assert m.p1 == pytest.approx(p1, rel=1e-12, abs=0)
+        assert m.p1_se == pytest.approx(math.sqrt(p1 * (1 - p1) / n), rel=1e-12, abs=0)
+        assert m.w == pytest.approx(p1 * tt / (qa * qb), rel=1e-12, abs=0)
+        assert m.w_se == pytest.approx(_ratio_se(grad, probs, joint, n), rel=1e-12, abs=0)
+        assert m.undefined == {"p2", "p12", "g12", "pc", "qc", "naive_ratio"}
+
+    @pytest.mark.parametrize("table, expected", [
+        (PIN_SINGLE,
+         "mode = single\nn_trials = 1000000\nerror_method = bootstrap\n"
+         "p1 = 0.012345\np1_se = 0.00011006263531947314\n"
+         "p2 = 0.008765\np2_se = 9.770730763266436e-05\n"
+         "p12 = 0.001234\np12_se = 3.726187510959985e-05\n"
+         "g12 = 11.404392215901595\ng12_se = 0.2972391038199274\n"
+         "pc = 0.09995949777237748\npc_se = 0.0028202528157062084\n"
+         "qc = 0.3331983259079249\nqc_se = 0.009400842719020693\n"
+         "w = nan\nw_se = nan\n"
+         "naive_ratio = 0.7100040502227623\nnaive_ratio_se = 0.009172468469571645\n"
+         "undefined = w\n"),
+        (PIN_SPLIT,
+         "mode = split\nn_trials = 1000000\nerror_method = bootstrap\n"
+         "p1 = 0.05\np1_se = 0.00023154627070498667\n"
+         "p2 = nan\np2_se = nan\np12 = nan\np12_se = nan\ng12 = nan\ng12_se = nan\n"
+         "pc = nan\npc_se = nan\nqc = nan\nqc_se = nan\n"
+         "w = 0.8620689655172413\nw_se = 0.06271844910229438\n"
+         "naive_ratio = nan\nnaive_ratio_se = nan\n"
+         "undefined = g12,naive_ratio,p12,p2,pc,qc\n"),
+    ], ids=["single", "split"])
+    def test_bootstrap_report_is_stable(self, table, expected):
+        m = estimate_metrics(table, eta2=0.3, method="bootstrap", n_boot=200, seed=3)
+        assert report_text(m) == expected

@@ -156,3 +156,12 @@ class TestFit:
         res = fit(ds, n_starts=2, seed=5)
         text = fit_result_text(res)
         assert "retrieval_eff = " in text and "objective = " in text
+
+    def test_covariance_at_upper_bound_steps_inward(self):
+        from dlczsim.model_fit import _gauss_newton_covariance
+        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
+        flags = []
+        cov, errs = _gauss_newton_covariance(PAPER_REGIME, ("retrieval_eff",), np.array([1.0]),
+                                             {"retrieval_eff": (0.01, 1.0)}, ds, flags)
+        assert cov.shape == (1, 1) and np.isfinite(errs[0]) and errs[0] > 0
+        assert flags == []

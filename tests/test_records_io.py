@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim import DetectionMode, Detector, ModelParams, SessionSpec, TrialSchedule
 from dlczsim.event_sim import RecordStream
@@ -87,3 +89,57 @@ def test_mode_detected_from_ids(rng):
     write_records(stream, buf, BINARY)
     buf.seek(0)
     assert read_records(buf).mode is DetectionMode.SINGLE
+
+
+def _binary(records):
+    """PDR1 bytes for (trial_index, detector_id, offset_ns) tuples."""
+    payload = np.array(records, dtype=[("t", "<u8"), ("d", "u1"), ("o", "<u4")])
+    header = b"PDR1" + (1).to_bytes(4, "little") + len(records).to_bytes(8, "little")
+    return header + payload.tobytes()
+
+
+HEADER = b"trial_index,detector,offset_ns\n"
+
+
+@pytest.mark.parametrize("data, offset", [
+    (HEADER + b"0,D1,0\n-1,D2,300\n", len(HEADER) + 7),
+    (HEADER + b"0,D1,0\n" + str(10 ** 23).encode() + b",D2,300\n", len(HEADER) + 7),
+    (HEADER + b"0,D1,0\n0,D2," + str(2 ** 32).encode() + b"\n", len(HEADER) + 7),
+    (HEADER + b"0,D1,0\n\xff,D2,300\n", len(HEADER) + 7),
+    (HEADER + b"0,D1,0\n0,D2,300\n1,D2b,300\n", len(HEADER) + 16),
+    (_binary([(0, 0, 0), (0, 1, 300), (1, 3, 300)]), 16 + 2 * 13),
+    (_binary([(0, 0, 0), (1, 9, 300)]), 16 + 13),
+], ids=["csv-negative-trial", "csv-huge-trial", "csv-huge-offset", "csv-not-utf8",
+        "csv-mixed-modes", "bin-mixed-modes", "bin-unknown-detector"])
+def test_malformed_input_raises_format_error(data, offset):
+    with pytest.raises(RecordFormatError) as exc:
+        read_records(io.BytesIO(data))
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("data, offset", [
+    (HEADER + b"0,D1,0\n5,D2,300\n", len(HEADER) + 7),
+    (_binary([(0, 0, 0), (5, 1, 300)]), 16 + 13),
+], ids=["csv", "bin"])
+def test_trial_beyond_declared_count_rejected(data, offset):
+    assert read_records(io.BytesIO(data), n_trials=6).n_trials == 6
+    with pytest.raises(RecordFormatError) as exc:
+        read_records(io.BytesIO(data), n_trials=5)
+    assert exc.value.offset == offset
+
+
+def _framed(body):
+    """A valid PDR1 header in front of the whole 13-byte records of `body`."""
+    n = len(body) // 13
+    return b"PDR1" + (1).to_bytes(4, "little") + n.to_bytes(8, "little") + body[:13 * n]
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=st.binary(max_size=200),
+       frame=st.sampled_from([bytes, lambda b: b"PDR1" + b, _framed, lambda b: HEADER + b]))
+def test_any_bytes_give_stream_or_format_error(body, frame):
+    try:
+        stream = read_records(io.BytesIO(frame(body)))
+    except RecordFormatError:
+        return
+    assert isinstance(stream, RecordStream)
