@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -13,8 +14,8 @@ import numpy as np
 from . import __version__
 from .correlator import CountTable, accumulate, estimate_metrics, report_text
 from .event_sim import run_session
-from .model_fit import (DEFAULT_BOUNDS, covariance_csv, dataset_from_csv, fit,
-                        fit_result_text, predict_curves)
+from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv,
+                        fit, fit_result_text, predict_curves)
 from .params import (DetectionConfig, DetectionMode, ModelParams, SessionSpec,
                      TrialSchedule, params_from_text, parse_keyvalues, schedule_from_text)
 from .records_io import BINARY, CSV, RecordFormatError, read_records, write_records
@@ -39,7 +40,8 @@ def _load_params(path: str) -> tuple[ModelParams, TrialSchedule]:
         raise UsageError(f"invalid params file {path}: {exc}") from exc
 
 
-def _write_manifest(out_path: str, command: str, config: dict, seed, started: float) -> None:
+def _write_manifest(out_path: str, command: str, config: dict, seed, started: float,
+                    **extra) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -47,6 +49,7 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, started: fl
         "tool_version": __version__,
         "wall_clock_s": round(time.monotonic() - started, 6),
         "outputs": [out_path],
+        **extra,
     }
     Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -148,7 +151,6 @@ def cmd_fit(args) -> int:
 
     p1s = [pt.p1 for pt in dataset.points]
     grid = np.geomspace(max(min(p1s) * 0.5, 1e-8), 0.9, 60)
-    from .model_fit import chi_from_p1
     chis = chi_from_p1(result.params, grid)
     chis = chis[np.isfinite(chis)]
     curves = predict_curves(result.params, chis) if len(chis) else []
@@ -160,7 +162,8 @@ def cmd_fit(args) -> int:
     _write_manifest(args.out, "fit",
                     {"dataset": args.dataset, "bounds_file": args.bounds,
                      "starts": args.starts, "objective": result.objective,
-                     "flags": list(result.flags)}, args.seed, started)
+                     "flags": list(result.flags)}, args.seed, started,
+                    starts=[dataclasses.asdict(s) for s in result.starts], chi2=result.chi2)
     sys.stdout.write(fit_result_text(result))
     if "under-determined" in result.flags:
         print("warning: dataset is under-determined; parameter values are not unique",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .event_sim import RecordStream
 from .params import DetectionMode, Detector
-from .photon_model import UNDEFINED
+from .photon_model import METRICS, SUBSETS, UNDEFINED, metric_values
 
 LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
 
@@ -27,28 +27,8 @@ _DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
               DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
 
 # CountTable field -> bitmask of the detector subset whose joint clicks it counts
-_SUBSETS = {
-    DetectionMode.SINGLE: {"n_trials": 0b00, "n1": 0b01, "n2": 0b10, "n12": 0b11},
-    DetectionMode.SPLIT: {"n_trials": 0b000, "n1": 0b001, "n2a": 0b010, "n2b": 0b100,
-                          "n1_2a": 0b011, "n1_2b": 0b101, "n2a_2b": 0b110,
-                          "n1_2a_2b": 0b111},
-}
-
-# metric -> (numerator subsets, denominator subsets); qc is pc / eta2
-_METRICS = {
-    DetectionMode.SINGLE: {
-        "p1": ((0b01,), (0b00,)),
-        "p2": ((0b10,), (0b00,)),
-        "p12": ((0b11,), (0b00,)),
-        "g12": ((0b11, 0b00), (0b01, 0b10)),
-        "pc": ((0b11,), (0b01,)),
-        "naive_ratio": ((0b10,), (0b01,)),
-    },
-    DetectionMode.SPLIT: {
-        "p1": ((0b001,), (0b000,)),
-        "w": ((0b001, 0b111), (0b011, 0b101)),
-    },
-}
+_SUBSETS = {mode: {"n_trials": 0, **{"n" + s: mask for s, mask in subsets.items()}}
+            for mode, subsets in SUBSETS.items()}
 
 _NAMES = ("p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio")
 
@@ -163,19 +143,6 @@ class MetricsWithErrors:
         return {k: getattr(self, k) for name in _NAMES for k in (name, name + "_se")}
 
 
-def _metric_values(counts: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
-    """Metrics per row of subset counts (exact Python ints); NaN where a denominator is 0."""
-    vals = {}
-    for name, (num, den) in _METRICS[mode].items():
-        top = np.prod(counts[:, num], axis=1)
-        bottom = np.prod(counts[:, den], axis=1)
-        defined = bottom != 0
-        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(float)
-    if "pc" in vals:
-        vals["qc"] = vals["pc"] / eta2
-    return vals
-
-
 def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
                   vals: dict[str, float]) -> dict[str, float]:
     """Delta-method standard errors of the defined metrics, through the covariance
@@ -185,7 +152,7 @@ def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
     masks = np.arange(len(q))
     cov = q[masks[:, None] | masks] - np.outer(q, q)
     ses = {}
-    for name, (num, den) in _METRICS[mode].items():
+    for name, (num, den) in METRICS[mode].items():
         if math.isnan(vals[name]):
             continue
         grad = np.zeros(len(q))
@@ -210,7 +177,7 @@ def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
         raise ValueError("inconsistent count table")
     draws = np.random.default_rng(seed).multinomial(n, patterns[order] / n, size=n_boot)
     ses = {}
-    for name, a in _metric_values((draws @ zeta[order]).astype(object), mode, eta2).items():
+    for name, a in metric_values((draws @ zeta[order]).astype(object), mode, eta2).items():
         good = np.isfinite(a)
         if good.sum() >= 2:
             ses[name] = float(np.std(a[good], ddof=1))
@@ -229,7 +196,7 @@ def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta
     subsets = _SUBSETS[mode]
     counts = np.array([getattr(table, name) for name in sorted(subsets, key=subsets.get)],
                       dtype=object)   # Python ints indexed by subset bitmask
-    vals = {name: float(v[0]) for name, v in _metric_values(counts[None], mode, eta2).items()}
+    vals = {name: float(v[0]) for name, v in metric_values(counts[None], mode, eta2).items()}
     if method == "delta":
         ses = _delta_errors(counts, mode, eta2, vals)
     else:

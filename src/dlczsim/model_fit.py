@@ -18,8 +18,8 @@ import numpy as np
 from scipy import optimize
 from scipy.stats import qmc
 
-from .params import DetectionConfig, DetectionMode, ModelParams
-from .photon_model import Metrics, click_statistics, derived_metrics, full_metrics, p1_of_chi
+from .params import DetectionConfig, ModelParams
+from .photon_model import metric_curves, p1_of_chi
 
 PENALTY = 1e3  # residual assigned to an observable the model cannot reach
 
@@ -125,32 +125,62 @@ class CurvePoint:
     w: float
 
 
+_CURVE_FIELDS = ("p1", "g12", "qc", "pc", "p12", "w")
+
+
 def predict_curves(params: ModelParams, chi_grid) -> list[CurvePoint]:
     """Model curves over a chi grid, reported against the predicted p1."""
-    out = []
-    for chi in np.asarray(chi_grid, dtype=float):
-        p = params.with_chi(float(chi))
-        m = full_metrics(p)
-        stats = click_statistics(p, DetectionConfig(DetectionMode.SINGLE))
-        out.append(CurvePoint(chi=float(chi), p1=stats.p1, g12=m.g12, qc=m.qc,
-                              pc=m.pc, p12=m.p12, w=m.w))
-    return out
+    chi = np.asarray(chi_grid, dtype=float).ravel()
+    curves = metric_curves(params, chi)
+    return [CurvePoint(x, *row) for x, *row in
+            zip(chi.tolist(), *(curves[k].tolist() for k in _CURVE_FIELDS))]
 
 
-def chi_from_p1(params: ModelParams, p1_targets, iters: int = 80) -> np.ndarray:
-    """Invert the monotone p1(chi) map by vectorized bisection; NaN where unreachable."""
+_CHI_MAX = 1.0 - 1e-12
+_CHI_RTOL = 1e-12
+_NEWTON_ITERS = 100   # bisection fallback alone halves [0, _CHI_MAX] to _CHI_RTOL in ~40
+
+
+def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
+    """Invert the increasing map chi -> p1 on [0, 1 - 1e-12]; NaN at or below p1(0).
+
+    Safeguarded Newton: every step stays inside a bracket [lo, hi] that holds the
+    root and shrinks with each evaluation, and bisects where Newton would leave it.
+    Each target stops on its own, so its chi does not depend on the other targets.
+    """
     targets = np.atleast_1d(np.asarray(p1_targets, dtype=float))
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, 1.0 - 1e-12)
+    d1_at0 = DetectionConfig().channels(params, 0.0)[0]
+    eff, bg0 = d1_at0.pair_eff, d1_at0.bg_mean
+    slope = DetectionConfig().channels(params, 1.0)[0].bg_mean - bg0   # affine in chi
     floor = p1_of_chi(params, 0.0)
     reachable = targets > floor
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = p1_of_chi(params, mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    chi = 0.5 * (lo + hi)
-    return np.where(reachable, chi, np.nan)
+    goal = targets[reachable]
+    # start from the line through p1(0) with slope dp1/dchi at 0
+    chi = np.clip((goal - floor) / (math.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
+    lo, hi = np.zeros_like(chi), np.full_like(chi, _CHI_MAX)
+    active = np.arange(len(chi))
+    for _ in range(_NEWTON_ITERS):
+        if not len(active):
+            break
+        c = chi[active]
+        miss = p1_of_chi(params, c) - goal[active]
+        lo[active] = np.where(miss < 0, c, lo[active])
+        hi[active] = np.where(miss > 0, c, hi[active])
+        # p1 = 1 - exp(-bg0 - slope chi) (1 - chi) / (1 - chi (1 - eff))
+        den = 1.0 - c * (1.0 - eff)
+        dp1 = np.exp(-bg0 - slope * c) * (slope * (1.0 - c) / den + eff / (den * den))
+        step = c - miss / dp1
+        # strictly inside: p1 is a staircase at the ulp scale, and a step back onto a
+        # bracket end would alternate between the two stairs around the target
+        inside = (step > lo[active]) & (step < hi[active])
+        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+        step[miss == 0] = c[miss == 0]
+        chi[active] = step
+        # Newton converges quadratically: a step this small leaves ~_CHI_RTOL**2
+        active = active[np.abs(step - c) > _CHI_RTOL * step]
+    out = np.full_like(targets, np.nan)
+    out[reachable] = chi
+    return out
 
 
 def _apply_free(params: ModelParams, names, values) -> tuple[ModelParams, float | None]:
@@ -165,43 +195,55 @@ def _apply_free(params: ModelParams, names, values) -> tuple[ModelParams, float 
     return replace(params, **updates), alt
 
 
+# fitted observables in residual order, and whether each is compared in log space
+_OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
+
+
+def _residual_table(params: ModelParams, dataset: Dataset,
+                    bg1_incoherent_alt: float | None = None) -> np.ndarray:
+    """Weighted residuals, one row per point and one column per observable; NaN where
+    the point has no usable measurement of it."""
+    pts = dataset.points
+    names = [name for name, _ in _OBSERVABLES]
+    obs = np.array([[getattr(pt, k) for k in names] for pt in pts],
+                   dtype=float).reshape(-1, len(names))
+    se = np.array([[getattr(pt, k + "_se") for k in names] for pt in pts],
+                  dtype=float).reshape(-1, len(names))
+    p1 = np.array([pt.p1 for pt in pts], dtype=float)
+    flagged = np.array([ALT_BG_FLAG in pt.flags for pt in pts], dtype=bool)
+    pred = np.empty_like(obs)
+    for flag in (False, True):
+        rows = flagged == flag
+        if not rows.any():
+            continue
+        p = params
+        if flag and bg1_incoherent_alt is not None:
+            p = replace(params, bg1_incoherent=bg1_incoherent_alt)
+        curves = metric_curves(p, chi_from_p1(p, p1[rows]))
+        pred[rows] = np.column_stack([curves[k] for k in names])
+    log = np.array([in_log for _, in_log in _OBSERVABLES])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        unreachable = ~np.isfinite(pred) | (log & ((pred <= 0) | (obs <= 0)))
+        r = np.where(log, (np.log(pred) - np.log(obs)) / (se / obs), (pred - obs) / se)
+    r = np.where(unreachable, PENALTY, r)
+    return np.where(np.isfinite(obs) & np.isfinite(se) & (se > 0), r, np.nan)
+
+
 def residuals(params: ModelParams, dataset: Dataset,
               bg1_incoherent_alt: float | None = None) -> np.ndarray:
-    """Weighted residual vector: log-space for g12 and p12, linear for qc and w."""
-    groups: dict[bool, list[tuple[int, DataPoint]]] = {}
-    for i, pt in enumerate(dataset.points):
-        groups.setdefault(ALT_BG_FLAG in pt.flags, []).append((i, pt))
+    """Weighted residual vector: log-space for g12 and p12, linear for qc and w.
 
-    res: list[tuple[int, str, float]] = []
-    for flagged, items in groups.items():
-        p = params
-        if flagged and bg1_incoherent_alt is not None:
-            p = replace(params, bg1_incoherent=bg1_incoherent_alt)
-        chis = chi_from_p1(p, [pt.p1 for _, pt in items])
-        for (i, pt), chi in zip(items, chis):
-            preds: Metrics | None = None
-            if np.isfinite(chi):
-                pc = p.with_chi(float(chi))
-                needs_w = math.isfinite(pt.w) and math.isfinite(pt.w_se) and pt.w_se > 0
-                if needs_w:
-                    preds = full_metrics(pc)
-                else:
-                    preds = derived_metrics(
-                        click_statistics(pc, DetectionConfig(DetectionMode.SINGLE)), pc)
-            for name, space in (("g12", "log"), ("p12", "log"), ("qc", "lin"), ("w", "lin")):
-                obs = getattr(pt, name)
-                se = getattr(pt, name + "_se")
-                if not (math.isfinite(obs) and math.isfinite(se) and se > 0):
-                    continue
-                pred = getattr(preds, name) if preds is not None else math.nan
-                if not math.isfinite(pred) or (space == "log" and (pred <= 0 or obs <= 0)):
-                    res.append((i, name, PENALTY))
-                elif space == "log":
-                    res.append((i, name, (math.log(pred) - math.log(obs)) / (se / obs)))
-                else:
-                    res.append((i, name, (pred - obs) / se))
-    res.sort(key=lambda item: (item[0], item[1]))   # invariant under point reordering
-    return np.array([r for _, _, r in res])
+    Ordered by point index, then g12, p12, qc, w.  An observable the model cannot
+    reach at a point (p1 below the model's floor, or a non-positive value in log
+    space) gets the residual PENALTY.
+    """
+    table = _residual_table(params, dataset, bg1_incoherent_alt)
+    return table[~np.isnan(table)]
+
+
+def _sorted_sum_of_squares(r: np.ndarray) -> float:
+    # summing in sorted order makes the loss exactly invariant under point reordering
+    return float(np.sort(r * r).sum())
 
 
 def objective(params: ModelParams, dataset: Dataset,
@@ -209,9 +251,16 @@ def objective(params: ModelParams, dataset: Dataset,
     """Weighted least-squares loss over every available observable."""
     if not dataset.points:
         raise ValueError("empty dataset")
-    r = residuals(params, dataset, bg1_incoherent_alt)
-    # summing in sorted order makes the loss exactly invariant under point reordering
-    return float(np.sort(r * r).sum())
+    return _sorted_sum_of_squares(residuals(params, dataset, bg1_incoherent_alt))
+
+
+@dataclass(frozen=True)
+class StartResult:
+    """Outcome of one start of the multistart fit."""
+
+    objective: float
+    nfev: int      # residual evaluations, finite-difference Jacobians included
+    status: int    # scipy.optimize.least_squares status; > 0 means converged
 
 
 @dataclass
@@ -226,7 +275,12 @@ class FitResult:
     converged: bool
     flags: tuple[str, ...] = ()
     bg1_incoherent_alt: float | None = None
-    start_objectives: tuple[float, ...] = ()
+    starts: tuple[StartResult, ...] = ()
+    chi2: dict[str, float] = field(default_factory=dict)   # per observable, at the fit
+
+    @property
+    def start_objectives(self) -> tuple[float, ...]:
+        return tuple(s.objective for s in self.starts)
 
     def value(self, name: str) -> float:
         return float(self.values[self.free_names.index(name)])
@@ -247,7 +301,12 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
         free_names=None, bounds: dict[str, tuple[float, float]] | None = None,
         init: dict[str, float] | None = None, n_starts: int = 16,
         seed: int = 0) -> FitResult:
-    """Multistart simplex fit of the free parameters; deterministic given (dataset, inputs, seed)."""
+    """Multistart bounded least squares (trust-region reflective) of the free parameters.
+
+    Starts are `init` (clipped into the bounds), then `n_starts` Latin-hypercube
+    points; the start with the lowest objective wins.  Deterministic given
+    (dataset, inputs, seed).
+    """
     if not dataset.points:
         raise ValueError("empty dataset")
     base = base if base is not None else ModelParams()
@@ -260,47 +319,51 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     lo = _to_internal(free_names, [bounds[n][0] for n in free_names])
     hi = _to_internal(free_names, [bounds[n][1] for n in free_names])
 
-    def loss(x: np.ndarray) -> float:
-        natural = _from_internal(free_names, x)
-        p, alt = _apply_free(base, free_names, natural)
-        return objective(p, dataset, alt)
+    evaluations = 0
+
+    def weighted_residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        p, alt = _apply_free(base, free_names, _from_internal(free_names, x))
+        return residuals(p, dataset, alt)
 
     d = len(free_names)
     starts = []
     if init is not None:
-        starts.append(_to_internal(free_names, [init[n] for n in free_names]))
+        starts.append(_to_internal(free_names, [min(max(init[n], bounds[n][0]), bounds[n][1])
+                                                for n in free_names]))
     sampler = qmc.LatinHypercube(d=d, seed=seed)
     for row in sampler.random(n_starts):
         starts.append(lo + row * (hi - lo))
 
-    best = None
-    start_objs = []
+    runs, solutions = [], []
     for x0 in starts:
-        r = optimize.minimize(loss, x0, method="Nelder-Mead",
-                              bounds=list(zip(lo, hi)),
-                              options={"xatol": 1e-9, "fatol": 1e-10,
-                                       "maxiter": 4000, "maxfev": 4000})
-        start_objs.append(float(r.fun))
-        if best is None or r.fun < best.fun:
-            best = r
+        evaluations = 0
+        r = optimize.least_squares(weighted_residuals, x0, bounds=(lo, hi), method="trf")
+        runs.append(StartResult(_sorted_sum_of_squares(r.fun), evaluations, int(r.status)))
+        solutions.append(r.x)
+    i_best = min(range(len(runs)), key=lambda i: runs[i].objective)   # first of equals
+    best_run = runs[i_best]
 
-    x_best = np.clip(best.x, lo, hi)
-    natural = _from_internal(free_names, x_best)
+    natural = _from_internal(free_names, solutions[i_best])
     fitted, alt = _apply_free(base, free_names, natural)
 
-    r_vec = residuals(fitted, dataset, alt)
+    table = _residual_table(fitted, dataset, alt)
+    n_residuals = int(np.count_nonzero(~np.isnan(table)))
     flags = []
-    if len(r_vec) <= d:
+    if n_residuals <= d:
         flags.append("under-determined")
     cov, errs = _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags)
-    if not best.success:
+    if best_run.status <= 0:
         flags.append("non-convergence")
 
+    chi2 = {name: _sorted_sum_of_squares(col[~np.isnan(col)])
+            for (name, _), col in zip(_OBSERVABLES, table.T)}
     return FitResult(params=fitted, free_names=free_names, values=natural,
-                     errors=errs, covariance=cov, objective=float(best.fun),
-                     n_residuals=len(r_vec), converged=bool(best.success),
+                     errors=errs, covariance=cov, objective=best_run.objective,
+                     n_residuals=n_residuals, converged=best_run.status > 0,
                      flags=tuple(flags), bg1_incoherent_alt=alt,
-                     start_objectives=tuple(start_objs))
+                     starts=tuple(runs), chi2=chi2)
 
 
 def _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags):

@@ -84,14 +84,14 @@ class Channel:
 
     detector: Detector
     pair_eff: float      # probability a single source pair photon produces a click here
-    bg_mean: float       # Poisson mean of background counts per trial
+    bg_mean: float       # Poisson mean of background counts per trial (array over a chi array)
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
     mode: DetectionMode = DetectionMode.SINGLE
 
-    def channels(self, p: ModelParams) -> tuple[Channel, ...]:
+    def channels(self, p: ModelParams, chi=None) -> tuple[Channel, ...]:
         """Effective per-detector efficiencies and background means for this configuration.
 
         Field-1 pair photons are thinned by eta1.  Field-2 pair photons are thinned
@@ -99,8 +99,11 @@ class DetectionConfig:
         APD efficiency.  Coherent backgrounds live in the source output modes and see
         the same optical losses (but not the retrieval factor); incoherent backgrounds
         are quoted at the detectors, split by bs_ratio between the two arms.
+
+        Background means are affine in chi; they are taken at p.chi, or at `chi`
+        (a number or an array, which the means then follow) where given.
         """
-        scale = p.chi / p.chi_ref
+        scale = (p.chi if chi is None else chi) / p.chi_ref
         b1 = p.bg1_coherent * scale * p.eta1 + p.bg1_incoherent
         d1 = Channel(Detector.D1, p.eta1, b1)
         if self.mode is DetectionMode.SINGLE:

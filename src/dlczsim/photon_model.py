@@ -5,6 +5,11 @@ Each pair photon independently survives (or not) a per-detector thinning chain, 
 detector additionally sees independent Poisson background counts.  A detector clicks iff
 at least one photon (pair or background) arrives.  All click probabilities then follow
 from joint no-click probabilities by inclusion-exclusion.
+
+Detector subsets are bitmasks whose bit i is channel i of `DetectionConfig.channels`
+(D1 is bit 0).  One array pass over chi gives every subset-click probability, and
+each metric is a ratio of products of those, by the same table the correlator
+applies to subset counts.
 """
 
 from __future__ import annotations
@@ -19,6 +24,51 @@ from scipy.special import gammaln
 
 from .params import Channel, DetectionConfig, DetectionMode, Detector, ModelParams
 
+UNDEFINED = float("nan")
+
+# subset name -> bitmask; statistic p<name> (count n<name>) is the probability
+# (number) of trials in which every detector of the subset clicked
+SUBSETS = {
+    DetectionMode.SINGLE: {"1": 0b01, "2": 0b10, "12": 0b11},
+    DetectionMode.SPLIT: {"1": 0b001, "2a": 0b010, "2b": 0b100, "1_2a": 0b011,
+                          "1_2b": 0b101, "2a_2b": 0b110, "1_2a_2b": 0b111},
+}
+
+# metric -> (numerator subsets, denominator subsets), over subset-click probabilities
+# or counts; subset 0 is every trial, and qc is pc / eta2
+METRICS = {
+    DetectionMode.SINGLE: {
+        "p1": ((0b01,), (0b00,)),
+        "p2": ((0b10,), (0b00,)),
+        "p12": ((0b11,), (0b00,)),
+        "g12": ((0b11, 0b00), (0b01, 0b10)),
+        "pc": ((0b11,), (0b01,)),
+        "naive_ratio": ((0b10,), (0b01,)),
+    },
+    DetectionMode.SPLIT: {
+        "p1": ((0b001,), (0b000,)),
+        "w": ((0b001, 0b111), (0b011, 0b101)),
+    },
+}
+
+
+def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
+    """Metrics per row of subset values (column S is subset S): click probabilities, or
+    counts as exact Python ints in an object array.  NaN where a denominator is 0."""
+    vals = {}
+    for name, (num, den) in METRICS[mode].items():
+        top = np.prod(values[:, num], axis=1)
+        bottom = np.prod(values[:, den], axis=1)
+        defined = bottom != 0
+        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(float)
+    if "pc" in vals:
+        vals["qc"] = vals["pc"] / eta2
+    return vals
+
+
+def _pgf(chi, x, y):
+    return (1.0 - chi) / (1.0 - chi * x * y)
+
 
 def tmss_pgf(chi, x, y):
     """E[x^n1 y^n2] for the pair-number distribution P(n1=n2=n) = (1-chi) chi^n.
@@ -32,7 +82,7 @@ def tmss_pgf(chi, x, y):
         raise ValueError("chi must be in [0, 1)")
     if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
         raise ValueError("pgf arguments must be in [0, 1]")
-    out = (1.0 - chi) / (1.0 - chi * x * y)
+    out = _pgf(chi, x, y)
     return float(out) if out.ndim == 0 else out
 
 
@@ -56,12 +106,7 @@ class Statistics:
     p1_2a_2b: float | None = None
 
     def as_dict(self) -> dict[str, float]:
-        keys = (("p1", "p2", "p12") if self.mode is DetectionMode.SINGLE
-                else ("p1", "p2a", "p2b", "p1_2a", "p1_2b", "p2a_2b", "p1_2a_2b"))
-        return {k: getattr(self, k) for k in keys}
-
-
-UNDEFINED = float("nan")
+        return {"p" + s: getattr(self, "p" + s) for s in SUBSETS[self.mode]}
 
 
 @dataclass(frozen=True)
@@ -77,8 +122,17 @@ class Metrics:
     undefined: frozenset = frozenset()
 
 
-def _subset_pgfs(chi: float, chans: tuple[Channel, ...]) -> list[float]:
-    """G[S] = P(no pair photon reaches any detector of S); bit i of S is channel i.
+_METRIC_FIELDS = ("g12", "w", "pc", "qc", "p12", "naive_ratio")
+
+
+def _metrics(vals: dict[str, np.ndarray]) -> Metrics:
+    """Metrics of the first row of `vals`; the ones it lacks or leaves NaN are undefined."""
+    kw = {k: float(vals[k][0]) if k in vals else UNDEFINED for k in _METRIC_FIELDS}
+    return Metrics(**kw, undefined=frozenset(k for k, v in kw.items() if math.isnan(v)))
+
+
+def _subset_pgfs(chi, chans: tuple[Channel, ...]) -> np.ndarray:
+    """G[..., S] = P(no pair photon reaches any detector of S), over an array of chi.
 
     Pair-photon routings to distinct field-2 detectors are mutually exclusive per
     photon, so a field-2 photon misses those of S with probability 1 - their summed
@@ -90,7 +144,49 @@ def _subset_pgfs(chi: float, chans: tuple[Channel, ...]) -> list[float]:
     for i, ch in enumerate(chans):
         arg = x if ch.detector is Detector.D1 else y
         arg[codes >> i & 1 == 1] -= ch.pair_eff
-    return tmss_pgf(chi, x, y).tolist()
+    return _pgf(np.asarray(chi, dtype=float)[..., None], x, y)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.exp, which is correctly rounded where numpy's exp can be an ulp
+    off; 1 - exp(-b) G amplifies that by 1/p for a small click probability p."""
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
+    """P[..., S] = P(every detector of bitmask S clicks), over an array of chi (S = 0: 1).
+
+    `chans` are the channels at that chi.  Joint probabilities are assembled from
+    products of singles plus excess correlation terms rather than raw
+    inclusion-exclusion, so that independent channels (chi = 0, or vanishing
+    shared-pair coupling) factorize exactly in floating point and the
+    g12 = 1 / w = 1 limits hold to machine precision.
+    """
+    k = len(chans)
+    G = _subset_pgfs(chi, chans)
+    B = [_exp(-np.asarray(ch.bg_mean, dtype=float)) for ch in chans]
+    p = [1.0 - B[i] * G[..., 1 << i] for i in range(k)]
+    # s_ij - s_i s_j, with the background factors pulled out so that it
+    # vanishes identically when the pgf factorizes
+    d = {(i, j): B[i] * B[j] * (G[..., 1 << i | 1 << j] - G[..., 1 << i] * G[..., 1 << j])
+         for i, j in itertools.combinations(range(k), 2)}
+    P = np.ones(G.shape)
+    for i in range(k):
+        P[..., 1 << i] = p[i]
+    for (i, j), excess in d.items():
+        P[..., 1 << i | 1 << j] = p[i] * p[j] + excess
+    if k == 3:
+        # third-order excess of the joint silence probability
+        g = [G[..., s] for s in range(8)]
+        t = B[0] * B[1] * B[2] * (g[0b111]
+                                  - g[0b001] * g[0b110]
+                                  - g[0b010] * g[0b101]
+                                  - g[0b100] * g[0b011]
+                                  + 2.0 * g[0b001] * g[0b010] * g[0b100])
+        P[..., 0b111] = (p[0] * p[1] * p[2]
+                         + d[0, 1] * p[2] + d[0, 2] * p[1] + d[1, 2] * p[0]
+                         - t)
+    return P
 
 
 def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> dict[tuple[bool, ...], float]:
@@ -106,7 +202,8 @@ def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> 
     for i, ch in enumerate(chans):
         bg[codes >> i & 1 == 1] += ch.bg_mean
     # P(every detector of bitmask S sees zero photons); backgrounds are Poisson
-    silent = [math.exp(-b) * g for b, g in zip(bg.tolist(), _subset_pgfs(params.chi, chans))]
+    silent = [math.exp(-b) * g
+              for b, g in zip(bg.tolist(), _subset_pgfs(params.chi, chans).tolist())]
     dist = {}
     for pattern in itertools.product((False, True), repeat=k):
         # sum over supersets of the silent set with alternating signs
@@ -121,96 +218,45 @@ def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> 
 
 
 def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:
-    """Exact per-trial singles, coincidence, and triple click probabilities.
-
-    Joint probabilities are assembled from products of singles plus excess
-    correlation terms rather than raw inclusion-exclusion, so that independent
-    channels (chi = 0, or vanishing shared-pair coupling) factorize exactly in
-    floating point and the g12 = 1 / w = 1 limits hold to machine precision.
-    """
-    chans = config.channels(params)
-    B = [math.exp(-ch.bg_mean) for ch in chans]
-    G = _subset_pgfs(params.chi, chans)   # indexed by channel bitmask
-    p = [1.0 - B[i] * G[1 << i] for i in range(len(chans))]
-
-    def excess(i: int, j: int) -> float:
-        # s_ij - s_i s_j, with the background factors pulled out so that it
-        # vanishes identically when the pgf factorizes
-        return B[i] * B[j] * (G[1 << i | 1 << j] - G[1 << i] * G[1 << j])
-
-    if config.mode is DetectionMode.SINGLE:
-        return Statistics(
-            mode=DetectionMode.SINGLE,
-            p1=p[0],
-            p2=p[1],
-            p12=p[0] * p[1] + excess(0, 1),
-        )
-
-    d1a, d1b, dab = excess(0, 1), excess(0, 2), excess(1, 2)
-    # third-order excess of the joint silence probability
-    t = B[0] * B[1] * B[2] * (G[0b111]
-                              - G[0b001] * G[0b110]
-                              - G[0b010] * G[0b101]
-                              - G[0b100] * G[0b011]
-                              + 2.0 * G[0b001] * G[0b010] * G[0b100])
-    triple = (p[0] * p[1] * p[2]
-              + d1a * p[2] + d1b * p[1] + dab * p[0]
-              - t)
-    return Statistics(
-        mode=DetectionMode.SPLIT,
-        p1=p[0],
-        p2a=p[1],
-        p2b=p[2],
-        p1_2a=p[0] * p[1] + d1a,
-        p1_2b=p[0] * p[2] + d1b,
-        p2a_2b=p[1] * p[2] + dab,
-        p1_2a_2b=triple,
-    )
+    """Exact per-trial singles, coincidence, and triple click probabilities."""
+    P = _subset_click_probs(config.channels(params), params.chi)
+    return Statistics(mode=config.mode,
+                      **{"p" + s: float(P[m]) for s, m in SUBSETS[config.mode].items()})
 
 
 def p1_of_chi(params: ModelParams, chi):
     """Field-1 click probability as a vectorized function of chi (other params fixed)."""
+    d1 = DetectionConfig().channels(params, chi)[0]
+    return _subset_click_probs((d1,), chi)[..., 0b1]
+
+
+def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:
+    """p1 and every metric over a 1-D array of chi, in one pass per detection mode.
+
+    Single-mode metrics (g12, pc, qc, p12, naive_ratio) and the split-mode w, as
+    `full_metrics` combines them.  chi is validated here, once for the array.
+    """
     chi = np.asarray(chi, dtype=float)
-    b1 = params.bg1_coherent * (chi / params.chi_ref) * params.eta1 + params.bg1_incoherent
-    return 1.0 - np.exp(-b1) * (1.0 - chi) / (1.0 - chi * (1.0 - params.eta1))
+    if np.any((chi < 0) | (chi >= 1)):
+        raise ValueError("chi must be in [0, 1)")
+    vals = {}
+    for mode in DetectionMode:
+        P = _subset_click_probs(DetectionConfig(mode).channels(params, chi), chi)
+        vals.update(metric_values(P, mode, params.eta2))
+    return vals
 
 
 def derived_metrics(stats: Statistics, params: ModelParams) -> Metrics:
     """Figures of merit from click probabilities.  Zero denominators yield flagged NaNs."""
-    undef = set()
-    g12 = pc = qc = p12 = naive = w = UNDEFINED
-
-    if stats.mode is DetectionMode.SINGLE:
-        p12 = stats.p12
-        if stats.p1 > 0.0 and stats.p2 > 0.0:
-            g12 = stats.p12 / (stats.p1 * stats.p2)
-        else:
-            undef.add("g12")
-        if stats.p1 > 0.0:
-            pc = stats.p12 / stats.p1
-            qc = pc / params.eta2
-            naive = stats.p2 / stats.p1
-        else:
-            undef.update({"pc", "qc", "naive_ratio"})
-        undef.add("w")
-    else:
-        if stats.p1_2a > 0.0 and stats.p1_2b > 0.0:
-            w = stats.p1 * stats.p1_2a_2b / (stats.p1_2a * stats.p1_2b)
-        else:
-            undef.add("w")
-        undef.update({"g12", "pc", "qc", "p12", "naive_ratio"})
-
-    return Metrics(g12=g12, w=w, pc=pc, qc=qc, p12=p12, naive_ratio=naive,
-                   undefined=frozenset(undef))
+    P = np.ones((1, len(SUBSETS[stats.mode]) + 1))
+    for s, m in SUBSETS[stats.mode].items():
+        P[0, m] = getattr(stats, "p" + s)
+    return _metrics(metric_values(P, stats.mode, params.eta2))
 
 
 def full_metrics(params: ModelParams) -> Metrics:
     """Metrics combining both detection configurations of the same source parameters."""
-    single = derived_metrics(click_statistics(params, DetectionConfig(DetectionMode.SINGLE)), params)
-    split = derived_metrics(click_statistics(params, DetectionConfig(DetectionMode.SPLIT)), params)
-    undef = (single.undefined - {"w"}) | ({"w"} & split.undefined)
-    return Metrics(g12=single.g12, w=split.w, pc=single.pc, qc=single.qc,
-                   p12=single.p12, naive_ratio=single.naive_ratio, undefined=frozenset(undef))
+    return _metrics(metric_curves(params, [params.chi]))
 
 
 # --- brute-force oracle ---------------------------------------------------------

@@ -88,30 +88,36 @@ def _read_csv(data: bytes, schedule, n_trials) -> RecordStream:
     if not lines or lines[0].strip() != "trial_index,detector,offset_ns":
         raise RecordFormatError("missing or malformed CSV header", 0)
     trials, dets, offs = [], [], []
-    for pos, line in _csv_records(lines):
+    for lineno, line in _csv_records(lines):
         parts = line.split(",")
         if len(parts) != 3:
-            raise RecordFormatError(f"bad CSV record {line!r}", pos)
+            raise RecordFormatError(f"bad CSV record {line!r}", _line_offset(text, lineno))
         try:
             trials.append(int(parts[0]))
             dets.append(int(Detector.from_label(parts[1].strip())))
             offs.append(int(parts[2]))
         except ValueError:
-            raise RecordFormatError(f"bad CSV record {line!r}", pos) from None
+            raise RecordFormatError(f"bad CSV record {line!r}",
+                                    _line_offset(text, lineno)) from None
         if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
-            raise RecordFormatError(f"CSV record {line!r} out of range", pos)
+            raise RecordFormatError(f"CSV record {line!r} out of range",
+                                    _line_offset(text, lineno))
     return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
                          np.array(offs, np.uint32), schedule, n_trials,
-                         lambda i: next(itertools.islice(_csv_records(lines), i, None))[0])
+                         lambda i: _line_offset(
+                             text, next(itertools.islice(_csv_records(lines), i, None))[0]))
 
 
 def _csv_records(lines):
-    """(byte position, text) of each non-blank record line after the header."""
-    pos = len(lines[0]) + 1
-    for line in lines[1:]:
+    """(line number, text) of each non-blank record line after the header."""
+    for lineno, line in enumerate(lines[1:], 1):
         if line.strip():
-            yield pos, line
-        pos += len(line) + 1
+            yield lineno, line
+
+
+def _line_offset(text: str, lineno: int) -> int:
+    """Byte position in the UTF-8 file of line `lineno` (0-based) of text.splitlines()."""
+    return sum(len(line.encode()) for line in text.splitlines(keepends=True)[:lineno])
 
 
 def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials,

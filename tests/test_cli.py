@@ -199,6 +199,26 @@ class TestFitCmd:
         assert (tmp_path / "fit.txt.cov.csv").exists()
         assert (tmp_path / "fit.txt.overlay.csv").exists()
 
+    def test_manifest_fit_diagnostics(self, tmp_path):
+        f, _ = self._dataset_csv(tmp_path)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(f), "--seed", "1", "--starts", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
+        starts = manifest["starts"]
+        assert len(starts) == 3
+        for start in starts:
+            assert set(start) == {"objective", "nfev", "status"}
+            assert isinstance(start["objective"], float) and start["objective"] >= 0
+            assert isinstance(start["nfev"], int) and start["nfev"] > 0
+            assert isinstance(start["status"], int)
+        chi2 = manifest["chi2"]
+        assert set(chi2) == {"g12", "p12", "qc", "w"}
+        assert all(isinstance(v, float) and v >= 0 for v in chi2.values())
+        objective = float(parse_keyvalues(out.read_text())["objective"])
+        assert objective == min(s["objective"] for s in starts)
+        assert sum(chi2.values()) == pytest.approx(objective, rel=1e-12, abs=1e-300)
+
     def test_missing_w_column_ok(self, tmp_path):
         f, _ = self._dataset_csv(tmp_path, drop_w=True)
         out = tmp_path / "fit.txt"

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim import (DataPoint, Dataset, ModelParams, chi_from_p1,
-                     dataset_from_csv, dataset_to_csv, fit, full_metrics,
-                     objective, predict_curves, residuals)
-from dlczsim.model_fit import fit_result_text
+from dlczsim import (DataPoint, Dataset, DetectionMode, ModelParams, chi_from_p1,
+                     dataset_from_csv, dataset_to_csv, estimate_metrics, fit,
+                     full_metrics, objective, predict_curves, residuals)
+from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY, _apply_free,
+                               _from_internal, _to_internal, fit_result_text)
 from dlczsim.photon_model import p1_of_chi
+
+import scalar_reference
+from conftest import random_params, table_from_multinomial
 
 PAPER_REGIME = ModelParams(bg1_coherent=2e-3, bg2_coherent=1.3e-2,
                            bg1_incoherent=1e-5, bg2_incoherent=1e-5,
@@ -165,3 +169,100 @@ class TestFit:
                                              {"retrieval_eff": (0.01, 1.0)}, ds, flags)
         assert cov.shape == (1, 1) and np.isfinite(errs[0]) and errs[0] > 0
         assert flags == []
+
+
+def criterion_9_dataset():
+    """The noisy 12-point dataset of acceptance criterion 9."""
+    rng = np.random.default_rng(9)
+    pts = []
+    for chi in np.geomspace(3e-4, 0.3, 12):
+        p = PAPER_REGIME.with_chi(float(chi))
+        ms = estimate_metrics(table_from_multinomial(p, DetectionMode.SINGLE, 44_000 * 300, rng),
+                              eta2=p.eta2)
+        mw = estimate_metrics(table_from_multinomial(p, DetectionMode.SPLIT, 44_000 * 300, rng),
+                              eta2=p.eta2)
+        pts.append(DataPoint(p1=ms.p1, p1_se=ms.p1_se, g12=ms.g12, g12_se=ms.g12_se,
+                             qc=ms.qc, qc_se=ms.qc_se, p12=ms.p12, p12_se=ms.p12_se,
+                             w=mw.w, w_se=mw.w_se))
+    return Dataset(pts)
+
+
+class TestVectorisedResiduals:
+    """The one-pass residuals against the scalar point-by-point reference."""
+
+    FREE = DEFAULT_FREE + ("bg1_incoherent_alt",)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        ds = criterion_9_dataset()
+        for i in (3, 7):
+            ds.points[i].flags = "notrap"
+        # below every reachable p1: its observables get PENALTY
+        ds.points.append(DataPoint(p1=1e-12, g12=50.0, g12_se=1.0, qc=0.5, qc_se=0.01))
+        return ds
+
+    def parameter_sets(self):
+        lo = _to_internal(self.FREE, [DEFAULT_BOUNDS[n][0] for n in self.FREE])
+        hi = _to_internal(self.FREE, [DEFAULT_BOUNDS[n][1] for n in self.FREE])
+        rng = np.random.default_rng(11)
+        yield PAPER_REGIME, 3e-6
+        for _ in range(20):
+            x = lo + rng.random(len(self.FREE)) * (hi - lo)
+            yield _apply_free(ModelParams(chi_ref=0.01), self.FREE, _from_internal(self.FREE, x))
+
+    def test_match_scalar_reference_at_the_same_chi(self, dataset):
+        def invert(p, p1):
+            return chi_from_p1(p, p1)[0]
+
+        for p, alt in self.parameter_sets():
+            r = residuals(p, dataset, alt)
+            assert r[-2:].tolist() == [PENALTY, PENALTY]
+            ref = scalar_reference.residuals(p, dataset, alt, invert=invert)
+            assert r.shape == ref.shape
+            assert np.max(np.abs(r - ref)) <= 1e-8, p
+
+    def test_match_bisection_reference_near_the_truth(self, dataset):
+        for alt in (3e-6, 1e-5):
+            r = residuals(PAPER_REGIME, dataset, alt)
+            ref = scalar_reference.residuals(PAPER_REGIME, dataset, alt)
+            assert np.max(np.abs(r - ref)) <= 1e-8
+
+
+class TestNewtonInversion:
+    def test_reproduces_p1(self):
+        chis = np.geomspace(1e-6, 0.9, 200)
+        for p in [PAPER_REGIME, ModelParams(bg1_coherent=0.9, bg1_incoherent=1e-9)] + [
+                random_params(np.random.default_rng(seed)) for seed in range(10)]:
+            p1 = p1_of_chi(p, chis)
+            back = chi_from_p1(p, p1)
+            assert np.all(np.abs(p1_of_chi(p, back) - p1) <= 1e-11 * p1)
+
+    def test_nan_at_or_below_floor(self):
+        p = ModelParams(bg1_incoherent=1e-3)
+        floor = float(p1_of_chi(p, 0.0))
+        assert np.isnan(chi_from_p1(p, [floor, floor * 0.5, 0.0])).all()
+        assert chi_from_p1(p, [floor * 1.001])[0] > 0
+
+    def test_saturates_at_top_of_bracket(self):
+        assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
+
+
+class TestFitBounds:
+    def test_init_on_and_outside_bounds(self):
+        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
+        init = {"bg1_coherent": 5.0, "bg2_coherent": 0.0, "bg1_incoherent": 1e-9,
+                "bg2_incoherent": 1e-5, "retrieval_eff": 1.0}
+        res = fit(ds, init=init, n_starts=1, seed=0)
+        assert len(res.starts) == 2 and np.isfinite(res.objective)
+        for name in DEFAULT_FREE:
+            lo, hi = DEFAULT_BOUNDS[name]
+            assert lo <= res.value(name) <= hi, name
+
+    def test_start_diagnostics(self):
+        ds = exact_dataset(PAPER_REGIME, np.geomspace(1e-3, 0.2, 8).tolist())
+        res = fit(ds, n_starts=2, seed=4)
+        assert res.start_objectives == tuple(s.objective for s in res.starts)
+        assert res.objective == min(res.start_objectives)
+        assert all(s.nfev > 0 for s in res.starts)
+        assert res.converged == (res.starts[res.start_objectives.index(res.objective)].status > 0)
+        assert sum(res.chi2.values()) == pytest.approx(res.objective, rel=1e-12, abs=1e-300)

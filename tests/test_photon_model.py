@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from dlczsim import (DetectionConfig, DetectionMode, ModelParams,
                      brute_force_statistics, click_statistics, derived_metrics,
-                     tmss_pgf)
+                     full_metrics, tmss_pgf)
 from dlczsim.photon_model import click_pattern_distribution
 
+import scalar_reference
 from conftest import random_params
 
 SINGLE = DetectionConfig(DetectionMode.SINGLE)
@@ -193,3 +194,27 @@ class TestModelProperties:
         ms = [full_metrics(base.with_chi(float(c))) for c in chis]
         for a, b in zip(ms, ms[1:]):
             assert (b.g12 - a.g12) * (b.w - a.w) <= 1e-15
+
+
+class TestScalarReference:
+    """The array kernel against the per-mode scalar formulas it replaced."""
+
+    SETS = [ModelParams(chi=0.0), ModelParams(chi=0.0, bg2_incoherent=0.01),
+            ModelParams(chi=0.0, bg1_incoherent=0.01), ModelParams(chi=0.3, retrieval_eff=0.0)]
+
+    def test_full_metrics(self):
+        rng = np.random.default_rng(5)
+        for p in self.SETS + [random_params(rng) for _ in range(300)]:
+            m = full_metrics(p)
+            ref, undefined = scalar_reference.full_metrics(p)
+            assert m.undefined == undefined, p
+            for k, v in ref.items():
+                if k not in undefined:
+                    assert abs(getattr(m, k) - v) <= 1e-14 * abs(v), (k, p)
+
+    def test_click_statistics(self):
+        rng = np.random.default_rng(6)
+        for p in self.SETS + [random_params(rng) for _ in range(100)]:
+            for cfg in (SINGLE, SPLIT):
+                got = list(click_statistics(p, cfg).as_dict().values())
+                assert got == scalar_reference.click_probs(p, cfg), (cfg, p)

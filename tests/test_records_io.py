@@ -117,6 +117,22 @@ def test_malformed_input_raises_format_error(data, offset):
     assert exc.value.offset == offset
 
 
+CRLF_HEADER = HEADER.replace(b"\n", b"\r\n")
+NBSP_RECORD = "0,D1\u00a0,0\n".encode()   # a valid record: the label is stripped
+
+
+@pytest.mark.parametrize("data, offset", [
+    (CRLF_HEADER + b"1,D1,0\r\n2,D1,0\r\nx,D1,0\r\n", 48),
+    (CRLF_HEADER + b"0,D1,0\r\n0,D2,300\r\n1,D2b,300\r\n", len(CRLF_HEADER) + 8 + 10),
+    (HEADER + NBSP_RECORD + b"x,D2,300\n", len(HEADER) + len(NBSP_RECORD)),
+    (HEADER + NBSP_RECORD + b"0,D2,300\n1,D2a,300\n", len(HEADER) + len(NBSP_RECORD) + 9),
+], ids=["crlf-bad-record", "crlf-mixed-modes", "non-ascii-bad-record", "non-ascii-mixed-modes"])
+def test_csv_error_offset_counts_bytes(data, offset):
+    with pytest.raises(RecordFormatError) as exc:
+        read_records(io.BytesIO(data))
+    assert exc.value.offset == offset
+
+
 @pytest.mark.parametrize("data, offset", [
     (HEADER + b"0,D1,0\n5,D2,300\n", len(HEADER) + 7),
     (_binary([(0, 0, 0), (5, 1, 300)]), 16 + 13),
