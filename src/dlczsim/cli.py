@@ -7,6 +7,7 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,16 @@ def _load_params(path: str) -> tuple[ModelParams, TrialSchedule]:
         raise UsageError(f"invalid params file {path}: {exc}") from exc
 
 
+@contextmanager
+def _stage(stages: list, name: str):
+    """Time a block and append {name, s, items} to stages; the block sets items."""
+    entry = {"name": name, "s": 0.0, "items": 0}
+    started = time.perf_counter()
+    yield entry
+    entry["s"] = round(time.perf_counter() - started, 6)
+    stages.append(entry)
+
+
 def _write_manifest(out_path: str, command: str, config: dict, seed, started: float,
                     **extra) -> None:
     manifest = {
@@ -60,35 +71,46 @@ def cmd_simulate(args) -> int:
     mode = DetectionMode(args.mode)
     spec = SessionSpec(params=params, config=DetectionConfig(mode), schedule=schedule,
                        n_trials=args.trials, seed=args.seed)
-    stream = run_session(spec)
+    stages = []
+    with _stage(stages, "sample") as stage:
+        stream = run_session(spec)
+        stage["items"] = spec.n_trials
     fmt = BINARY if args.format == "bin" else CSV
-    with open(args.out, "wb") as sink:
+    with _stage(stages, "write") as stage, open(args.out, "wb") as sink:
         n_bytes = write_records(stream, sink, fmt)
+        stage["items"] = len(stream)
     _write_manifest(args.out, "simulate",
                     {"params_file": args.params, "mode": args.mode,
                      "trials": args.trials, "format": args.format,
                      "records": len(stream), "bytes": n_bytes},
-                    args.seed, started)
+                    args.seed, started, stages=stages)
     print(f"wrote {len(stream)} records ({n_bytes} bytes) to {args.out}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
+    stages = []
     try:
-        with open(args.records, "rb") as source:
+        with _stage(stages, "read") as stage, open(args.records, "rb") as source:
             stream = read_records(source)
+            stage["items"] = len(stream)
     except OSError as exc:
         raise IOError(f"cannot read {args.records}: {exc}") from exc
-    table = accumulate(CountTable(mode=stream.mode), stream)
-    metrics = estimate_metrics(table, eta2=args.eta2, method=args.error_method,
-                               seed=args.seed)
+    with _stage(stages, "accumulate") as stage:
+        table = accumulate(CountTable(mode=stream.mode), stream)
+        stage["items"] = len(stream)
+    with _stage(stages, "estimate") as stage:
+        metrics = estimate_metrics(table, eta2=args.eta2, method=args.error_method,
+                                   seed=args.seed)
+        stage["items"] = table.n_trials
     text = report_text(metrics)
     if args.out:
         Path(args.out).write_text(text)
         _write_manifest(args.out, "analyze",
                         {"records_file": args.records, "eta2": args.eta2,
-                         "error_method": args.error_method}, args.seed, started)
+                         "error_method": args.error_method}, args.seed, started,
+                        stages=stages)
     sys.stdout.write(text)
     return EXIT_OK
 

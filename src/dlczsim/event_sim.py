@@ -36,44 +36,56 @@ class RecordStream:
         return zip(self.trial_index.tolist(), self.detector_id.tolist(), self.offset_ns.tolist())
 
 
-def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """(count, _DRAWS_PER_TRIAL) uniforms for trials [start, start+count)."""
+def _trial_uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, shape (count, _DRAWS_PER_TRIAL), with the uniforms of trials [start, start+count).
+
+    Each uniform is (next_uint64 >> 11) * 2**-53, which is exactly numpy's double.
+    """
     bg = np.random.Philox(key=seed, counter=[start * _BLOCKS_PER_TRIAL, 0, 0, 0])
-    raw = np.random.Generator(bg).integers(0, 2 ** 64, size=count * _DRAWS_PER_TRIAL,
-                                           dtype=np.uint64)
-    u = (raw >> np.uint64(11)) * 2.0 ** -53
-    return u.reshape(count, _DRAWS_PER_TRIAL)
+    return np.random.Generator(bg).random(out=out)
 
 
-def _sample_clicks(spec: SessionSpec, start: int, count: int) -> tuple[np.ndarray, ...]:
-    """Boolean click arrays, one per detector channel, for a contiguous trial range.
+def _pairs_possible(u0: np.ndarray, chi: float) -> np.ndarray:
+    """Indices of a superset of the trials whose pair number n is positive.
+
+    n = floor(log1p(-u0) / log(chi)) is 0 when 1 - u0 > chi.  The cut keeps a
+    relative margin of 1e-6 on 1 - u0, far beyond the rounding of log1p and the
+    division, so every trial outside the returned set has n == 0 exactly (at
+    chi = 0 the set is empty, as every u0 < 1).
+    """
+    return np.flatnonzero(u0 >= 1.0 - chi * (1.0 + 1e-6))
+
+
+def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boolean click arrays, one per detector channel, for the trials of uniform block u.
 
     Sampling is by inverse-CDF on the per-trial uniform block: pair number n is
     geometric in chi; conditioned on n, each detector's pair-photon arrival
     indicator (jointly, for the two split arms) and its Poisson background
     indicator use one uniform each.  The induced click-pattern distribution is
-    exactly the analytic one.
+    exactly the analytic one.  A trial with n = 0 has every pair-arrival
+    threshold at exactly 0, so pair arithmetic runs only on the trials that can
+    hold a pair; backgrounds are one comparison per trial.
     """
     p = spec.params
     chans = spec.config.channels(p)
-    u = _trial_uniforms(spec.seed, start, count)
+    bg_probs = [1.0 - np.exp(-ch.bg_mean) for ch in chans]
+    background_uniforms = (2, 4) if spec.config.mode is DetectionMode.SINGLE else (2, 4, 5)
+    clicks = [u[:, k] < b for k, b in zip(background_uniforms, bg_probs)]
 
-    chi = p.chi
-    if chi > 0.0:
-        n = np.floor(np.log1p(-u[:, 0]) / np.log(chi)).astype(np.int64)
-    else:
-        n = np.zeros(count, dtype=np.int64)
+    rows = _pairs_possible(u[:, 0], p.chi)
+    if len(rows) == 0:
+        return tuple(clicks)
+    u = u[rows]
+    n = np.floor(np.log1p(-u[:, 0]) / np.log(p.chi)).astype(np.int64)
 
     d1 = chans[0]
-    pair1 = u[:, 1] < 1.0 - (1.0 - d1.pair_eff) ** n
-    bg1 = u[:, 2] < 1.0 - np.exp(-d1.bg_mean)
-    click1 = pair1 | bg1
+    clicks[0][rows] |= u[:, 1] < 1.0 - (1.0 - d1.pair_eff) ** n
 
     if spec.config.mode is DetectionMode.SINGLE:
         d2 = chans[1]
-        pair2 = u[:, 3] < 1.0 - (1.0 - d2.pair_eff) ** n
-        bg2 = u[:, 4] < 1.0 - np.exp(-d2.bg_mean)
-        return click1, pair2 | bg2
+        clicks[1][rows] |= u[:, 3] < 1.0 - (1.0 - d2.pair_eff) ** n
+        return tuple(clicks)
 
     ca, cb = chans[1], chans[2]
     # joint pair-arrival indicator for the two arms: routing is exclusive per photon
@@ -84,58 +96,50 @@ def _sample_clicks(spec: SessionSpec, start: int, count: int) -> tuple[np.ndarra
     u3 = u[:, 3]
     edge_a = pb0                      # p00 + P(a only) = p00 + (pb0 - p00)
     edge_b = pb0 + (pa0 - p00)        # + P(b only)
-    pair_a = ((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)
-    pair_b = u3 >= edge_a
-    bga = u[:, 4] < 1.0 - np.exp(-ca.bg_mean)
-    bgb = u[:, 5] < 1.0 - np.exp(-cb.bg_mean)
-    return click1, pair_a | bga, pair_b | bgb
+    clicks[1][rows] |= ((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)
+    clicks[2][rows] |= u3 >= edge_a
+    return tuple(clicks)
 
 
 def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     """Click set of one trial; distribution matches click_statistics exactly."""
-    clicks = _sample_clicks(spec, trial_index, 1)
+    u = _trial_uniforms(spec.seed, trial_index, np.empty((1, _DRAWS_PER_TRIAL)))
+    clicks = _sample_clicks(spec, u)
     dets = [ch.detector for ch in spec.config.channels(spec.params)]
     return {d for d, c in zip(dets, clicks) if bool(c[0])}
 
 
 def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
     """Generate the full record stream: deterministic in spec, ordered by trial then detector."""
-    dets = [ch.detector for ch in spec.config.channels(spec.params)]
-    offsets = {Detector.D1: spec.schedule.write_offset_ns}
+    det_ids = np.array([ch.detector for ch in spec.config.channels(spec.params)], dtype=np.uint8)
     read_off = spec.schedule.write_offset_ns + spec.schedule.read_delay_ns
-    for d in dets[1:]:
-        offsets[d] = read_off
+    offset_of = np.full(len(Detector), read_off, dtype=np.uint32)
+    offset_of[Detector.D1] = spec.schedule.write_offset_ns
 
     trials_parts, det_parts = [], []
-    for start in range(0, spec.n_trials, chunk_size):
-        count = min(chunk_size, spec.n_trials - start)
-        clicks = _sample_clicks(spec, start, count)
-        base = np.arange(start, start + count, dtype=np.uint64)
+    for start, clicks in simulate_clicks(spec, chunk_size):
         # interleave per trial: stack detectors as columns, flatten row-major
-        mask = np.column_stack(clicks)
-        det_ids = np.array([int(d) for d in dets], dtype=np.uint8)
-        rows, cols = np.nonzero(mask)
-        trials_parts.append(base[rows])
+        rows, cols = np.nonzero(np.column_stack(clicks))
+        trials_parts.append(rows.astype(np.uint64) + np.uint64(start))
         det_parts.append(det_ids[cols])
 
     trial_index = (np.concatenate(trials_parts) if trials_parts
                    else np.empty(0, np.uint64))
     detector_id = (np.concatenate(det_parts) if det_parts
                    else np.empty(0, np.uint8))
-    offset_ns = np.empty(len(trial_index), dtype=np.uint32)
-    for d in dets:
-        offset_ns[detector_id == int(d)] = offsets[d]
     return RecordStream(mode=spec.config.mode, schedule=spec.schedule,
                         n_trials=spec.n_trials, trial_index=trial_index,
-                        detector_id=detector_id, offset_ns=offset_ns)
+                        detector_id=detector_id, offset_ns=offset_of[detector_id])
 
 
 def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 20):
     """Yield (start, click arrays) per chunk without materializing records.
 
     Fast path for statistics-only consumers (the correlator can count clicks
-    directly instead of round-tripping through a record file).
+    directly instead of round-tripping through a record file).  The uniforms of
+    all chunks share one buffer; the yielded click arrays are new per chunk.
     """
+    buf = np.empty((min(chunk_size, spec.n_trials), _DRAWS_PER_TRIAL))
     for start in range(0, spec.n_trials, chunk_size):
         count = min(chunk_size, spec.n_trials - start)
-        yield start, _sample_clicks(spec, start, count)
+        yield start, _sample_clicks(spec, _trial_uniforms(spec.seed, start, buf[:count]))

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .params import DetectionConfig, ModelParams
 from .photon_model import metric_curves, p1_of_chi
@@ -307,6 +305,9 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     points; the start with the lowest objective wins.  Deterministic given
     (dataset, inputs, seed).
     """
+    from scipy import optimize          # loaded here so that only `fit` pays for scipy
+    from scipy.stats import qmc
+
     if not dataset.points:
         raise ValueError("empty dataset")
     base = base if base is not None else ModelParams()

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import Channel, DetectionConfig, DetectionMode, Detector, ModelParams
 
@@ -262,6 +261,8 @@ def full_metrics(params: ModelParams) -> Metrics:
 # --- brute-force oracle ---------------------------------------------------------
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
+    from scipy.special import gammaln   # oracle only: keeps scipy out of the CLI's start-up
+
     k = np.arange(n + 1)
     if p == 0.0:
         out = np.zeros(n + 1)
@@ -278,6 +279,8 @@ def _binom_pmf(n: int, p: float) -> np.ndarray:
 
 def _trinom_pmf(n: int, pa: float, pb: float) -> np.ndarray:
     """Joint pmf of (ka, kb) for n trials with outcome probs (pa, pb, 1-pa-pb)."""
+    from scipy.special import gammaln
+
     ka = np.arange(n + 1)[:, None]
     kb = np.arange(n + 1)[None, :]
     rest = n - ka - kb

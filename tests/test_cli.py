@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,29 @@ class TestAnalyze:
         assert "byte offset" in capsys.readouterr().err
 
 
+def test_manifest_stages(tmp_path, params_file):
+    records, report = tmp_path / "r.pdr", tmp_path / "report.txt"
+    assert main(["simulate", "--params", params_file, "--trials", "20000",
+                 "--seed", "3", "--out", str(records)]) == 0
+    assert main(["analyze", str(records), "--out", str(report)]) == 0
+    sim = json.loads((tmp_path / "r.pdr.manifest.json").read_text())
+    ana = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    n_records = sim["config"]["records"]
+    assert n_records > 0
+    # the trials analyze reads back (PDR1 does not store the simulated count)
+    n_read = int(read_report(report)["n_trials"])
+    expected = {"simulate": [("sample", 20000), ("write", n_records)],
+                "analyze": [("read", n_records), ("accumulate", n_records),
+                            ("estimate", n_read)]}
+    for manifest in (sim, ana):
+        stages = manifest["stages"]
+        for stage in stages:
+            assert set(stage) == {"name", "s", "items"}
+            assert isinstance(stage["s"], float) and 0.0 <= stage["s"] <= manifest["wall_clock_s"]
+            assert isinstance(stage["items"], int)
+        assert [(st["name"], st["items"]) for st in stages] == expected[manifest["command"]]
+
+
 class TestSweep:
     def test_single_row(self, tmp_path, params_file):
         out = tmp_path / "sweep.csv"
@@ -242,3 +269,15 @@ class TestFitCmd:
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("module", ["dlczsim", "dlczsim.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # scipy costs most of a command's start-up; only `fit` and the oracle load it
+    import dlczsim
+    src = str(Path(dlczsim.__file__).resolve().parents[1])
+    code = (f"import sys; import {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

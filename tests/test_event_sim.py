@@ -1,12 +1,15 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from conftest import random_params
 
 from dlczsim import (DetectionConfig, DetectionMode, Detector, ModelParams,
                      SessionSpec, TrialSchedule, click_statistics, run_session,
                      sample_trial, simulate_clicks)
 from dlczsim.correlator import CountTable, accumulate_clicks
+from dlczsim.event_sim import _pairs_possible
 from dlczsim.records_io import write_records
 
 
@@ -85,13 +88,118 @@ def test_chunking_never_changes_output():
     p = ModelParams(chi=0.05, bg1_incoherent=1e-3, bg2_incoherent=1e-3)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
                        n_trials=30_000, seed=9)
-    streams = [run_session(spec, chunk_size=c) for c in (30_000, 4096, 997)]
+    streams = [run_session(spec, chunk_size=c) for c in (30_000, 4096, 997, 1)]
     buffers = []
     for s in streams:
         buf = io.BytesIO()
         write_records(s, buf)
         buffers.append(buf.getvalue())
-    assert buffers[0] == buffers[1] == buffers[2]
+    assert buffers[0] == buffers[1] == buffers[2] == buffers[3]
+
+
+PIN_CHIS = (0.0, 1e-9, 1e-2, 0.3, 0.95)
+
+
+def pin_params():
+    """The fixed-chi sets, then 10 random ones (chi up to 0.95)."""
+    rng = np.random.default_rng(4)
+    bg = dict(bg1_incoherent=1e-3, bg2_incoherent=2e-3, bg1_coherent=1e-2, bg2_coherent=1e-2)
+    return ([ModelParams(chi=c, **bg) for c in PIN_CHIS]
+            + [random_params(rng, chi_max=0.95) for _ in range(10)])
+
+
+# SHA-256 of the binary records of 20 000 trials per parameter set (seed 100 + index),
+# captured from the sampler that drew integers and computed every trial's pair number
+RECORD_DIGESTS = {
+    DetectionMode.SINGLE: [
+        "b0b93cff528c8119923376f69f8ccb3a59a940a9202e643ad6185fde90f18523",
+        "50aa4a240f93081f183cd6bdf9de8d839f2908ae452a68da9e5a1bd002d31956",
+        "80213062c6fd2b8a96b62aa5f80daf02ccb4f6109cfa854893b99780b2de9d70",
+        "b2c705c3c1013264e12a1a0ed52f9bc91e760507ae1e3d7beca41d37a6dd9b06",
+        "100a1ce930cab137182b131eb26379655cd817d84cf4472366da52c481acb3f0",
+        "a17f83ecac1dea1bcd5f48e68e363a9f2613e8c922b653189b6a8a47ced64bd3",
+        "89e6af037e969f94c0fbb7b1b73085d4622ab574693d43aa66471101d4a98da9",
+        "57c3b920e88f98ec7f35e13452d30c2c18896f59561f6450d46b2cf585d2d4de",
+        "1d9e60bf035989ee4366f778d5b564fc1c9ed774be0d3fbba3e5cb78509a73f4",
+        "e1cfd59d13918142df383b5327dfc367fa4cc822b749fce6f2f1c2b31488cb2c",
+        "7e5b629e9c12c14819d9e8e60d7ed2c4ef244154acec75351412954f771d14f8",
+        "93aacea2aa0eb73fea0c5e7ec6379d8798e586600fe4c96414b886930f115214",
+        "bd510aabe0e7c447ec6b96fd7086b08b676b56bd277687115a3a91fc63ef56ba",
+        "a166ca7d37187cc3e7ba67757ca16562d53d0304bfa13889f117ab7b831191e2",
+        "07482e62bdca5b7a548ffdfa8046c3b008b07822b0bc25629eb4a1a0c3b47876",
+    ],
+    DetectionMode.SPLIT: [
+        "59f246cb6756a51ce984e98b5ce8f15476545c0933dd1f26b453004ab8d5a06b",
+        "3bf5d2c6a1085470e4467863259b311a75b0cb14be5a606beaa901ad86b30ccf",
+        "e05477c3ca0974a97ba7fa71e74c955948a94315c95f78848923b64aa0359067",
+        "37578dd926ce02b56dc4926fd3acd98513c821859928bcd2ae67011eb9de81f1",
+        "e32eedde8c176ccabb56834b1a2d613435435f9aa5ddb56e4626cd66d5bf2d8e",
+        "364a6d3ff122f11f60812fbfb699eccc39a98b67d4f52f0fd33105258e3c05ca",
+        "d24163c6f806825201a3090390b625876ba36657268d2142cf1a851a9e8be81b",
+        "4644adff5fc190585430ffcd0be5b04e4bf7d96997f94883788c2822a0b0e387",
+        "8cad685146f2c9521b2069e4c083fbfd8081fafe13dac4de2110c31efb7d2ed7",
+        "7bd69c9cc722825130adaa0538fe9349f9a430c3ea5dc8b6c3b57a50da26b466",
+        "478488ee7325e2960af9831c486e147dd63b5ea584c8c2c1888e7918f86a6b5f",
+        "2f6a8baa636805a40393f4ab0d1614a50e55ebe0e791bac292655400847cdbf8",
+        "bd129ccb460e8dcca51156fc91d601979f0bb811e1d3049014a83aeea46849fc",
+        "ad3fb8fb64a625606157a249de0a7fcba6e969487da769991b14cf6d709c9e73",
+        "80dd3e0a9f7783a65d045a13cb3622ca1353210d0cf0746f4746186c0a092d9a",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_records_pinned(mode):
+    for i, (p, digest) in enumerate(zip(pin_params(), RECORD_DIGESTS[mode], strict=True)):
+        spec = SessionSpec(params=p, config=DetectionConfig(mode), n_trials=20_000,
+                           seed=100 + i)
+        buf = io.BytesIO()
+        write_records(run_session(spec), buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest, p
+
+
+def _first_kept(chi: float) -> int:
+    """Smallest k such that the uniform k * 2**-53 is kept by _pairs_possible."""
+    lo, hi = 0, 2 ** 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(_pairs_possible(np.array([mid * 2.0 ** -53]), chi)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("chi", [1e-300, 1e-17, 1.1e-16, 1e-16, 3e-16, 1e-12, 1e-9,
+                                 1e-6, 1e-2, 0.3, 0.5, 0.7, 0.95, 0.999999])
+def test_trials_left_out_have_no_pair(chi):
+    # uniforms are multiples of 2**-53: take the 2**18 largest ones below the cut,
+    # plus a coarse grid over [0, 1)
+    cut = _first_kept(chi)
+    k = np.arange(max(cut - 2 ** 18, 0), cut)
+    u0 = np.concatenate([k * 2.0 ** -53, np.linspace(0.0, 1.0 - 2.0 ** -53, 2 ** 16)])
+    left_out = np.ones(len(u0), dtype=bool)
+    left_out[_pairs_possible(u0, chi)] = False
+    assert left_out[:len(k)].all()
+    n = np.floor(np.log1p(-u0) / np.log(chi))
+    assert np.all(n[left_out] == 0)
+    # the superset stays tight: it admits at most 1e-5 relative more trials than n > 0
+    assert 1.0 - cut * 2.0 ** -53 <= chi * (1.0 + 1e-5) + 2.0 ** -52
+
+
+def test_yielded_chunks_are_not_overwritten():
+    p = ModelParams(chi=0.3, bg1_incoherent=1e-2, bg2_incoherent=1e-2)
+    spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
+                       n_trials=10_000, seed=12)
+    kept = list(simulate_clicks(spec, chunk_size=1000))
+    fresh = [(start, [c.copy() for c in clicks])
+             for start, clicks in simulate_clicks(spec, chunk_size=1000)]
+    assert len(kept) == len(fresh) == 10
+    for (s1, c1), (s2, c2) in zip(kept, fresh):
+        assert s1 == s2
+        assert all(np.array_equal(a, b) for a, b in zip(c1, c2, strict=True))
+    # chunks differ from each other, so an alias would have shown
+    assert not np.array_equal(kept[0][1][0], kept[-1][1][0])
 
 
 def test_seed_changes_output():
