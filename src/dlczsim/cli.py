@@ -65,6 +65,12 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, started: fl
     Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _curves_csv(curves) -> str:
+    """The chi,p1,g12,qc,p12,w table of model curve points, one row per point."""
+    rows = [f"{c.chi!r},{c.p1!r},{c.g12!r},{c.qc!r},{c.p12!r},{c.w!r}\n" for c in curves]
+    return "".join(["chi,p1,g12,qc,p12,w\n", *rows])
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     params, schedule = _load_params(args.params)
@@ -127,10 +133,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.geomspace(args.chi_min, args.chi_max, args.points)
     curves = predict_curves(params, grid)
-    lines = ["chi,p1,g12,qc,p12,w"]
-    for c in curves:
-        lines.append(f"{c.chi!r},{c.p1!r},{c.g12!r},{c.qc!r},{c.p12!r},{c.w!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(_curves_csv(curves))
     _write_manifest(args.out, "sweep",
                     {"params_file": args.params, "chi_min": args.chi_min,
                      "chi_max": args.chi_max, "points": args.points},
@@ -176,10 +179,7 @@ def cmd_fit(args) -> int:
     chis = chi_from_p1(result.params, grid)
     chis = chis[np.isfinite(chis)]
     curves = predict_curves(result.params, chis) if len(chis) else []
-    overlay = ["chi,p1,g12,qc,p12,w"]
-    for c in curves:
-        overlay.append(f"{c.chi!r},{c.p1!r},{c.g12!r},{c.qc!r},{c.p12!r},{c.w!r}")
-    out.with_suffix(out.suffix + ".overlay.csv").write_text("\n".join(overlay) + "\n")
+    out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
 
     _write_manifest(args.out, "fit",
                     {"dataset": args.dataset, "bounds_file": args.bounds,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .event_sim import RecordStream
 from .params import DetectionMode, Detector
-from .photon_model import METRICS, SUBSETS, UNDEFINED, metric_values
+from .photon_model import METRICS, SUBSETS, UNDEFINED, metric_values, mobius, zeta
 
 LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
 
@@ -36,12 +36,6 @@ _NAMES = ("p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio")
 _DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
                DetectionMode.SPLIT: [0b000, 0b010, 0b100, 0b110,
                                      0b001, 0b011, 0b101, 0b111]}
-
-
-def _zeta(mode: DetectionMode) -> np.ndarray:
-    """Z[p, S] = 1 if subset S lies in pattern p: subset counts = pattern counts @ Z."""
-    codes = np.arange(len(_SUBSETS[mode]))
-    return (codes[:, None] & codes == codes).astype(np.int64)
 
 
 @dataclass
@@ -68,7 +62,7 @@ class CountTable:
 
 def _add_patterns(table: CountTable, patterns: np.ndarray) -> CountTable:
     """Add trials given as a count per click-pattern code to the table."""
-    subsets = patterns @ _zeta(table.mode)
+    subsets = patterns @ zeta(len(_DETECTORS[table.mode]))
     return replace(table, **{name: getattr(table, name) + int(subsets[s])
                              for name, s in _SUBSETS[table.mode].items()})
 
@@ -88,12 +82,13 @@ def accumulate(table: CountTable, records: RecordStream) -> CountTable:
     return _add_patterns(table, patterns)
 
 
-def accumulate_clicks(table: CountTable, clicks: tuple[np.ndarray, ...]) -> CountTable:
-    """Fast path: accumulate boolean click arrays (from event_sim.simulate_clicks)."""
-    if len(clicks) != len(_DETECTORS[table.mode]):
-        raise ValueError(f"a {table.mode.value}-mode count table takes one array per detector")
-    codes = sum(c.astype(np.uint8) << i for i, c in enumerate(clicks))
-    return _add_patterns(table, np.bincount(codes, minlength=len(_SUBSETS[table.mode])))
+def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:
+    """Fast path: accumulate per-trial click-pattern codes (from event_sim.simulate_clicks)."""
+    size = len(_SUBSETS[table.mode])
+    patterns = np.bincount(codes, minlength=size)
+    if len(patterns) > size:
+        raise ValueError(f"codes >= {size} fed to a {table.mode.value}-mode count table")
+    return _add_patterns(table, patterns)
 
 
 def table_from_patterns(mode: DetectionMode, counts: dict[tuple[bool, ...], int]) -> CountTable:
@@ -168,16 +163,15 @@ def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
 def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
                       n_boot: int, seed: int) -> dict[str, float]:
     """Whole-trial bootstrap: resample the per-trial click-pattern multinomial."""
-    zeta = _zeta(mode)
+    k = len(_DETECTORS[mode])
     order = _DRAW_ORDER[mode]
     n = counts[0]
-    parity = (-1) ** np.array([bin(s).count("1") for s in range(len(zeta))])
-    patterns = counts.astype(np.int64) @ (zeta * np.outer(parity, parity))  # inverse of zeta
+    patterns = counts.astype(np.int64) @ mobius(k)
     if np.any(patterns < 0):
         raise ValueError("inconsistent count table")
     draws = np.random.default_rng(seed).multinomial(n, patterns[order] / n, size=n_boot)
     ses = {}
-    for name, a in metric_values((draws @ zeta[order]).astype(object), mode, eta2).items():
+    for name, a in metric_values((draws @ zeta(k)[order]).astype(object), mode, eta2).items():
         good = np.isfinite(a)
         if good.sum() >= 2:
             ses[name] = float(np.std(a[good], ddof=1))
@@ -189,6 +183,8 @@ def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta
     """Point estimates and standard errors for all metrics the table's mode supports."""
     if table.n_trials <= 0:
         raise ValueError("empty count table")
+    if not 0.0 < eta2 <= 1.0:
+        raise ValueError(f"eta2 must be finite and in (0, 1], got {eta2}")
     if method not in ("delta", "bootstrap"):
         raise ValueError(f"unknown error method {method!r}")
 

@@ -56,8 +56,8 @@ def _pairs_possible(u0: np.ndarray, chi: float) -> np.ndarray:
     return np.flatnonzero(u0 >= 1.0 - chi * (1.0 + 1e-6))
 
 
-def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Boolean click arrays, one per detector channel, for the trials of uniform block u.
+def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> np.ndarray:
+    """Click-pattern codes (uint8; bit i is detector channel i) for the trials of uniform block u.
 
     Sampling is by inverse-CDF on the per-trial uniform block: pair number n is
     geometric in chi; conditioned on n, each detector's pair-photon arrival
@@ -69,44 +69,41 @@ def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     p = spec.params
     chans = spec.config.channels(p)
-    bg_probs = [1.0 - np.exp(-ch.bg_mean) for ch in chans]
     background_uniforms = (2, 4) if spec.config.mode is DetectionMode.SINGLE else (2, 4, 5)
-    clicks = [u[:, k] < b for k, b in zip(background_uniforms, bg_probs)]
+    codes = np.zeros(len(u), np.uint8)
+    for i, (k, ch) in enumerate(zip(background_uniforms, chans)):
+        codes |= (u[:, k] < 1.0 - np.exp(-ch.bg_mean)).view(np.uint8) << i
 
     rows = _pairs_possible(u[:, 0], p.chi)
     if len(rows) == 0:
-        return tuple(clicks)
+        return codes
     u = u[rows]
     n = np.floor(np.log1p(-u[:, 0]) / np.log(p.chi)).astype(np.int64)
 
-    d1 = chans[0]
-    clicks[0][rows] |= u[:, 1] < 1.0 - (1.0 - d1.pair_eff) ** n
-
+    pairs = (u[:, 1] < 1.0 - (1.0 - chans[0].pair_eff) ** n).view(np.uint8)
     if spec.config.mode is DetectionMode.SINGLE:
-        d2 = chans[1]
-        clicks[1][rows] |= u[:, 3] < 1.0 - (1.0 - d2.pair_eff) ** n
-        return tuple(clicks)
-
-    ca, cb = chans[1], chans[2]
-    # joint pair-arrival indicator for the two arms: routing is exclusive per photon
-    p00 = (1.0 - ca.pair_eff - cb.pair_eff) ** n
-    pa0 = (1.0 - ca.pair_eff) ** n   # no photon at arm a
-    pb0 = (1.0 - cb.pair_eff) ** n
-    # cell layout on [0,1): neither | a only | b only | both
-    u3 = u[:, 3]
-    edge_a = pb0                      # p00 + P(a only) = p00 + (pb0 - p00)
-    edge_b = pb0 + (pa0 - p00)        # + P(b only)
-    clicks[1][rows] |= ((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)
-    clicks[2][rows] |= u3 >= edge_a
-    return tuple(clicks)
+        pairs |= (u[:, 3] < 1.0 - (1.0 - chans[1].pair_eff) ** n).view(np.uint8) << 1
+    else:
+        ca, cb = chans[1], chans[2]
+        # joint pair-arrival indicator for the two arms: routing is exclusive per photon
+        p00 = (1.0 - ca.pair_eff - cb.pair_eff) ** n
+        pa0 = (1.0 - ca.pair_eff) ** n   # no photon at arm a
+        pb0 = (1.0 - cb.pair_eff) ** n
+        # cell layout on [0,1): neither | a only | b only | both
+        u3 = u[:, 3]
+        edge_a = pb0                      # p00 + P(a only) = p00 + (pb0 - p00)
+        edge_b = pb0 + (pa0 - p00)        # + P(b only)
+        pairs |= (((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)).view(np.uint8) << 1
+        pairs |= (u3 >= edge_a).view(np.uint8) << 2
+    codes[rows] |= pairs
+    return codes
 
 
 def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     """Click set of one trial; distribution matches click_statistics exactly."""
     u = _trial_uniforms(spec.seed, trial_index, np.empty((1, _DRAWS_PER_TRIAL)))
-    clicks = _sample_clicks(spec, u)
-    dets = [ch.detector for ch in spec.config.channels(spec.params)]
-    return {d for d, c in zip(dets, clicks) if bool(c[0])}
+    code = int(_sample_clicks(spec, u)[0])
+    return {ch.detector for i, ch in enumerate(spec.config.channels(spec.params)) if code >> i & 1}
 
 
 def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
@@ -117,10 +114,12 @@ def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
     offset_of[Detector.D1] = spec.schedule.write_offset_ns
 
     trials_parts, det_parts = [], []
-    for start, clicks in simulate_clicks(spec, chunk_size):
-        # interleave per trial: stack detectors as columns, flatten row-major
-        rows, cols = np.nonzero(np.column_stack(clicks))
-        trials_parts.append(rows.astype(np.uint64) + np.uint64(start))
+    for start, codes in simulate_clicks(spec, chunk_size):
+        # one record per set bit of each trial with a click, row-major: trial, then detector
+        clicked = np.flatnonzero(codes)
+        bits = np.unpackbits(codes[clicked, None], axis=1, count=len(det_ids), bitorder="little")
+        rows, cols = np.nonzero(bits)
+        trials_parts.append(clicked[rows].astype(np.uint64) + np.uint64(start))
         det_parts.append(det_ids[cols])
 
     trial_index = (np.concatenate(trials_parts) if trials_parts
@@ -133,11 +132,11 @@ def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
 
 
 def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 20):
-    """Yield (start, click arrays) per chunk without materializing records.
+    """Yield (start, click-pattern codes) per chunk without materializing records.
 
-    Fast path for statistics-only consumers (the correlator can count clicks
-    directly instead of round-tripping through a record file).  The uniforms of
-    all chunks share one buffer; the yielded click arrays are new per chunk.
+    Fast path for statistics-only consumers (the correlator counts the codes
+    instead of round-tripping through a record file).  The uniforms of all
+    chunks share one buffer; the yielded code arrays are new per chunk.
     """
     buf = np.empty((min(chunk_size, spec.n_trials), _DRAWS_PER_TRIAL))
     for start in range(0, spec.n_trials, chunk_size):

@@ -310,6 +310,8 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
 
     if not dataset.points:
         raise ValueError("empty dataset")
+    if n_starts < 0 or (n_starts == 0 and init is None):
+        raise ValueError(f"n_starts must be >= 1, or >= 0 with init; got {n_starts}")
     base = base if base is not None else ModelParams()
     if free_names is None:
         free_names = list(DEFAULT_FREE)

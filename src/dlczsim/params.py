@@ -12,6 +12,9 @@ class DetectionMode(enum.Enum):
     SPLIT = "split"     # D1 + 50/50-split field-2 detectors D2a, D2b
 
 
+_LABELS = ("D1", "D2", "D2a", "D2b")   # indexed by detector id
+
+
 class Detector(enum.IntEnum):
     D1 = 0
     D2 = 1
@@ -20,15 +23,13 @@ class Detector(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return {0: "D1", 1: "D2", 2: "D2a", 3: "D2b"}[self.value]
+        return _LABELS[self]
 
     @staticmethod
     def from_label(label: str) -> "Detector":
-        table = {"D1": Detector.D1, "D2": Detector.D2, "D2a": Detector.D2A, "D2b": Detector.D2B}
-        try:
-            return table[label]
-        except KeyError:
-            raise ValueError(f"unknown detector label {label!r}") from None
+        if label not in _LABELS:
+            raise ValueError(f"unknown detector label {label!r}")
+        return Detector(_LABELS.index(label))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from joint no-click probabilities by inclusion-exclusion.
 Detector subsets are bitmasks whose bit i is channel i of `DetectionConfig.channels`
 (D1 is bit 0).  One array pass over chi gives every subset-click probability, and
 each metric is a ratio of products of those, by the same table the correlator
-applies to subset counts.
+applies to subset counts.  The click-pattern distribution is their Moebius transform.
 """
 
 from __future__ import annotations
@@ -63,6 +63,19 @@ def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[
     if "pc" in vals:
         vals["qc"] = vals["pc"] / eta2
     return vals
+
+
+def zeta(k: int) -> np.ndarray:
+    """Z[p, S] = 1 if subset S lies in click pattern p, over k-bit codes: pattern
+    counts or probabilities @ Z are the subset-click counts or probabilities."""
+    codes = np.arange(1 << k)
+    return (codes[:, None] & codes == codes).astype(np.int64)
+
+
+def mobius(k: int) -> np.ndarray:
+    """The inverse of zeta(k): subset-click values @ mobius(k) are the pattern values."""
+    sign = (-1) ** np.array([bin(c).count("1") for c in range(1 << k)])
+    return zeta(k) * np.outer(sign, sign)
 
 
 def _pgf(chi, x, y):
@@ -191,29 +204,13 @@ def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
 def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> dict[tuple[bool, ...], float]:
     """Exact joint distribution of the per-trial click pattern across all detectors.
 
-    Keys are tuples of booleans in channel order (D1 first).  Obtained from the
-    silent-set probabilities by Moebius inversion over detector subsets.
+    Keys are tuples of booleans in channel order (D1 first).  The Moebius transform
+    of the subset-click probabilities.
     """
     chans = config.channels(params)
-    k = len(chans)
-    codes = np.arange(1 << k)
-    bg = np.zeros(len(codes))
-    for i, ch in enumerate(chans):
-        bg[codes >> i & 1 == 1] += ch.bg_mean
-    # P(every detector of bitmask S sees zero photons); backgrounds are Poisson
-    silent = [math.exp(-b) * g
-              for b, g in zip(bg.tolist(), _subset_pgfs(params.chi, chans).tolist())]
-    dist = {}
-    for pattern in itertools.product((False, True), repeat=k):
-        # sum over supersets of the silent set with alternating signs
-        quiet = sum(1 << i for i in range(k) if not pattern[i])
-        clicked = [i for i in range(k) if pattern[i]]
-        total = 0.0
-        for extra in itertools.product((False, True), repeat=len(clicked)):
-            sub = quiet | sum(1 << i for i, on in zip(clicked, extra) if on)
-            total += (-1) ** sum(extra) * silent[sub]
-        dist[pattern] = max(total, 0.0)
-    return dist
+    dist = (_subset_click_probs(chans, params.chi) @ mobius(len(chans))).tolist()
+    return {pattern: max(dist[sum(1 << i for i, on in enumerate(pattern) if on)], 0.0)
+            for pattern in itertools.product((False, True), repeat=len(chans))}
 
 
 def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:

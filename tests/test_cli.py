@@ -131,6 +131,16 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 2
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta2", ["0", "-1", "nan", "inf", "1.5"])
+    def test_eta2_out_of_range_is_usage_error(self, tmp_path, capsys, params_file, eta2):
+        out = tmp_path / "r.pdr"
+        main(["simulate", "--params", params_file, "--trials", "1000", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--eta2", eta2]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "eta2" in captured.err
+        assert captured.out == ""
+
 
 def test_manifest_stages(tmp_path, params_file):
     records, report = tmp_path / "r.pdr", tmp_path / "report.txt"
@@ -257,6 +267,13 @@ class TestFitCmd:
         f.write_text("p1,wrongcol\n0.01,5\n")
         assert main(["fit", str(f), "--out", str(tmp_path / "x.txt")]) == 1
         assert "wrongcol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_no_start_is_usage_error(self, tmp_path, capsys, starts):
+        f, _ = self._dataset_csv(tmp_path)
+        assert main(["fit", str(f), "--starts", starts, "--out", str(tmp_path / "fit.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_starts" in err
 
     def test_under_determined_warns_exit_zero(self, tmp_path, capsys):
         from dlczsim.model_fit import DataPoint, Dataset, dataset_to_csv

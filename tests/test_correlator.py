@@ -68,7 +68,7 @@ class TestAccumulate:
             accumulate(CountTable(mode=DetectionMode.SINGLE), stream_from_clicks({9: [1]}))
         with pytest.raises(ValueError):
             accumulate_clicks(CountTable(mode=DetectionMode.SPLIT),
-                              (np.ones(3, bool), np.ones(3, bool)))
+                              np.array([0b001, 0b1000, 0b111], np.uint8))
 
 
 class TestMerge:
@@ -213,6 +213,11 @@ class TestPinnedEstimators:
             assert getattr(m, name + "_se") == pytest.approx(se, rel=1e-12, abs=0), name
         assert math.isnan(m.w) and math.isnan(m.w_se)
         assert m.undefined == {"w"}
+
+    @pytest.mark.parametrize("eta2", [0.0, -1.0, math.nan, math.inf, 1.5])
+    def test_eta2_out_of_range_rejected(self, eta2):
+        with pytest.raises(ValueError, match="eta2"):
+            estimate_metrics(PIN_SINGLE, eta2=eta2)
 
     def test_split_mode_delta_formulas(self):
         t = PIN_SPLIT

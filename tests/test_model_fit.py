@@ -258,6 +258,20 @@ class TestFitBounds:
             lo, hi = DEFAULT_BOUNDS[name]
             assert lo <= res.value(name) <= hi, name
 
+    @pytest.mark.parametrize("n_starts, init", [(0, None), (-1, None),
+                                                (-1, {"retrieval_eff": 0.5})])
+    def test_no_start_rejected(self, n_starts, init):
+        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
+        if init is not None:
+            init = {name: DEFAULT_BOUNDS[name][0] for name in DEFAULT_FREE} | init
+        with pytest.raises(ValueError, match="n_starts"):
+            fit(ds, init=init, n_starts=n_starts)
+
+    def test_init_alone_is_one_start(self):
+        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
+        init = {name: DEFAULT_BOUNDS[name][0] for name in DEFAULT_FREE}
+        assert len(fit(ds, init=init, n_starts=0).starts) == 1
+
     def test_start_diagnostics(self):
         ds = exact_dataset(PAPER_REGIME, np.geomspace(1e-3, 0.2, 8).tolist())
         res = fit(ds, n_starts=2, seed=4)

@@ -1,6 +1,14 @@
 import pytest
 
-from dlczsim.params import params_from_text
+from dlczsim.params import Detector, params_from_text
+
+
+def test_detector_labels_round_trip():
+    assert [d.label for d in Detector] == ["D1", "D2", "D2a", "D2b"]
+    assert all(Detector.from_label(d.label) is d for d in Detector)
+    for label in ("D3", "d1", "", "D2A"):
+        with pytest.raises(ValueError, match="unknown detector label"):
+            Detector.from_label(label)
 
 
 @pytest.mark.parametrize("key", ["bg1_coherent", "bg2_coherent", "bg1_incoherent",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dlczsim import (DetectionConfig, DetectionMode, ModelParams,
                      brute_force_statistics, click_statistics, derived_metrics,
                      full_metrics, tmss_pgf)
-from dlczsim.photon_model import click_pattern_distribution
+from dlczsim.photon_model import SUBSETS, click_pattern_distribution, mobius, zeta
 
 import scalar_reference
 from conftest import random_params
@@ -81,6 +81,27 @@ class TestClickStatistics:
         for cfg in (SINGLE, SPLIT):
             dist = click_pattern_distribution(p, cfg)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mobius_inverts_zeta(self, k):
+        assert np.array_equal(zeta(k) @ mobius(k), np.eye(1 << k, dtype=np.int64))
+        assert np.array_equal(mobius(k) @ zeta(k), np.eye(1 << k, dtype=np.int64))
+
+    def test_pattern_distribution_matches_oracle(self, rng):
+        """The pattern distribution mapped back through zeta gives the oracle's
+        subset-click probabilities."""
+        for _ in range(10):
+            p = random_params(rng, chi_max=0.6)
+            for cfg in (SINGLE, SPLIT):
+                dist = click_pattern_distribution(p, cfg)
+                codes = [sum(1 << i for i, on in enumerate(pattern) if on) for pattern in dist]
+                assert sorted(codes) == list(range(len(dist)))
+                pattern_probs = np.zeros(len(dist))
+                pattern_probs[codes] = list(dist.values())
+                subset_probs = pattern_probs @ zeta(len(cfg.channels(p)))
+                b, _ = brute_force_statistics(p, cfg, 60)
+                for s, mask in SUBSETS[cfg.mode].items():
+                    assert abs(subset_probs[mask] - getattr(b, "p" + s)) <= 1e-10, (s, p)
 
 
 class TestDerivedMetrics:

@@ -107,10 +107,11 @@ HEADER = b"trial_index,detector,offset_ns\n"
     (HEADER + b"0,D1,0\n0,D2," + str(2 ** 32).encode() + b"\n", len(HEADER) + 7),
     (HEADER + b"0,D1,0\n\xff,D2,300\n", len(HEADER) + 7),
     (HEADER + b"0,D1,0\n0,D2,300\n1,D2b,300\n", len(HEADER) + 16),
+    (HEADER + b"0,D1,0\n0,D3,300\n", len(HEADER) + 7),
     (_binary([(0, 0, 0), (0, 1, 300), (1, 3, 300)]), 16 + 2 * 13),
     (_binary([(0, 0, 0), (1, 9, 300)]), 16 + 13),
 ], ids=["csv-negative-trial", "csv-huge-trial", "csv-huge-offset", "csv-not-utf8",
-        "csv-mixed-modes", "bin-mixed-modes", "bin-unknown-detector"])
+        "csv-mixed-modes", "csv-unknown-label", "bin-mixed-modes", "bin-unknown-detector"])
 def test_malformed_input_raises_format_error(data, offset):
     with pytest.raises(RecordFormatError) as exc:
         read_records(io.BytesIO(data))
