@@ -5,32 +5,26 @@ detector in a trial count once.  Count tables from disjoint trial ranges merge
 by componentwise addition, so accumulation shards freely.
 
 A trial's click pattern is a bitmask whose bit i is detector i of the mode's
-channel order (D1 is bit 0).  Each count-table field N_S counts the trials in
-which every detector of the subset bitmask S clicked, and each metric is a ratio
-of products of such counts.
+channel order (D1 is bit 0).  A count table's `values[S]` counts the trials in
+which every detector of the subset bitmask S clicked (S = 0: every trial), and
+each metric is a ratio of products of such counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .event_sim import RecordStream
 from .params import DetectionMode, Detector
-from .photon_model import METRICS, SUBSETS, UNDEFINED, metric_values, mobius, zeta
+from .photon_model import (METRIC_NAMES, METRICS, SUBSETS, Metrics, SubsetValues, metric_record,
+                           metric_values, mobius, zeta)
 
 LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
 
 _DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
               DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
-
-# CountTable field -> bitmask of the detector subset whose joint clicks it counts
-_SUBSETS = {mode: {"n_trials": 0, **{"n" + s: mask for s, mask in subsets.items()}}
-            for mode, subsets in SUBSETS.items()}
-
-_NAMES = ("p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio")
 
 # pattern codes in the category order of the seeded bootstrap's multinomial draw
 _DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
@@ -38,33 +32,20 @@ _DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
                                      0b001, 0b011, 0b101, 0b111]}
 
 
-@dataclass
-class CountTable:
-    """Sufficient statistics for all per-trial click probabilities of one mode.
+class CountTable(SubsetValues):
+    """Python-int subset-click counts n_trials (every trial), n1, n12, n1_2a_2b, ... of one
+    mode.  Every subset is counted, the unheralded n2a_2b included, so that whole-trial
+    bootstrap resampling has the full click-pattern joint distribution available."""
 
-    n2a_2b (both split arms regardless of D1) is tracked beyond the headline
-    counts so that whole-trial bootstrap resampling has the full click-pattern
-    joint distribution available.
-    """
-
-    mode: DetectionMode
-    n_trials: int = 0
-    n1: int = 0
-    n2: int = 0
-    n2a: int = 0
-    n2b: int = 0
-    n12: int = 0
-    n1_2a: int = 0
-    n1_2b: int = 0
-    n2a_2b: int = 0
-    n1_2a_2b: int = 0
+    prefix = "n"
+    whole = "n_trials"
+    default = (0, 0)
 
 
 def _add_patterns(table: CountTable, patterns: np.ndarray) -> CountTable:
     """Add trials given as a count per click-pattern code to the table."""
     subsets = patterns @ zeta(len(_DETECTORS[table.mode]))
-    return replace(table, **{name: getattr(table, name) + int(subsets[s])
-                             for name, s in _SUBSETS[table.mode].items()})
+    return CountTable(table.mode, tuple(n + s for n, s in zip(table.values, subsets.tolist())))
 
 
 def accumulate(table: CountTable, records: RecordStream) -> CountTable:
@@ -77,14 +58,14 @@ def accumulate(table: CountTable, records: RecordStream) -> CountTable:
     trials, inverse = np.unique(records.trial_index, return_inverse=True)
     codes = np.zeros(len(trials), np.uint8)
     np.bitwise_or.at(codes, inverse, bits)
-    patterns = np.bincount(codes, minlength=len(_SUBSETS[table.mode]))
+    patterns = np.bincount(codes, minlength=len(table.values))
     patterns[0] = records.n_trials - len(trials)
     return _add_patterns(table, patterns)
 
 
 def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:
     """Fast path: accumulate per-trial click-pattern codes (from event_sim.simulate_clicks)."""
-    size = len(_SUBSETS[table.mode])
+    size = len(table.values)
     patterns = np.bincount(codes, minlength=size)
     if len(patterns) > size:
         raise ValueError(f"codes >= {size} fed to a {table.mode.value}-mode count table")
@@ -94,48 +75,21 @@ def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:
 def table_from_patterns(mode: DetectionMode, counts: dict[tuple[bool, ...], int]) -> CountTable:
     """Count table of trials given as a count per click pattern, keyed like
     `photon_model.click_pattern_distribution` (channel-order booleans)."""
-    patterns = np.zeros(len(_SUBSETS[mode]), np.int64)
+    table = CountTable(mode)
+    patterns = np.zeros(len(table.values), np.int64)
     for pattern, n in counts.items():
         patterns[sum(1 << i for i, clicked in enumerate(pattern) if clicked)] += n
-    return _add_patterns(CountTable(mode=mode), patterns)
+    return _add_patterns(table, patterns)
 
 
 def merge(a: CountTable, b: CountTable) -> CountTable:
     """Combine tables built from disjoint trial ranges."""
     if a.mode is not b.mode:
         raise ValueError("cannot merge count tables of different detection modes")
-    return replace(a, **{name: getattr(a, name) + getattr(b, name) for name in _SUBSETS[a.mode]})
+    return CountTable(a.mode, tuple(x + y for x, y in zip(a.values, b.values)))
 
 
-@dataclass
-class MetricsWithErrors:
-    """Point estimates with one standard error each; NaN where undefined."""
-
-    mode: DetectionMode
-    n_trials: int
-    method: str                       # "delta" or "bootstrap"
-    p1: float = UNDEFINED
-    p1_se: float = UNDEFINED
-    p2: float = UNDEFINED
-    p2_se: float = UNDEFINED
-    p12: float = UNDEFINED
-    p12_se: float = UNDEFINED
-    g12: float = UNDEFINED
-    g12_se: float = UNDEFINED
-    pc: float = UNDEFINED
-    pc_se: float = UNDEFINED
-    qc: float = UNDEFINED
-    qc_se: float = UNDEFINED
-    w: float = UNDEFINED
-    w_se: float = UNDEFINED
-    naive_ratio: float = UNDEFINED
-    naive_ratio_se: float = UNDEFINED
-    undefined: frozenset = frozenset()
-    warnings: tuple = ()
-    n_boot: int = 0
-
-    def as_dict(self) -> dict[str, float]:
-        return {k: getattr(self, k) for name in _NAMES for k in (name, name + "_se")}
+MetricsWithErrors = Metrics   # the estimate's name for the one metric record
 
 
 def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
@@ -179,7 +133,7 @@ def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
 
 
 def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta",
-                     n_boot: int = 1000, seed: int = 0) -> MetricsWithErrors:
+                     n_boot: int = 1000, seed: int = 0) -> Metrics:
     """Point estimates and standard errors for all metrics the table's mode supports."""
     if table.n_trials <= 0:
         raise ValueError("empty count table")
@@ -189,9 +143,7 @@ def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta
         raise ValueError(f"unknown error method {method!r}")
 
     mode = table.mode
-    subsets = _SUBSETS[mode]
-    counts = np.array([getattr(table, name) for name in sorted(subsets, key=subsets.get)],
-                      dtype=object)   # Python ints indexed by subset bitmask
+    counts = np.array(table.values, dtype=object)   # Python ints indexed by subset bitmask
     vals = {name: float(v[0]) for name, v in metric_values(counts[None], mode, eta2).items()}
     if method == "delta":
         ses = _delta_errors(counts, mode, eta2, vals)
@@ -199,21 +151,18 @@ def estimate_metrics(table: CountTable, eta2: float = 0.25, method: str = "delta
         ses = _bootstrap_errors(counts, mode, eta2, n_boot, seed)
 
     # singles and counts including D1; the unheralded n2a_2b only feeds the bootstrap
-    low = [name for name, s in subsets.items()
-           if s and (s & 1 or not s & (s - 1)) and getattr(table, name) < LOW_COUNT]
-    return MetricsWithErrors(
-        mode=mode, n_trials=table.n_trials, method=method,
-        undefined=frozenset(k for k in _NAMES if math.isnan(vals.get(k, UNDEFINED))),
-        warnings=("low-count: " + ",".join(low),) if low else (),
-        n_boot=n_boot if method == "bootstrap" else 0,
-        **vals, **{k + "_se": v for k, v in ses.items()})
+    low = [table.prefix + s for s, mask in SUBSETS[mode].items()
+           if (mask & 1 or not mask & (mask - 1)) and table.values[mask] < LOW_COUNT]
+    return metric_record(vals, ses, mode=mode, n_trials=table.n_trials, method=method,
+                         warnings=("low-count: " + ",".join(low),) if low else (),
+                         n_boot=n_boot if method == "bootstrap" else 0)
 
 
-def report_text(m: MetricsWithErrors) -> str:
+def report_text(m: Metrics) -> str:
     """Flat key-value metrics report."""
     lines = [f"mode = {m.mode.value}", f"n_trials = {m.n_trials}", f"error_method = {m.method}"]
-    for k, v in m.as_dict().items():
-        lines.append(f"{k} = {float(v)!r}")
+    for name in METRIC_NAMES:
+        lines += [f"{name} = {getattr(m, name)!r}", f"{name}_se = {getattr(m, name + '_se')!r}"]
     if m.undefined:
         lines.append("undefined = " + ",".join(sorted(m.undefined)))
     for wmsg in m.warnings:

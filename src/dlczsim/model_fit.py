@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .params import DetectionConfig, ModelParams
-from .photon_model import metric_curves, p1_of_chi
+from .photon_model import Metrics, metric_curves, metric_record, p1_of_chi
 
 PENALTY = 1e3  # residual assigned to an observable the model cannot reach
 
@@ -65,8 +65,7 @@ class Dataset:
         return any(ALT_BG_FLAG in pt.flags for pt in self.points)
 
 
-CSV_COLUMNS = ["p1", "p1_se", "g12", "g12_se", "qc", "qc_se",
-               "p12", "p12_se", "w", "w_se", "flags"]
+CSV_COLUMNS = [f.name for f in fields(DataPoint)]
 
 
 def dataset_to_csv(ds: Dataset) -> str:
@@ -74,14 +73,8 @@ def dataset_to_csv(ds: Dataset) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for pt in ds.points:
-        row = []
-        for col in CSV_COLUMNS:
-            v = getattr(pt, col)
-            if col == "flags":
-                row.append(v)
-            else:
-                row.append("" if not math.isfinite(v) else repr(v))
-        writer.writerow(row)
+        values = [getattr(pt, col) for col in CSV_COLUMNS[:-1]]   # all but the last, flags
+        writer.writerow([repr(v) if math.isfinite(v) else "" for v in values] + [pt.flags])
     return buf.getvalue()
 
 
@@ -101,6 +94,8 @@ def dataset_from_csv(text: str) -> Dataset:
     for row in reader:
         if not any(cell.strip() for cell in row):
             continue
+        if len(row) > len(header):
+            raise ValueError(f"dataset line {reader.line_num} has more cells than the header")
         kwargs = {}
         for col, cell in zip(header, row):
             cell = cell.strip()
@@ -108,30 +103,20 @@ def dataset_from_csv(text: str) -> Dataset:
                 kwargs[col] = cell
             elif cell:
                 kwargs[col] = float(cell)
+        if not 0.0 < kwargs.get("p1", math.nan) < 1.0:
+            raise ValueError(f"dataset line {reader.line_num}: p1 must be in (0, 1), "
+                             f"got {kwargs.get('p1')}")
         points.append(DataPoint(**kwargs))
     return Dataset(points)
 
 
-@dataclass
-class CurvePoint:
-    chi: float
-    p1: float
-    g12: float
-    qc: float
-    pc: float
-    p12: float
-    w: float
-
-
-_CURVE_FIELDS = ("p1", "g12", "qc", "pc", "p12", "w")
-
-
-def predict_curves(params: ModelParams, chi_grid) -> list[CurvePoint]:
-    """Model curves over a chi grid, reported against the predicted p1."""
+def predict_curves(params: ModelParams, chi_grid) -> list[Metrics]:
+    """Model metrics over a chi grid, one record per point with its `chi`, reported
+    against the predicted p1."""
     chi = np.asarray(chi_grid, dtype=float).ravel()
     curves = metric_curves(params, chi)
-    return [CurvePoint(x, *row) for x, *row in
-            zip(chi.tolist(), *(curves[k].tolist() for k in _CURVE_FIELDS))]
+    return [metric_record(dict(zip(curves, row)), chi=x)
+            for x, *row in zip(chi.tolist(), *(v.tolist() for v in curves.values()))]
 
 
 _CHI_MAX = 1.0 - 1e-12
@@ -319,6 +304,12 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
             free_names.append("bg1_incoherent_alt")
     free_names = tuple(free_names)
     bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
+    for name in free_names:   # a start or step outside the model would fail mid-fit
+        b_lo, b_hi = bounds[name]
+        in_domain = b_lo > 0.0 if name in _LOG_PARAMS else 0.0 <= b_lo and b_hi <= 1.0
+        if not (in_domain and math.isfinite(b_lo) and math.isfinite(b_hi) and b_lo < b_hi):
+            raise ValueError(f"bounds of {name} must be finite with lo < hi, and lo > 0 for a "
+                             f"log-scaled parameter or in [0, 1]; got ({b_lo}, {b_hi})")
     lo = _to_internal(free_names, [bounds[n][0] for n in free_names])
     hi = _to_internal(free_names, [bounds[n][1] for n in free_names])
 

@@ -133,6 +133,9 @@ class TrialSchedule:
     write_offset_ns: int = 0
 
     def __post_init__(self):
+        for name in ("mot_rate_hz", "window_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mot_rate_hz <= 0 or self.trials_per_window < 1 or self.trial_period_ns < 1:
             raise ValueError("schedule values must be positive")
         if self.trials_per_window * self.trial_period_ns > self.window_ms * 1e6:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,49 +99,74 @@ def tmss_pgf(chi, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class Statistics:
-    """Per-trial click probabilities for one detection configuration.
-
-    Single mode uses (p1, p2, p12); split mode uses (p1, p2a, p2b, p1_2a, p1_2b,
-    p2a_2b, p1_2a_2b).  Fields of the other mode are None.
-    """
+@dataclass(frozen=True, init=False)
+class SubsetValues:
+    """Values indexed by detector-subset bitmask S of one detection mode (index 0 is
+    every trial).  Entry SUBSETS[mode][s] is read, and set by keyword, as `prefix + s`,
+    and entry 0 as `whole` where the class names it."""
 
     mode: DetectionMode
-    p1: float
-    p2: float | None = None
-    p12: float | None = None
-    p2a: float | None = None
-    p2b: float | None = None
-    p1_2a: float | None = None
-    p1_2b: float | None = None
-    p2a_2b: float | None = None
-    p1_2a_2b: float | None = None
+    values: tuple
 
-    def as_dict(self) -> dict[str, float]:
-        return {"p" + s: getattr(self, "p" + s) for s in SUBSETS[self.mode]}
+    prefix: ClassVar[str]
+    whole: ClassVar[str | None] = None   # None names no entry
+    default: ClassVar[tuple]       # (entry 0, every other entry) where not given
+
+    def __init__(self, mode: DetectionMode, values: tuple | None = None, **named):
+        first, rest = self.default
+        values = list(values or (first,) + (rest,) * len(SUBSETS[mode]))
+        for name, value in named.items():
+            values[self._index(mode, name)] = value
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "values", tuple(values))
+
+    @classmethod
+    def _index(cls, mode: DetectionMode, name: str) -> int:
+        """The entry `name` names; a subset the mode lacks is an AttributeError."""
+        names = {cls.whole: 0, **{cls.prefix + s: mask for s, mask in SUBSETS[mode].items()}}
+        if name not in names:
+            raise AttributeError(f"{cls.__name__} of {mode.value} mode has no {name!r}")
+        return names[name]
+
+    def __getattr__(self, name: str):
+        if name in ("mode", "values"):   # not set yet: no names to look up
+            raise AttributeError(name)
+        return self.values[self._index(self.mode, name)]
+
+    def as_dict(self) -> dict:
+        return {self.prefix + s: self.values[mask] for s, mask in SUBSETS[self.mode].items()}
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Figures of merit.  Fields whose denominators vanish are NaN and listed in `undefined`."""
+class Statistics(SubsetValues):
+    """Per-trial click probabilities p1, p12, p1_2a_2b, ... of one configuration; values[0] = 1."""
 
-    g12: float = UNDEFINED
-    w: float = UNDEFINED
-    pc: float = UNDEFINED
-    qc: float = UNDEFINED
-    p12: float = UNDEFINED
-    naive_ratio: float = UNDEFINED
-    undefined: frozenset = frozenset()
+    prefix = "p"
+    default = (1.0, UNDEFINED)
 
 
-_METRIC_FIELDS = ("g12", "w", "pc", "qc", "p12", "naive_ratio")
+# metric names in report order
+METRIC_NAMES = ("p1", "p2", "p12", "g12", "pc", "qc", "w", "naive_ratio")
 
 
-def _metrics(vals: dict[str, np.ndarray]) -> Metrics:
-    """Metrics of the first row of `vals`; the ones it lacks or leaves NaN are undefined."""
-    kw = {k: float(vals[k][0]) if k in vals else UNDEFINED for k in _METRIC_FIELDS}
-    return Metrics(**kw, undefined=frozenset(k for k, v in kw.items() if math.isnan(v)))
+Metrics = make_dataclass(
+    "Metrics",
+    [(k, float, UNDEFINED) for name in METRIC_NAMES for k in (name, name + "_se")]
+    + [("undefined", frozenset, frozenset()), ("warnings", tuple, ()),
+       ("mode", "DetectionMode | None", None), ("n_trials", int, 0), ("method", str, ""),
+       ("n_boot", int, 0), ("chi", float, UNDEFINED)],
+    namespace={"__module__": __name__, "__doc__":
+               "One metric table: each metric of METRIC_NAMES, NaN where undefined (and then "
+               "listed in `undefined`), and its standard error <name>_se, NaN where not "
+               "estimated.  An estimate carries its mode, n_trials, method and n_boot; a "
+               "model curve point its chi."},
+    frozen=True)
+
+
+def metric_record(vals: dict, ses: dict | None = None, **meta) -> Metrics:
+    """The metric record of values and standard errors by name; a missing value is undefined."""
+    vals = {k: float(vals.get(k, UNDEFINED)) for k in METRIC_NAMES}
+    return Metrics(**vals, **{k + "_se": float(v) for k, v in (ses or {}).items()},
+                   undefined=frozenset(k for k, v in vals.items() if math.isnan(v)), **meta)
 
 
 def _subset_pgfs(chi, chans: tuple[Channel, ...]) -> np.ndarray:
@@ -216,8 +242,7 @@ def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> 
 def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:
     """Exact per-trial singles, coincidence, and triple click probabilities."""
     P = _subset_click_probs(config.channels(params), params.chi)
-    return Statistics(mode=config.mode,
-                      **{"p" + s: float(P[m]) for s, m in SUBSETS[config.mode].items()})
+    return Statistics(config.mode, tuple(P.tolist()))
 
 
 def p1_of_chi(params: ModelParams, chi):
@@ -244,15 +269,13 @@ def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:
 
 def derived_metrics(stats: Statistics, params: ModelParams) -> Metrics:
     """Figures of merit from click probabilities.  Zero denominators yield flagged NaNs."""
-    P = np.ones((1, len(SUBSETS[stats.mode]) + 1))
-    for s, m in SUBSETS[stats.mode].items():
-        P[0, m] = getattr(stats, "p" + s)
-    return _metrics(metric_values(P, stats.mode, params.eta2))
+    vals = metric_values(np.array([stats.values]), stats.mode, params.eta2)
+    return metric_record({k: v[0] for k, v in vals.items()}, mode=stats.mode)
 
 
 def full_metrics(params: ModelParams) -> Metrics:
     """Metrics combining both detection configurations of the same source parameters."""
-    return _metrics(metric_curves(params, [params.chi]))
+    return metric_record({k: v[0] for k, v in metric_curves(params, [params.chi]).items()})
 
 
 # --- brute-force oracle ---------------------------------------------------------
@@ -326,10 +349,7 @@ def brute_force_statistics(params: ModelParams, config: DetectionConfig,
         c2 = chans[1]
         z2_1 = 1.0 - math.exp(-c2.bg_mean)
 
-    acc = {}
-
-    def add(key, value):
-        acc[key] = acc.get(key, 0.0) + value
+    acc = {"p" + s: 0.0 for s in SUBSETS[config.mode]}
 
     for n in range(nmax + 1):
         weight = (1.0 - chi) * chi ** n
@@ -341,9 +361,9 @@ def brute_force_statistics(params: ModelParams, config: DetectionConfig,
         if not split:
             pk = _binom_pmf(n, c2.pair_eff)
             c2p = pk[0] * z2_1 + (1.0 - pk[0])
-            add("p1", weight * c1)
-            add("p2", weight * c2p)
-            add("p12", weight * c1 * c2p)  # conditionally independent given n
+            acc["p1"] += weight * c1
+            acc["p2"] += weight * c2p
+            acc["p12"] += weight * c1 * c2p  # conditionally independent given n
             continue
 
         pk = _trinom_pmf(n, ca.pair_eff, cb.pair_eff)
@@ -357,13 +377,12 @@ def brute_force_statistics(params: ModelParams, config: DetectionConfig,
                + (pb0 - pab0) * zb_1           # ka>=1, kb=0: A clicks, B needs background
                + (pa0 - pab0) * za_1
                + (1.0 - pa0 - pb0 + pab0))
-        add("p1", weight * c1)
-        add("p2a", weight * cA)
-        add("p2b", weight * cB)
-        add("p1_2a", weight * c1 * cA)
-        add("p1_2b", weight * c1 * cB)
-        add("p2a_2b", weight * cAB)
-        add("p1_2a_2b", weight * c1 * cAB)
+        acc["p1"] += weight * c1
+        acc["p2a"] += weight * cA
+        acc["p2b"] += weight * cB
+        acc["p1_2a"] += weight * c1 * cA
+        acc["p1_2b"] += weight * c1 * cB
+        acc["p2a_2b"] += weight * cAB
+        acc["p1_2a_2b"] += weight * c1 * cAB
 
-    stats = Statistics(mode=config.mode, **acc)
-    return stats, tail
+    return Statistics(config.mode, **acc), tail

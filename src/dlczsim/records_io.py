@@ -42,8 +42,9 @@ def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
     if fmt == CSV:
         buf = io.StringIO()
         buf.write("trial_index,detector,offset_ns\n")
+        labels = [d.label for d in Detector]   # indexed by detector id
         for trial, det, off in stream:
-            buf.write(f"{trial},{Detector(det).label},{off}\n")
+            buf.write(f"{trial},{labels[det]},{off}\n")
         data = buf.getvalue().encode()
         sink.write(data)
         return len(data)

@@ -77,6 +77,15 @@ class TestSimulate:
         assert line.split()[0] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["mot_rate_hz = nan", "mot_rate_hz = inf",
+                                      "window_ms = nan", "window_ms = inf"])
+    def test_non_finite_schedule_rejected(self, tmp_path, capsys, line):
+        pf = tmp_path / "bad.txt"
+        pf.write_text(f"chi = 0.1\n{line}\n")
+        rc = main(["simulate", "--params", str(pf), "--out", str(tmp_path / "x.pdr")])
+        assert rc == 1
+        assert line.split()[0] in capsys.readouterr().err
+
 class TestAnalyze:
     def test_matches_analytic(self, tmp_path, params_file):
         out = tmp_path / "r.pdr"
@@ -274,6 +283,25 @@ class TestFitCmd:
         assert main(["fit", str(f), "--starts", starts, "--out", str(tmp_path / "fit.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_starts" in err
+
+    @pytest.mark.parametrize("line, name", [("retrieval_eff_max = 2", "retrieval_eff"),
+                                            ("bg1_coherent_min = 0", "bg1_coherent"),
+                                            ("bg2_incoherent_min = nan", "bg2_incoherent")])
+    def test_bad_bounds_are_usage_errors(self, tmp_path, capsys, line, name):
+        f, _ = self._dataset_csv(tmp_path)
+        bounds = tmp_path / "bounds.txt"
+        bounds.write_text(line + "\n")
+        assert main(["fit", str(f), "--bounds", str(bounds), "--starts", "1",
+                     "--out", str(tmp_path / "fit.txt")]) == 1
+        assert f"bounds of {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,10,1", "inf,10,1", "-1,10,1", "2.0,10,1",
+                                     "0.01,10,1,5"])
+    def test_impossible_dataset_row_is_usage_error(self, tmp_path, capsys, row):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"p1,g12,g12_se\n0.02,20,1\n{row}\n")
+        assert main(["fit", str(f), "--starts", "1", "--out", str(tmp_path / "fit.txt")]) == 1
+        assert "line 3" in capsys.readouterr().err
 
     def test_under_determined_warns_exit_zero(self, tmp_path, capsys):
         from dlczsim.model_fit import DataPoint, Dataset, dataset_to_csv

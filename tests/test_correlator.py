@@ -10,6 +10,7 @@ from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector,
                      simulate_clicks)
 from dlczsim.correlator import report_text
 from dlczsim.event_sim import RecordStream
+from dlczsim.photon_model import zeta
 
 from conftest import table_from_multinomial
 
@@ -69,6 +70,19 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             accumulate_clicks(CountTable(mode=DetectionMode.SPLIT),
                               np.array([0b001, 0b1000, 0b111], np.uint8))
+
+    def test_subset_outside_the_mode_rejected(self):
+        with pytest.raises(AttributeError, match="n2a"):
+            CountTable(mode=DetectionMode.SINGLE, n2a=5)
+        with pytest.raises(AttributeError, match="n12"):
+            CountTable(mode=DetectionMode.SPLIT, n12=5)
+
+    def test_values_are_zeta_of_pattern_counts(self):
+        rng = np.random.default_rng(8)
+        for mode, k in ((DetectionMode.SINGLE, 2), (DetectionMode.SPLIT, 3)):
+            codes = rng.integers(0, 1 << k, 5000).astype(np.uint8)
+            t = accumulate_clicks(CountTable(mode=mode), codes)
+            assert t.values == tuple(np.bincount(codes, minlength=1 << k) @ zeta(k))
 
 
 class TestMerge:

@@ -123,6 +123,17 @@ class TestDatasetCsv:
             dataset_from_csv("g12,g12_se\n10,1\n")
 
 
+    @pytest.mark.parametrize("p1", ["nan", "inf", "-1", "2.0", "0", "1", ""])
+    def test_impossible_p1_rejected(self, p1):
+        # the first row, below the model floor but a probability, reads
+        with pytest.raises(ValueError, match="line 3.*p1"):
+            dataset_from_csv(f"p1,g12,g12_se\n1e-12,10,1\n{p1},10,1\n")
+        assert dataset_from_csv("p1,g12,g12_se\n1e-12,10,1\n").points[0].p1 == 1e-12
+
+    def test_extra_cells_rejected(self):
+        with pytest.raises(ValueError, match="line 2"):
+            dataset_from_csv("p1,g12,g12_se\n0.01,10,1,7\n")
+
 class TestFit:
     def test_noiseless_recovery(self):
         ds = exact_dataset(PAPER_REGIME, np.geomspace(3e-4, 0.3, 10).tolist())
@@ -266,6 +277,16 @@ class TestFitBounds:
             init = {name: DEFAULT_BOUNDS[name][0] for name in DEFAULT_FREE} | init
         with pytest.raises(ValueError, match="n_starts"):
             fit(ds, init=init, n_starts=n_starts)
+
+    @pytest.mark.parametrize("name, bound", [
+        ("retrieval_eff", (0.01, 2.0)), ("retrieval_eff", (-0.1, 1.0)),
+        ("bg1_coherent", (0.0, 1.0)), ("bg2_coherent", (math.nan, 1.0)),
+        ("bg1_incoherent", (1e-9, math.inf)), ("bg2_incoherent", (1e-3, 1e-4)),
+        ("bg2_incoherent", (1e-4, 1e-4))])
+    def test_bad_bounds_rejected(self, name, bound):
+        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
+        with pytest.raises(ValueError, match=f"bounds of {name}"):
+            fit(ds, bounds={name: bound}, n_starts=1)
 
     def test_init_alone_is_one_start(self):
         ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])

@@ -1,6 +1,6 @@
 import pytest
 
-from dlczsim.params import Detector, params_from_text
+from dlczsim.params import Detector, params_from_text, schedule_from_text
 
 
 def test_detector_labels_round_trip():
@@ -17,3 +17,10 @@ def test_detector_labels_round_trip():
 def test_background_means_must_be_finite_and_nonnegative(key, value):
     with pytest.raises(ValueError, match=key):
         params_from_text(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["mot_rate_hz", "window_ms"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_schedule_times_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=key):
+        schedule_from_text(f"{key} = {value}\n")

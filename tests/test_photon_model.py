@@ -130,6 +130,13 @@ class TestDerivedMetrics:
         assert math.isnan(m.g12)
         assert "g12" in m.undefined and "pc" in m.undefined
 
+    def test_subset_outside_the_mode_rejected(self):
+        from dlczsim.photon_model import Statistics
+        with pytest.raises(AttributeError, match="p2"):
+            Statistics(mode=DetectionMode.SPLIT, p2=0.1)
+        with pytest.raises(AttributeError, match="p2a"):
+            Statistics(mode=DetectionMode.SINGLE, p1=0.1, p2a=0.1)
+
 
 class TestBruteForce:
     def test_vacuum_all_zero(self):
