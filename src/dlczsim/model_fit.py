@@ -102,7 +102,13 @@ def dataset_from_csv(text: str) -> Dataset:
             if col == "flags":
                 kwargs[col] = cell
             elif cell:
-                kwargs[col] = float(cell)
+                try:
+                    kwargs[col] = value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not (math.isfinite(value) and (value > 0 or not col.endswith("_se"))):
+                    raise ValueError(f"dataset line {reader.line_num}, column {col}: {cell!r} is "
+                                     f"not a finite number{' > 0' if col.endswith('_se') else ''}")
         if not 0.0 < kwargs.get("p1", math.nan) < 1.0:
             raise ValueError(f"dataset line {reader.line_num}: p1 must be in (0, 1), "
                              f"got {kwargs.get('p1')}")
@@ -153,8 +159,7 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
         den = 1.0 - c * (1.0 - eff)
         dp1 = np.exp(-bg0 - slope * c) * (slope * (1.0 - c) / den + eff / (den * den))
         step = c - miss / dp1
-        # strictly inside: p1 is a staircase at the ulp scale, and a step back onto a
-        # bracket end would alternate between the two stairs around the target
+        # strictly inside, so that every evaluation shrinks the bracket
         inside = (step > lo[active]) & (step < hi[active])
         step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
         step[miss == 0] = c[miss == 0]

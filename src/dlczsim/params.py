@@ -138,6 +138,9 @@ class TrialSchedule:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mot_rate_hz <= 0 or self.trials_per_window < 1 or self.trial_period_ns < 1:
             raise ValueError("schedule values must be positive")
+        if self.window_ms * 1e-3 * self.mot_rate_hz > 1:
+            raise ValueError(f"window_ms {self.window_ms} exceeds the MOT cycle of "
+                             f"{1e3 / self.mot_rate_hz} ms")
         if self.trials_per_window * self.trial_period_ns > self.window_ms * 1e6:
             raise ValueError("trial burst does not fit in the window")
         if not 0 <= self.write_offset_ns + self.read_delay_ns < self.trial_period_ns:

@@ -3,8 +3,9 @@
 The source emits photon pairs with joint number distribution P(n1=n2=n) = (1-chi) chi^n.
 Each pair photon independently survives (or not) a per-detector thinning chain, and each
 detector additionally sees independent Poisson background counts.  A detector clicks iff
-at least one photon (pair or background) arrives.  All click probabilities then follow
-from joint no-click probabilities by inclusion-exclusion.
+at least one photon (pair or background) arrives.  Every click probability is a sum of
+non-negative terms: closed-form probabilities that pair photons reach a set of
+detectors, weighted by background factors.
 
 Detector subsets are bitmasks whose bit i is channel i of `DetectionConfig.channels`
 (D1 is bit 0).  One array pass over chi gives every subset-click probability, and
@@ -22,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .params import Channel, DetectionConfig, DetectionMode, Detector, ModelParams
+from .params import Channel, DetectionConfig, DetectionMode, ModelParams
 
 UNDEFINED = float("nan")
 
@@ -79,10 +80,6 @@ def mobius(k: int) -> np.ndarray:
     return zeta(k) * np.outer(sign, sign)
 
 
-def _pgf(chi, x, y):
-    return (1.0 - chi) / (1.0 - chi * x * y)
-
-
 def tmss_pgf(chi, x, y):
     """E[x^n1 y^n2] for the pair-number distribution P(n1=n2=n) = (1-chi) chi^n.
 
@@ -95,7 +92,7 @@ def tmss_pgf(chi, x, y):
         raise ValueError("chi must be in [0, 1)")
     if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
         raise ValueError("pgf arguments must be in [0, 1]")
-    out = _pgf(chi, x, y)
+    out = (1.0 - chi) / (1.0 - chi * x * y)
     return float(out) if out.ndim == 0 else out
 
 
@@ -169,61 +166,41 @@ def metric_record(vals: dict, ses: dict | None = None, **meta) -> Metrics:
                    undefined=frozenset(k for k, v in vals.items() if math.isnan(v)), **meta)
 
 
-def _subset_pgfs(chi, chans: tuple[Channel, ...]) -> np.ndarray:
-    """G[..., S] = P(no pair photon reaches any detector of S), over an array of chi.
-
-    Pair-photon routings to distinct field-2 detectors are mutually exclusive per
-    photon, so a field-2 photon misses those of S with probability 1 - their summed
-    efficiencies.
-    """
-    codes = np.arange(1 << len(chans))
-    x = np.ones(len(codes))
-    y = np.ones(len(codes))
-    for i, ch in enumerate(chans):
-        arg = x if ch.detector is Detector.D1 else y
-        arg[codes >> i & 1 == 1] -= ch.pair_eff
-    return _pgf(np.asarray(chi, dtype=float)[..., None], x, y)
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """Elementwise math.exp, which is correctly rounded where numpy's exp can be an ulp
-    off; 1 - exp(-b) G amplifies that by 1/p for a small click probability p."""
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _reach(chi, eff):
+    """P(some pair photon reaches a detector of pair efficiency `eff`), over an array of chi."""
+    return chi * eff / (1.0 - chi * (1.0 - eff))
 
 
 def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
     """P[..., S] = P(every detector of bitmask S clicks), over an array of chi (S = 0: 1).
 
-    `chans` are the channels at that chi.  Joint probabilities are assembled from
-    products of singles plus excess correlation terms rather than raw
-    inclusion-exclusion, so that independent channels (chi = 0, or vanishing
-    shared-pair coupling) factorize exactly in floating point and the
-    g12 = 1 / w = 1 limits hold to machine precision.
+    `chans` are the channels at that chi.  Q[..., U] is the probability that pair
+    photons reach every detector of U.  One channel of pair efficiency e is reached
+    with r = chi e / (1 - chi (1 - e)).  The split arms compete for each photon, so
+    both are reached with r_a r_b (1 + P(neither arm is reached)).  D1 and a field-2
+    set T are both reached with R_T(chi) - (1-chi)/(1-chi (1-e1)) R_T(chi (1-e1)):
+    reach at any pair number less reach with no field-1 photon detected, which loses
+    at most about 1/e1 ulps.  A detector clicks when a pair photon or a background
+    count arrives, so P[S] sums Q[U] over U within S, weighted by exp(-b_i) on U and
+    by 1 - exp(-b_i) on the rest of S.  Every term is non-negative, so every digit
+    survives at any drive and background.
     """
-    k = len(chans)
-    G = _subset_pgfs(chi, chans)
-    B = [_exp(-np.asarray(ch.bg_mean, dtype=float)) for ch in chans]
-    p = [1.0 - B[i] * G[..., 1 << i] for i in range(k)]
-    # s_ij - s_i s_j, with the background factors pulled out so that it
-    # vanishes identically when the pgf factorizes
-    d = {(i, j): B[i] * B[j] * (G[..., 1 << i | 1 << j] - G[..., 1 << i] * G[..., 1 << j])
-         for i, j in itertools.combinations(range(k), 2)}
-    P = np.ones(G.shape)
-    for i in range(k):
-        P[..., 1 << i] = p[i]
-    for (i, j), excess in d.items():
-        P[..., 1 << i | 1 << j] = p[i] * p[j] + excess
-    if k == 3:
-        # third-order excess of the joint silence probability
-        g = [G[..., s] for s in range(8)]
-        t = B[0] * B[1] * B[2] * (g[0b111]
-                                  - g[0b001] * g[0b110]
-                                  - g[0b010] * g[0b101]
-                                  - g[0b100] * g[0b011]
-                                  + 2.0 * g[0b001] * g[0b010] * g[0b100])
-        P[..., 0b111] = (p[0] * p[1] * p[2]
-                         + d[0, 1] * p[2] + d[0, 2] * p[1] + d[1, 2] * p[0]
-                         - t)
+    chi = np.asarray(chi, dtype=float)
+    e = np.array([ch.pair_eff for ch in chans])
+    x = chi[..., None] * np.array([1.0, 1.0 - e[0]])   # the drives chi and chi (1-e1)
+    r = _reach(x[..., None], e)
+    R = np.ones(x.shape + (1 << (len(e) - 1),))   # R[..., drive, T] over field-2 subsets T
+    R[..., 1:len(e)] = r[..., 1:]
+    if len(e) == 3:
+        R[..., 3] = r[..., 1] * r[..., 2] * (1.0 + (1.0 - x) / (1.0 - x * (1.0 - e[1] - e[2])))
+    P = np.repeat(R[..., 0, :], 2, axis=-1)   # Q, D1 (bit 0) in the odd columns
+    P[..., 1::2] -= ((1.0 - chi) / (1.0 - x[..., 1]))[..., None] * R[..., 1, :]
+    P[..., 1] = r[..., 0, 0]
+    b = np.stack([ch.bg_mean for ch in chans], axis=-1)[..., None, None]
+    keep, fire = np.exp(-b), -np.expm1(-b)
+    for i in range(len(chans)):   # the background-weighted zeta transform, bit by bit
+        v = P.reshape(*P.shape[:-1], -1, 2, 1 << i)
+        v[..., 1, :] = keep[..., i, :, :] * v[..., 1, :] + fire[..., i, :, :] * v[..., 0, :]
     return P
 
 
@@ -248,7 +225,7 @@ def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics
 def p1_of_chi(params: ModelParams, chi):
     """Field-1 click probability as a vectorized function of chi (other params fixed)."""
     d1 = DetectionConfig().channels(params, chi)[0]
-    return _subset_click_probs((d1,), chi)[..., 0b1]
+    return -np.expm1(-d1.bg_mean) + np.exp(-d1.bg_mean) * _reach(chi, d1.pair_eff)
 
 
 def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:

@@ -1,49 +1,47 @@
 """Scalar, point-by-point reference for the click model, its metrics and the fit residuals.
 
-These are the per-mode formulas, the 80-step bisection in chi and the residual
-loop that the vectorised paths of `photon_model` and `model_fit` replaced; the
-pin tests compare those paths against them.
+The click model is the textbook inclusion-exclusion over joint silence
+probabilities, summed in 60-digit arithmetic so that its cancellation costs no
+float digit; the metrics, the 80-step bisection in chi and the residual loop are
+the scalar forms that the vectorised paths of `photon_model` and `model_fit`
+replaced.  The pin tests compare those paths against them.
 """
 
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from dlczsim import DetectionConfig, DetectionMode
 from dlczsim.model_fit import ALT_BG_FLAG, PENALTY
 from dlczsim.params import Detector
+from dlczsim.photon_model import SUBSETS
 
 SINGLE = DetectionConfig(DetectionMode.SINGLE)
 SPLIT = DetectionConfig(DetectionMode.SPLIT)
 
 
 def click_probs(params, config):
-    """Singles, then pairs, then (split) the triple, in `Statistics.as_dict` order."""
+    """Every subset-click probability in `Statistics.as_dict` order: the inclusion-exclusion
+    sum over joint silence probabilities, in 60-digit arithmetic, rounded to float."""
     chans = config.channels(params)
-    B = [math.exp(-ch.bg_mean) for ch in chans]
-    G = {}
-    for s in range(1 << len(chans)):
-        x = y = 1.0
-        for i, ch in enumerate(chans):
-            if s >> i & 1:
-                if ch.detector is Detector.D1:
-                    x -= ch.pair_eff
-                else:
-                    y -= ch.pair_eff
-        G[s] = (1.0 - params.chi) / (1.0 - params.chi * x * y)
-    p = [1.0 - B[i] * G[1 << i] for i in range(len(chans))]
-
-    def excess(i, j):
-        return B[i] * B[j] * (G[1 << i | 1 << j] - G[1 << i] * G[1 << j])
-
-    if len(chans) == 2:
-        return p + [p[0] * p[1] + excess(0, 1)]
-    d1a, d1b, dab = excess(0, 1), excess(0, 2), excess(1, 2)
-    t = B[0] * B[1] * B[2] * (G[0b111] - G[0b001] * G[0b110] - G[0b010] * G[0b101]
-                              - G[0b100] * G[0b011] + 2.0 * G[0b001] * G[0b010] * G[0b100])
-    triple = p[0] * p[1] * p[2] + d1a * p[2] + d1b * p[1] + dab * p[0] - t
-    return p + [p[0] * p[1] + d1a, p[0] * p[2] + d1b, p[1] * p[2] + dab, triple]
+    with mpmath.workdps(60):
+        chi = mpmath.mpf(params.chi)
+        silent = []   # P(no detector of bitmask S clicks)
+        for s in range(1 << len(chans)):
+            x = y = bg = mpmath.mpf(0)
+            for i, ch in enumerate(chans):
+                if s >> i & 1:
+                    bg += ch.bg_mean
+                    if ch.detector is Detector.D1:
+                        x += ch.pair_eff
+                    else:
+                        y += ch.pair_eff
+            silent.append(mpmath.exp(-bg) * (1 - chi) / (1 - chi * (1 - x) * (1 - y)))
+        return [float(mpmath.fsum((-1) ** bin(u).count("1") * silent[u]
+                                  for u in range(1 << len(chans)) if u & s == u))
+                for s in SUBSETS[config.mode].values()]
 
 
 def full_metrics(params):
@@ -65,7 +63,7 @@ def full_metrics(params):
 
 def p1_of_chi(params, chi):
     b1 = params.bg1_coherent * (chi / params.chi_ref) * params.eta1 + params.bg1_incoherent
-    return 1.0 - math.exp(-b1) * (1.0 - chi) / (1.0 - chi * (1.0 - params.eta1))
+    return -math.expm1(-b1) + math.exp(-b1) * chi * params.eta1 / (1.0 - chi * (1.0 - params.eta1))
 
 
 def chi_from_p1(params, target):

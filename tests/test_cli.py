@@ -78,7 +78,7 @@ class TestSimulate:
 
 
     @pytest.mark.parametrize("line", ["mot_rate_hz = nan", "mot_rate_hz = inf",
-                                      "window_ms = nan", "window_ms = inf"])
+                                      "window_ms = nan", "window_ms = inf", "window_ms = 100"])
     def test_non_finite_schedule_rejected(self, tmp_path, capsys, line):
         pf = tmp_path / "bad.txt"
         pf.write_text(f"chi = 0.1\n{line}\n")
@@ -296,7 +296,8 @@ class TestFitCmd:
         assert f"bounds of {name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["nan,10,1", "inf,10,1", "-1,10,1", "2.0,10,1",
-                                     "0.01,10,1,5"])
+                                     "0.01,10,1,5", "0.01,abc,1", "0.01,10,-1",
+                                     "0.01,10,nan", "0.01,inf,1"])
     def test_impossible_dataset_row_is_usage_error(self, tmp_path, capsys, row):
         f = tmp_path / "bad.csv"
         f.write_text(f"p1,g12,g12_se\n0.02,20,1\n{row}\n")

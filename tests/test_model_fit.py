@@ -130,6 +130,14 @@ class TestDatasetCsv:
             dataset_from_csv(f"p1,g12,g12_se\n1e-12,10,1\n{p1},10,1\n")
         assert dataset_from_csv("p1,g12,g12_se\n1e-12,10,1\n").points[0].p1 == 1e-12
 
+    @pytest.mark.parametrize("row, col", [("0.01,abc,1", "g12"), ("0.01,10,-1", "g12_se"),
+                                          ("0.01,10,0", "g12_se"), ("0.01,10,nan", "g12_se"),
+                                          ("0.01,inf,1", "g12"), ("0.01,nan,1", "g12")])
+    def test_bad_cell_rejected(self, row, col):
+        with pytest.raises(ValueError, match=f"line 3, column {col}"):
+            dataset_from_csv(f"p1,g12,g12_se\n0.02,5,1\n{row}\n")
+        assert math.isnan(dataset_from_csv("p1,g12,g12_se\n0.01,,\n").points[0].g12_se)
+
     def test_extra_cells_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             dataset_from_csv("p1,g12,g12_se\n0.01,10,1,7\n")

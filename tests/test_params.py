@@ -24,3 +24,10 @@ def test_background_means_must_be_finite_and_nonnegative(key, value):
 def test_schedule_times_must_be_finite(key, value):
     with pytest.raises(ValueError, match=key):
         schedule_from_text(f"{key} = {value}\n")
+
+
+def test_window_must_fit_in_the_mot_cycle():
+    # a 100 ms window at 40 Hz would start trial 40 000 at 25 ms, before trial 39 999
+    with pytest.raises(ValueError, match="window_ms"):
+        schedule_from_text("mot_rate_hz = 40\nwindow_ms = 100\ntrials_per_window = 40000\n")
+    assert schedule_from_text("mot_rate_hz = 40\nwindow_ms = 25\n").window_ms == 25
