@@ -116,7 +116,7 @@ def cmd_analyze(args) -> int:
         _write_manifest(args.out, "analyze",
                         {"records_file": args.records, "eta2": args.eta2,
                          "error_method": args.error_method}, args.seed, started,
-                        stages=stages)
+                        stages=stages, warnings=list(metrics.warnings))
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -144,14 +144,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit(args) -> int:
     started = time.monotonic()
-    try:
-        text = Path(args.dataset).read_text()
-    except OSError as exc:
-        raise IOError(f"cannot read dataset {args.dataset}: {exc}") from exc
-    try:
-        dataset = dataset_from_csv(text)
-    except ValueError as exc:
-        raise UsageError(f"invalid dataset: {exc}") from exc
+    stages = []
+    with _stage(stages, "read") as stage:
+        try:
+            text = Path(args.dataset).read_text()
+        except OSError as exc:
+            raise IOError(f"cannot read dataset {args.dataset}: {exc}") from exc
+        try:
+            dataset = dataset_from_csv(text)
+        except ValueError as exc:
+            raise UsageError(f"invalid dataset: {exc}") from exc
+        stage["items"] = len(dataset)
 
     bounds = None
     if args.bounds:
@@ -168,24 +171,29 @@ def cmd_fit(args) -> int:
             bounds[name] = (float(value), hi) if which == "min" else (lo, float(value))
 
     base = _load_params(args.params)[0] if args.params else ModelParams()
-    result = fit(dataset, base=base, bounds=bounds, seed=args.seed,
-                 n_starts=args.starts)
+    with _stage(stages, "fit") as stage:
+        result = fit(dataset, base=base, bounds=bounds, seed=args.seed,
+                     n_starts=args.starts)
+        stage["items"] = sum(s.nfev for s in result.starts)
     out = Path(args.out)
     out.write_text(fit_result_text(result))
     out.with_suffix(out.suffix + ".cov.csv").write_text(covariance_csv(result))
 
-    p1s = [pt.p1 for pt in dataset.points]
-    grid = np.geomspace(max(min(p1s) * 0.5, 1e-8), 0.9, 60)
-    chis = chi_from_p1(result.params, grid)
-    chis = chis[np.isfinite(chis)]
-    curves = predict_curves(result.params, chis) if len(chis) else []
-    out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
+    with _stage(stages, "overlay") as stage:
+        p1s = [pt.p1 for pt in dataset.points]
+        grid = np.geomspace(max(min(p1s) * 0.5, 1e-8), 0.9, 60)
+        chis = chi_from_p1(result.params, grid)
+        chis = chis[np.isfinite(chis)]
+        curves = predict_curves(result.params, chis) if len(chis) else []
+        out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
+        stage["items"] = len(curves)
 
     _write_manifest(args.out, "fit",
                     {"dataset": args.dataset, "bounds_file": args.bounds,
                      "starts": args.starts, "objective": result.objective,
                      "flags": list(result.flags)}, args.seed, started,
-                    starts=[dataclasses.asdict(s) for s in result.starts], chi2=result.chi2)
+                    starts=[dataclasses.asdict(s) for s in result.starts], chi2=result.chi2,
+                    stages=stages, warnings=list(result.flags))
     sys.stdout.write(fit_result_text(result))
     if "under-determined" in result.flags:
         print("warning: dataset is under-determined; parameter values are not unique",
@@ -243,13 +251,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RecordFormatError, IOError, OSError) as exc:
+    except (RecordFormatError, IOError, OSError) as exc:   # RecordFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,8 +74,16 @@ def dataset_to_csv(ds: Dataset) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for pt in ds.points:
-        values = [getattr(pt, col) for col in CSV_COLUMNS[:-1]]   # all but the last, flags
-        writer.writerow([repr(v) if math.isfinite(v) else "" for v in values] + [pt.flags])
+        values = {col: getattr(pt, col) for col in CSV_COLUMNS[:-1]}   # all but the last, flags
+        for col, v in list(values.items()):
+            # the reader rejects an SE that is not finite and > 0; the fit drops an
+            # observable without one, so its value goes too (p1, the abscissa, stays)
+            if col.endswith("_se") and not (math.isfinite(v) and v > 0):
+                values[col] = math.nan
+                if col != "p1_se":
+                    values[col[:-3]] = math.nan
+        writer.writerow([repr(v) if math.isfinite(v) else "" for v in values.values()]
+                        + [pt.flags])
     return buf.getvalue()
 
 
@@ -136,85 +145,108 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     Safeguarded Newton: every step stays inside a bracket [lo, hi] that holds the
     root and shrinks with each evaluation, and bisects where Newton would leave it.
     Each target stops on its own, so its chi does not depend on the other targets.
+    A parameter may be an array over the targets (the fit's per-point background).
     """
     targets = np.atleast_1d(np.asarray(p1_targets, dtype=float))
     d1_at0 = DetectionConfig().channels(params, 0.0)[0]
     eff, bg0 = d1_at0.pair_eff, d1_at0.bg_mean
     slope = DetectionConfig().channels(params, 1.0)[0].bg_mean - bg0   # affine in chi
     floor = p1_of_chi(params, 0.0)
-    reachable = targets > floor
-    goal = targets[reachable]
+    active = reachable = targets > floor
     # start from the line through p1(0) with slope dp1/dchi at 0
-    chi = np.clip((goal - floor) / (math.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
+    chi = np.clip((targets - floor) / (np.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
     lo, hi = np.zeros_like(chi), np.full_like(chi, _CHI_MAX)
-    active = np.arange(len(chi))
     for _ in range(_NEWTON_ITERS):
-        if not len(active):
+        if not active.any():
             break
-        c = chi[active]
-        miss = p1_of_chi(params, c) - goal[active]
-        lo[active] = np.where(miss < 0, c, lo[active])
-        hi[active] = np.where(miss > 0, c, hi[active])
+        miss = p1_of_chi(params, chi) - targets
+        lo = np.where(miss < 0, chi, lo)
+        hi = np.where(miss > 0, chi, hi)
         # p1 = 1 - exp(-bg0 - slope chi) (1 - chi) / (1 - chi (1 - eff))
-        den = 1.0 - c * (1.0 - eff)
-        dp1 = np.exp(-bg0 - slope * c) * (slope * (1.0 - c) / den + eff / (den * den))
-        step = c - miss / dp1
+        den = 1.0 - chi * (1.0 - eff)
+        dp1 = np.exp(-bg0 - slope * chi) * (slope * (1.0 - chi) / den + eff / (den * den))
+        step = chi - miss / dp1
         # strictly inside, so that every evaluation shrinks the bracket
-        inside = (step > lo[active]) & (step < hi[active])
-        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
-        step[miss == 0] = c[miss == 0]
-        chi[active] = step
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        step = np.where(active & (miss != 0), step, chi)
         # Newton converges quadratically: a step this small leaves ~_CHI_RTOL**2
-        active = active[np.abs(step - c) > _CHI_RTOL * step]
-    out = np.full_like(targets, np.nan)
-    out[reachable] = chi
-    return out
+        active = active & (np.abs(step - chi) > _CHI_RTOL * step)
+        chi = step
+    return np.where(reachable, chi, np.nan)
 
 
 def _apply_free(params: ModelParams, names, values) -> tuple[ModelParams, float | None]:
     """Returns (params with free values applied, alternate bg1_incoherent or None)."""
-    alt = None
-    updates = {}
-    for name, value in zip(names, values):
-        if name == "bg1_incoherent_alt":
-            alt = float(value)
-        else:
-            updates[name] = float(value)
+    updates = {name: float(value) for name, value in zip(names, values)}
+    alt = updates.pop("bg1_incoherent_alt", None)
     return replace(params, **updates), alt
 
 
 # fitted observables in residual order, and whether each is compared in log space
 _OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
 
+_STEP = 1e-20   # complex step: f(x + ih) = f(x) + ih f'(x) + O(h^2), with no difference taken
 
-def _residual_table(params: ModelParams, dataset: Dataset,
-                    bg1_incoherent_alt: float | None = None) -> np.ndarray:
-    """Weighted residuals, one row per point and one column per observable; NaN where
-    the point has no usable measurement of it."""
-    pts = dataset.points
-    names = [name for name, _ in _OBSERVABLES]
-    obs = np.array([[getattr(pt, k) for k in names] for pt in pts],
-                   dtype=float).reshape(-1, len(names))
-    se = np.array([[getattr(pt, k + "_se") for k in names] for pt in pts],
-                  dtype=float).reshape(-1, len(names))
-    p1 = np.array([pt.p1 for pt in pts], dtype=float)
-    flagged = np.array([ALT_BG_FLAG in pt.flags for pt in pts], dtype=bool)
-    pred = np.empty_like(obs)
-    for flag in (False, True):
-        rows = flagged == flag
-        if not rows.any():
-            continue
-        p = params
-        if flag and bg1_incoherent_alt is not None:
-            p = replace(params, bg1_incoherent=bg1_incoherent_alt)
-        curves = metric_curves(p, chi_from_p1(p, p1[rows]))
-        pred[rows] = np.column_stack([curves[k] for k in names])
-    log = np.array([in_log for _, in_log in _OBSERVABLES])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        unreachable = ~np.isfinite(pred) | (log & ((pred <= 0) | (obs <= 0)))
-        r = np.where(log, (np.log(pred) - np.log(obs)) / (se / obs), (pred - obs) / se)
-    r = np.where(unreachable, PENALTY, r)
-    return np.where(np.isfinite(obs) & np.isfinite(se) & (se > 0), r, np.nan)
+
+class _Problem:
+    """A dataset's observation arrays, built once per fit, and the weighted residuals of
+    the free parameters' internal values x against them, with their complex-step
+    Jacobian (Squire & Trapp, SIAM Rev. 40, 110 (1998)).  `passes` counts model passes."""
+
+    def __init__(self, dataset: Dataset, base: ModelParams | None = None, free_names=()):
+        pts = dataset.points
+        names = [name for name, _ in _OBSERVABLES]
+        obs, se = (np.array([[getattr(pt, k + suffix) for k in names] for pt in pts],
+                            dtype=float).reshape(-1, len(names)) for suffix in ("", "_se"))
+        self.p1 = np.array([pt.p1 for pt in pts], dtype=float)
+        self.flagged = np.array([ALT_BG_FLAG in pt.flags for pt in pts], dtype=bool)
+        self.use = np.isfinite(obs) & np.isfinite(se) & (se > 0)
+        self.log = np.array([in_log for _, in_log in _OBSERVABLES])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # residual = (pred, or log pred in log space, - ref) / scale
+            self.ref = np.where(self.log, np.log(obs), obs)
+            self.scale = np.where(self.log, se / obs, se)
+        self.base, self.free_names, self.passes = base, tuple(free_names), 0
+
+    def _view(self, params: ModelParams, alt: float | None, **values) -> SimpleNamespace:
+        """The fields of `params` and its eta2, with `values` and the flagged points'
+        bg1_incoherent set unvalidated: arrays over points, complex over perturbations."""
+        alt = values.pop("bg1_incoherent_alt", alt)
+        if alt is not None:
+            values["bg1_incoherent"] = np.where(
+                self.flagged, alt, values.get("bg1_incoherent", params.bg1_incoherent))
+        return SimpleNamespace(**{**vars(params), "eta2": params.eta2, **values})
+
+    def table(self, params: ModelParams, alt: float | None = None,
+              perturbed: dict | None = None) -> np.ndarray:
+        """Weighted residuals [point, observable] (PENALTY where the model cannot reach
+        one).  `perturbed` maps free names to complex values over a leading axis; chi
+        follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
+        self.passes += 1
+        view = self._view(params, alt)
+        chi = chi_from_p1(view, self.p1)
+        # NaN chi (p1 below the model's floor) warns in complex division
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if perturbed is not None:
+                dp1 = p1_of_chi(view, chi + 1j * _STEP).imag / _STEP
+                view = self._view(params, alt, **perturbed)
+                chi = chi - 1j * p1_of_chi(view, chi).imag / dp1
+            curves = metric_curves(view, chi)
+            pred = np.stack([curves[k] for k, _ in _OBSERVABLES], axis=-1)
+            r = (np.where(self.log, np.log(pred), pred) - self.ref) / self.scale
+        # pred or obs <= 0 in log space makes r non-finite, but for a complex pred
+        return np.where(~np.isfinite(r) | (self.log & (pred.real <= 0)), PENALTY, r)
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        return self.table(*_apply_free(self.base, self.free_names,
+                                       _from_internal(self.free_names, x)))[self.use]
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """d residuals / d x, one complex-step pass with x_j perturbed on row j."""
+        shifted = _from_internal(self.free_names, x + 1j * _STEP * np.eye(len(x)))
+        r = self.table(*_apply_free(self.base, self.free_names, _from_internal(self.free_names, x)),
+                       {n: col[:, None] for n, col in zip(self.free_names, shifted.T)})
+        return r.imag[:, self.use].T / _STEP
 
 
 def residuals(params: ModelParams, dataset: Dataset,
@@ -225,8 +257,8 @@ def residuals(params: ModelParams, dataset: Dataset,
     reach at a point (p1 below the model's floor, or a non-positive value in log
     space) gets the residual PENALTY.
     """
-    table = _residual_table(params, dataset, bg1_incoherent_alt)
-    return table[~np.isnan(table)]
+    problem = _Problem(dataset)
+    return problem.table(params, bg1_incoherent_alt)[problem.use]
 
 
 def _sorted_sum_of_squares(r: np.ndarray) -> float:
@@ -247,7 +279,7 @@ class StartResult:
     """Outcome of one start of the multistart fit."""
 
     objective: float
-    nfev: int      # residual evaluations, finite-difference Jacobians included
+    nfev: int      # model passes: residual evaluations and complex-step Jacobians
     status: int    # scipy.optimize.least_squares status; > 0 means converged
 
 
@@ -282,7 +314,10 @@ def _to_internal(names, values):
 
 
 def _from_internal(names, x):
-    return np.array([10.0 ** xi if n in _LOG_PARAMS else xi for n, xi in zip(names, x)])
+    """Natural values of internal values x, free parameter j on the last axis of x."""
+    x = np.asarray(x)
+    return np.stack([10.0 ** x[..., j] if n in _LOG_PARAMS else x[..., j]
+                     for j, n in enumerate(names)], axis=-1)
 
 
 def fit(dataset: Dataset, base: ModelParams | None = None,
@@ -292,11 +327,12 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     """Multistart bounded least squares (trust-region reflective) of the free parameters.
 
     Starts are `init` (clipped into the bounds), then `n_starts` Latin-hypercube
-    points; the start with the lowest objective wins.  Deterministic given
-    (dataset, inputs, seed).
+    points (McKay, Beckman & Conover, Technometrics 21, 239 (1979)); the start with
+    the lowest objective wins.  The Jacobian is exact to rounding (complex step), and
+    the covariance is that Jacobian's at the solution, in natural units.
+    Deterministic given (dataset, inputs, seed).
     """
     from scipy import optimize          # loaded here so that only `fit` pays for scipy
-    from scipy.stats import qmc
 
     if not dataset.points:
         raise ValueError("empty dataset")
@@ -318,75 +354,50 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     lo = _to_internal(free_names, [bounds[n][0] for n in free_names])
     hi = _to_internal(free_names, [bounds[n][1] for n in free_names])
 
-    evaluations = 0
-
-    def weighted_residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-        p, alt = _apply_free(base, free_names, _from_internal(free_names, x))
-        return residuals(p, dataset, alt)
-
+    problem = _Problem(dataset, base, free_names)
     d = len(free_names)
     starts = []
     if init is not None:
         starts.append(_to_internal(free_names, [min(max(init[n], bounds[n][0]), bounds[n][1])
                                                 for n in free_names]))
-    sampler = qmc.LatinHypercube(d=d, seed=seed)
-    for row in sampler.random(n_starts):
-        starts.append(lo + row * (hi - lo))
+    rng = np.random.default_rng(seed)
+    unit = [(rng.permutation(n_starts) + rng.random(n_starts)) / n_starts for _ in range(d)]
+    starts += list(lo + np.stack(unit, axis=-1) * (hi - lo))
 
     runs, solutions = [], []
     for x0 in starts:
-        evaluations = 0
-        r = optimize.least_squares(weighted_residuals, x0, bounds=(lo, hi), method="trf")
-        runs.append(StartResult(_sorted_sum_of_squares(r.fun), evaluations, int(r.status)))
-        solutions.append(r.x)
+        problem.passes = 0
+        r = optimize.least_squares(problem.residuals, x0, jac=problem.jacobian,
+                                   bounds=(lo, hi), method="trf")
+        runs.append(StartResult(_sorted_sum_of_squares(r.fun), problem.passes, int(r.status)))
+        solutions.append(r)
     i_best = min(range(len(runs)), key=lambda i: runs[i].objective)   # first of equals
-    best_run = runs[i_best]
+    best_run, best = runs[i_best], solutions[i_best]
 
-    natural = _from_internal(free_names, solutions[i_best])
+    natural = _from_internal(free_names, best.x)
     fitted, alt = _apply_free(base, free_names, natural)
 
-    table = _residual_table(fitted, dataset, alt)
-    n_residuals = int(np.count_nonzero(~np.isnan(table)))
-    flags = []
-    if n_residuals <= d:
-        flags.append("under-determined")
-    cov, errs = _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags)
-    if best_run.status <= 0:
-        flags.append("non-convergence")
-
-    chi2 = {name: _sorted_sum_of_squares(col[~np.isnan(col)])
-            for (name, _), col in zip(_OBSERVABLES, table.T)}
-    return FitResult(params=fitted, free_names=free_names, values=natural,
-                     errors=errs, covariance=cov, objective=best_run.objective,
-                     n_residuals=n_residuals, converged=best_run.status > 0,
-                     flags=tuple(flags), bg1_incoherent_alt=alt,
-                     starts=tuple(runs), chi2=chi2)
-
-
-def _gauss_newton_covariance(base, free_names, natural, bounds, dataset, flags):
-    """Covariance from a finite-difference Jacobian of the weighted residuals."""
-    p0, alt0 = _apply_free(base, free_names, natural)
-    r0 = residuals(p0, dataset, alt0)
-    d = len(free_names)
-    jac = np.zeros((len(r0), d))
-    for j in range(d):
-        step = max(abs(natural[j]) * 1e-5, 1e-12)
-        if natural[j] + step > bounds[free_names[j]][1]:   # at the upper bound: step back
-            step = -step
-        bumped = natural.copy()
-        bumped[j] += step
-        p1, alt1 = _apply_free(base, free_names, bumped)
-        jac[:, j] = (residuals(p1, dataset, alt1) - r0) / step
+    n_residuals = int(np.count_nonzero(problem.use))
+    flags = ["under-determined"] if n_residuals <= d else []
+    # TRF's last Jacobian is at its solution; d x / d v = 1 / (ln 10 v) where x = log10 v
+    jac = best.jac / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
         flags.append("singular-covariance")
-    diag = np.clip(np.diag(cov), 0.0, None)
-    return cov, np.sqrt(diag)
+    if best_run.status <= 0:
+        flags.append("non-convergence")
+
+    column = np.nonzero(problem.use)[1]   # each residual's observable
+    chi2 = {name: _sorted_sum_of_squares(best.fun[column == j])
+            for j, (name, _) in enumerate(_OBSERVABLES)}
+    return FitResult(params=fitted, free_names=free_names, values=natural,
+                     errors=np.sqrt(np.clip(np.diag(cov), 0.0, None)), covariance=cov,
+                     objective=best_run.objective, n_residuals=n_residuals,
+                     converged=best_run.status > 0, flags=tuple(flags),
+                     bg1_incoherent_alt=alt, starts=tuple(runs), chi2=chi2)
 
 
 def fit_result_text(result: FitResult) -> str:

@@ -102,7 +102,8 @@ class DetectionConfig:
         are quoted at the detectors, split by bs_ratio between the two arms.
 
         Background means are affine in chi; they are taken at p.chi, or at `chi`
-        (a number or an array, which the means then follow) where given.
+        (a number or an array, which the means then follow) where given.  Only p's
+        fields are read: the fit passes arrays, complex for its Jacobian.
         """
         scale = (p.chi if chi is None else chi) / p.chi_ref
         b1 = p.bg1_coherent * scale * p.eta1 + p.bg1_incoherent

@@ -54,14 +54,15 @@ METRICS = {
 
 
 def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
-    """Metrics per row of subset values (column S is subset S): click probabilities, or
-    counts as exact Python ints in an object array.  NaN where a denominator is 0."""
+    """Metrics over rows of subset values (last axis S is subset S): click probabilities,
+    or counts as exact Python ints in an object array.  NaN where a denominator is 0."""
     vals = {}
     for name, (num, den) in METRICS[mode].items():
-        top = np.prod(values[:, num], axis=1)
-        bottom = np.prod(values[:, den], axis=1)
+        top = np.prod(values[..., num], axis=-1)
+        bottom = np.prod(values[..., den], axis=-1)
         defined = bottom != 0
-        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(float)
+        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(
+            complex if np.iscomplexobj(values) else float)
     if "pc" in vals:
         vals["qc"] = vals["pc"] / eta2
     return vals
@@ -174,7 +175,8 @@ def _reach(chi, eff):
 def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
     """P[..., S] = P(every detector of bitmask S clicks), over an array of chi (S = 0: 1).
 
-    `chans` are the channels at that chi.  Q[..., U] is the probability that pair
+    `chans` are the channels at that chi, their values broadcasting against chi; all
+    may be complex (the fit's complex step).  Q[..., U] is the probability that pair
     photons reach every detector of U.  One channel of pair efficiency e is reached
     with r = chi e / (1 - chi (1 - e)).  The split arms compete for each photon, so
     both are reached with r_a r_b (1 + P(neither arm is reached)).  D1 and a field-2
@@ -185,18 +187,19 @@ def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
     by 1 - exp(-b_i) on the rest of S.  Every term is non-negative, so every digit
     survives at any drive and background.
     """
-    chi = np.asarray(chi, dtype=float)
-    e = np.array([ch.pair_eff for ch in chans])
-    x = chi[..., None] * np.array([1.0, 1.0 - e[0]])   # the drives chi and chi (1-e1)
-    r = _reach(x[..., None], e)
-    R = np.ones(x.shape + (1 << (len(e) - 1),))   # R[..., drive, T] over field-2 subsets T
-    R[..., 1:len(e)] = r[..., 1:]
-    if len(e) == 3:
-        R[..., 3] = r[..., 1] * r[..., 2] * (1.0 + (1.0 - x) / (1.0 - x * (1.0 - e[1] - e[2])))
+    chi = np.asarray(chi)
+    e = np.stack(np.broadcast_arrays(*(ch.pair_eff for ch in chans)), axis=-1)
+    b = np.stack(np.broadcast_arrays(*(ch.bg_mean for ch in chans)), axis=-1)[..., None, None]
+    x = chi[..., None] * (1.0 - e[..., :1] * [0.0, 1.0])   # the drives chi and chi (1-e1)
+    r = _reach(x[..., None], e[..., None, :])
+    R = np.ones(r.shape[:-1] + (1 << (len(chans) - 1),), np.result_type(r, b))   # [drive, T]
+    R[..., 1:len(chans)] = r[..., 1:]
+    if len(chans) == 3:
+        R[..., 3] = r[..., 1] * r[..., 2] * (
+            1.0 + (1.0 - x) / (1.0 - x * (1.0 - e[..., None, 1] - e[..., None, 2])))
     P = np.repeat(R[..., 0, :], 2, axis=-1)   # Q, D1 (bit 0) in the odd columns
     P[..., 1::2] -= ((1.0 - chi) / (1.0 - x[..., 1]))[..., None] * R[..., 1, :]
     P[..., 1] = r[..., 0, 0]
-    b = np.stack([ch.bg_mean for ch in chans], axis=-1)[..., None, None]
     keep, fire = np.exp(-b), -np.expm1(-b)
     for i in range(len(chans)):   # the background-weighted zeta transform, bit by bit
         v = P.reshape(*P.shape[:-1], -1, 2, 1 << i)
@@ -229,13 +232,14 @@ def p1_of_chi(params: ModelParams, chi):
 
 
 def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:
-    """p1 and every metric over a 1-D array of chi, in one pass per detection mode.
+    """p1 and every metric over an array of chi, in one pass per detection mode.
 
     Single-mode metrics (g12, pc, qc, p12, naive_ratio) and the split-mode w, as
-    `full_metrics` combines them.  chi is validated here, once for the array.
+    `full_metrics` combines them.  chi is validated here, once for the array (its real
+    part: chi and the parameters may be complex, for the fit's complex step).
     """
-    chi = np.asarray(chi, dtype=float)
-    if np.any((chi < 0) | (chi >= 1)):
+    chi = np.asarray(chi)
+    if np.any((chi.real < 0) | (chi.real >= 1)):
         raise ValueError("chi must be in [0, 1)")
     vals = {}
     for mode in DetectionMode:
@@ -261,14 +265,8 @@ def _binom_pmf(n: int, p: float) -> np.ndarray:
     from scipy.special import gammaln   # oracle only: keeps scipy out of the CLI's start-up
 
     k = np.arange(n + 1)
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
+    if p in (0.0, 1.0):
+        return (k == (0 if p == 0.0 else n)).astype(float)
     logpmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
               + k * math.log(p) + (n - k) * math.log1p(-p))
     return np.exp(logpmf)

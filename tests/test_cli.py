@@ -122,6 +122,11 @@ class TestAnalyze:
         assert main(["analyze", str(out), "--out", str(rep)]) == 0
         kv = read_report(rep)
         assert {"g12", "pc", "qc"} <= set(kv["undefined"].split(","))
+        # the report's warnings, machine-readable in the manifest
+        warnings = json.loads((tmp_path / "rep.txt.manifest.json").read_text())["warnings"]
+        assert warnings == [line.split(" = ", 1)[1] for line in rep.read_text().splitlines()
+                            if line.startswith("warning = ")]
+        assert warnings[0].startswith("low-count: n1,")
 
     def test_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pdr"
@@ -162,10 +167,17 @@ def test_manifest_stages(tmp_path, params_file):
     assert n_records > 0
     # the trials analyze reads back (PDR1 does not store the simulated count)
     n_read = int(read_report(report)["n_trials"])
+    dataset, _ = TestFitCmd()._dataset_csv(tmp_path)
+    assert main(["fit", str(dataset), "--starts", "2", "--out", str(tmp_path / "fit.txt")]) == 0
+    fitm = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
+    n_overlay = len((tmp_path / "fit.txt.overlay.csv").read_text().splitlines()) - 1
     expected = {"simulate": [("sample", 20000), ("write", n_records)],
                 "analyze": [("read", n_records), ("accumulate", n_records),
-                            ("estimate", n_read)]}
-    for manifest in (sim, ana):
+                            ("estimate", n_read)],
+                "fit": [("read", 8), ("fit", sum(s["nfev"] for s in fitm["starts"])),
+                        ("overlay", n_overlay)]}
+    assert n_overlay > 0
+    for manifest in (sim, ana, fitm):
         stages = manifest["stages"]
         for stage in stages:
             assert set(stage) == {"name", "s", "items"}
@@ -311,19 +323,36 @@ class TestFitCmd:
         assert main(["fit", str(f), "--seed", "1", "--starts", "2",
                      "--out", str(tmp_path / "fit.txt")]) == 0
         assert "under-determined" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
+        assert "under-determined" in manifest["warnings"]
+        assert manifest["warnings"] == manifest["config"]["flags"]
 
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
 
 
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
+    import dlczsim
+    src = str(Path(dlczsim.__file__).resolve().parents[1])
+    code += "; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run([sys.executable, "-c", "import json, sys; " + code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("module", ["dlczsim", "dlczsim.cli"])
 def test_import_leaves_scipy_unloaded(module):
     # scipy costs most of a command's start-up; only `fit` and the oracle load it
-    import dlczsim
-    src = str(Path(dlczsim.__file__).resolve().parents[1])
-    code = (f"import sys; import {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert scipy_modules_after(f"import {module}") == []
+
+
+def test_fit_loads_scipy_optimize_only(tmp_path):
+    # the Latin-hypercube starts are numpy's: `fit` loads no scipy.stats
+    f, _ = TestFitCmd()._dataset_csv(tmp_path)
+    out = tmp_path / "fit.txt"
+    loaded = scipy_modules_after("from dlczsim.cli import main; main(['fit', "
+                                 f"{str(f)!r}, '--starts', '1', '--out', {str(out)!r}])")
+    assert "scipy.optimize" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.stats")]

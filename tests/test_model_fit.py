@@ -1,13 +1,15 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dlczsim import (DataPoint, Dataset, DetectionMode, ModelParams, chi_from_p1,
+from dlczsim import (CountTable, DataPoint, Dataset, DetectionMode, ModelParams, chi_from_p1,
                      dataset_from_csv, dataset_to_csv, estimate_metrics, fit,
                      full_metrics, objective, predict_curves, residuals)
 from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY, _apply_free,
-                               _from_internal, _to_internal, fit_result_text)
+                               _from_internal, _Problem, _to_internal, fit_result_text)
 from dlczsim.photon_model import p1_of_chi
 
 import scalar_reference
@@ -114,6 +116,17 @@ class TestDatasetCsv:
         assert math.isnan(back.points[1].w)
         assert back.points[0].g12 == pytest.approx(ds.points[0].g12)
 
+    def test_round_trip_of_an_estimate_without_triples(self):
+        # no triple coincidence: the estimate is w = 0 with w_se = 0, an SE the reader rejects
+        table = CountTable(DetectionMode.SPLIT, n_trials=1000, n1=50, n2a=40, n2b=40,
+                           n1_2a=5, n1_2b=5, n2a_2b=1, n1_2a_2b=0)
+        m = estimate_metrics(table, eta2=0.25)
+        assert (m.w, m.w_se) == (0.0, 0.0)
+        ds = Dataset([DataPoint(p1=m.p1, p1_se=m.p1_se, w=m.w, w_se=m.w_se)])
+        back = dataset_from_csv(dataset_to_csv(ds)).points[0]
+        assert (back.p1, back.p1_se) == (m.p1, m.p1_se)
+        assert math.isnan(back.w) and math.isnan(back.w_se)
+
     def test_unknown_column_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             dataset_from_csv("p1,bogus\n0.1,2\n")
@@ -180,14 +193,14 @@ class TestFit:
         text = fit_result_text(res)
         assert "retrieval_eff = " in text and "objective = " in text
 
-    def test_covariance_at_upper_bound_steps_inward(self):
-        from dlczsim.model_fit import _gauss_newton_covariance
-        ds = exact_dataset(PAPER_REGIME, [1e-3, 1e-2, 1e-1])
-        flags = []
-        cov, errs = _gauss_newton_covariance(PAPER_REGIME, ("retrieval_eff",), np.array([1.0]),
-                                             {"retrieval_eff": (0.01, 1.0)}, ds, flags)
-        assert cov.shape == (1, 1) and np.isfinite(errs[0]) and errs[0] > 0
-        assert flags == []
+    def test_covariance_at_upper_bound(self):
+        truth = dataclasses.replace(PAPER_REGIME, retrieval_eff=1.0)
+        ds = exact_dataset(truth, [1e-3, 1e-2, 1e-1])
+        res = fit(ds, base=truth, free_names=("retrieval_eff",), n_starts=2, seed=0)
+        assert res.value("retrieval_eff") == pytest.approx(1.0, rel=1e-6)
+        assert res.covariance.shape == (1, 1)
+        assert np.isfinite(res.errors[0]) and res.errors[0] > 0
+        assert res.flags == ()
 
 
 def criterion_9_dataset():
@@ -239,6 +252,22 @@ class TestVectorisedResiduals:
             ref = scalar_reference.residuals(p, dataset, alt, invert=invert)
             assert r.shape == ref.shape
             assert np.max(np.abs(r - ref)) <= 1e-8, p
+
+    def test_jacobian_matches_central_differences(self, dataset):
+        base = ModelParams(chi_ref=0.01)
+
+        def at(x):   # the public residuals at internal values x
+            p, alt = _apply_free(base, self.FREE, _from_internal(self.FREE, x))
+            return residuals(p, dataset, alt)
+
+        problem = _Problem(dataset, base, self.FREE)
+        for p, alt in itertools.islice(self.parameter_sets(), 6):
+            x = _to_internal(self.FREE, [getattr(p, n) for n in DEFAULT_FREE] + [alt])
+            jac = problem.jacobian(x)
+            central = np.column_stack([(at(x + step) - at(x - step)) / 2e-6
+                                       for step in np.eye(len(x)) * 1e-6])
+            assert np.all(jac[-2:] == 0)   # PENALTY rows do not move
+            assert np.abs(jac - central).max() <= 1e-6 * np.abs(central).max(), p
 
     def test_match_bisection_reference_near_the_truth(self, dataset):
         for alt in (3e-6, 1e-5):
