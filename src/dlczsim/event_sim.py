@@ -106,7 +106,7 @@ def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     return {ch.detector for i, ch in enumerate(spec.config.channels(spec.params)) if code >> i & 1}
 
 
-def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
+def run_session(spec: SessionSpec, chunk_size: int = 1 << 16) -> RecordStream:
     """Generate the full record stream: deterministic in spec, ordered by trial then detector."""
     det_ids = np.array([ch.detector for ch in spec.config.channels(spec.params)], dtype=np.uint8)
     read_off = spec.schedule.write_offset_ns + spec.schedule.read_delay_ns
@@ -122,16 +122,14 @@ def run_session(spec: SessionSpec, chunk_size: int = 1 << 20) -> RecordStream:
         trials_parts.append(clicked[rows].astype(np.uint64) + np.uint64(start))
         det_parts.append(det_ids[cols])
 
-    trial_index = (np.concatenate(trials_parts) if trials_parts
-                   else np.empty(0, np.uint64))
-    detector_id = (np.concatenate(det_parts) if det_parts
-                   else np.empty(0, np.uint8))
+    trial_index = np.concatenate([np.empty(0, np.uint64), *trials_parts])
+    detector_id = np.concatenate([np.empty(0, np.uint8), *det_parts])
     return RecordStream(mode=spec.config.mode, schedule=spec.schedule,
                         n_trials=spec.n_trials, trial_index=trial_index,
                         detector_id=detector_id, offset_ns=offset_of[detector_id])
 
 
-def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 20):
+def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 16):
     """Yield (start, click-pattern codes) per chunk without materializing records.
 
     Fast path for statistics-only consumers (the correlator counts the codes

@@ -207,6 +207,7 @@ class _Problem:
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
         self.base, self.free_names, self.passes = base, tuple(free_names), 0
+        self._chi_of = (None, None)                # (params, alt) and its real chi
 
     def _view(self, params: ModelParams, alt: float | None, **values) -> SimpleNamespace:
         """The fields of `params` and its eta2, with `values` and the flagged points'
@@ -224,7 +225,9 @@ class _Problem:
         follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
         self.passes += 1
         view = self._view(params, alt)
-        chi = chi_from_p1(view, self.p1)
+        if self._chi_of[0] != (params, alt):   # TRF takes a Jacobian where it took residuals
+            self._chi_of = ((params, alt), chi_from_p1(view, self.p1))
+        chi = self._chi_of[1]
         # NaN chi (p1 below the model's floor) warns in complex division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if perturbed is not None:

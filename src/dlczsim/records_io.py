@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import io
-import itertools
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .event_sim import RecordStream
 from .params import DetectionMode, Detector, TrialSchedule
@@ -19,6 +18,11 @@ assert _RECORD_DTYPE.itemsize == 13
 
 BINARY = "bin"
 CSV = "csv"
+_CSV_HEADER = "trial_index,detector,offset_ns"
+# ",label," right-aligned and NUL-padded in 5 bytes, by detector id
+_LABEL_FIELDS = np.array([list(f",{d.label},".encode().rjust(5, b"\0")) for d in Detector], "u1")
+# the 3 bytes before a label's second comma as a big-endian number: sorted, so in id order
+_LABEL_KEYS = np.array([int.from_bytes(f",{d.label}".encode()[-3:], "big") for d in Detector])
 
 
 class RecordFormatError(ValueError):
@@ -37,18 +41,27 @@ def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
         payload["detector_id"] = stream.detector_id
         payload["offset_ns"] = stream.offset_ns
         data = _HEADER.pack(MAGIC, VERSION, len(stream)) + payload.tobytes()
-        sink.write(data)
-        return len(data)
-    if fmt == CSV:
-        buf = io.StringIO()
-        buf.write("trial_index,detector,offset_ns\n")
-        labels = [d.label for d in Detector]   # indexed by detector id
-        for trial, det, off in stream:
-            buf.write(f"{trial},{labels[det]},{off}\n")
-        data = buf.getvalue().encode()
-        sink.write(data)
-        return len(data)
-    raise ValueError(f"unknown format {fmt!r}")
+    elif fmt == CSV:
+        # one NUL-padded row per record: digits, ",label," and digits; the NULs drop out
+        rows = np.hstack([_decimal(stream.trial_index), _LABEL_FIELDS.take(stream.detector_id, 0),
+                          _decimal(stream.offset_ns),
+                          np.full((len(stream), 1), ord("\n"), np.uint8)]).ravel()
+        data = _CSV_HEADER.encode() + b"\n" + rows[rows != 0].tobytes()
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    sink.write(data)
+    return len(data)
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """ASCII decimal digits of non-negative integers, right-aligned and NUL-padded, a row each."""
+    v = np.array(values, np.uint64)
+    out = np.zeros((len(str(int(v.max(initial=0)))), len(v)), np.uint8)   # a row per place
+    for j in range(len(out) - 1, -1, -1):   # the units digit, then zeros only inside
+        digit = (v % 10).astype(np.uint8) + np.uint8(ord("0"))
+        out[j] = digit * ((v > 0) | (j == len(out) - 1))
+        v //= 10
+    return out.T
 
 
 def read_records(source, schedule: TrialSchedule | None = None,
@@ -81,44 +94,73 @@ def _read_binary(data: bytes, schedule, n_trials) -> RecordStream:
 
 
 def _read_csv(data: bytes, schedule, n_trials) -> RecordStream:
+    """Rows (bytes between line feeds) that are digits, a label and digits, separated by two
+    commas and ended by at most a CR, decode as arrays; the rest go through `_parse_lines`."""
     try:
-        text = data.decode()
+        data.decode()
     except UnicodeDecodeError as exc:
         raise RecordFormatError("CSV is not UTF-8 text", exc.start) from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "trial_index,detector,offset_ns":
+    buf = np.frombuffer(data, np.uint8)
+    lf = np.flatnonzero(buf == ord("\n"))
+    head = (data[:lf[0] if len(lf) else len(data)].decode().splitlines(keepends=True) or [""])[0]
+    if head.strip() != _CSV_HEADER:
         raise RecordFormatError("missing or malformed CSV header", 0)
-    trials, dets, offs = [], [], []
-    for lineno, line in _csv_records(lines):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise RecordFormatError(f"bad CSV record {line!r}", _line_offset(text, lineno))
-        try:
-            trials.append(int(parts[0]))
-            dets.append(int(Detector.from_label(parts[1].strip())))
-            offs.append(int(parts[2]))
-        except ValueError:
-            raise RecordFormatError(f"bad CSV record {line!r}",
-                                    _line_offset(text, lineno)) from None
-        if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
-            raise RecordFormatError(f"CSV record {line!r} out of range",
-                                    _line_offset(text, lineno))
-    return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
-                         np.array(offs, np.uint32), schedule, n_trials,
-                         lambda i: _line_offset(
-                             text, next(itertools.islice(_csv_records(lines), i, None))[0]))
+    starts = np.concatenate(([len(head.encode())], lf + 1))   # row 0 is the header's rest
+    ends = np.append(lf, len(buf))
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(np.diff(first, append=len(commas)) == 2)
+    c1, c2 = commas[first[rows]], commas[first[rows] + 1]
+    trial, ok = _decode_digits(buf, starts[rows], c1, b"18446744073709551616")
+    off, ok_off = _decode_digits(buf, c2 + 1, ends[rows] - (buf[ends[rows] - 1] == ord("\r")),
+                                 b"4294967296")
+    label = sliding_window_view(buf, 4)[c2 - 4].view(">u4").ravel() & 0xFFFFFF
+    det = np.minimum(np.searchsorted(_LABEL_KEYS, label), len(_LABEL_KEYS) - 1)
+    ok &= ok_off & (_LABEL_KEYS[det] == label) & (c2 - c1 <= 4)
+    good = np.zeros(len(starts), bool)
+    good[rows[ok]] = True
+
+    # runs of the other rows, line by line; then every record in file order
+    slow = ([], [], [], [])                        # byte offset and the three columns
+    for a, b in np.flatnonzero(np.diff(~good, prepend=False, append=False)).reshape(-1, 2).tolist():
+        _parse_lines(data[starts[a]:ends[b - 1]].decode(), int(starts[a]), slow)
+    at, trial, det, off = (np.concatenate((fast, np.array(more, fast.dtype))) for fast, more in zip(
+        (starts[rows[ok]], trial[ok], det[ok].astype(np.uint8), off[ok].astype(np.uint32)), slow))
+    order = np.argsort(at)
+    return _build_stream(trial[order], det[order], off[order], schedule, n_trials,
+                         lambda i: int(at[order[i]]))
 
 
-def _csv_records(lines):
-    """(line number, text) of each non-blank record line after the header."""
-    for lineno, line in enumerate(lines[1:], 1):
+def _decode_digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, limit: bytes):
+    """uint64 values of the fields buf[lo:hi], and whether each is 1 to len(limit) digits below
+    `limit` (compared as text)."""
+    width = hi - lo
+    ok = (width > 0) & (width <= len(limit))
+    value = np.zeros(len(lo), np.uint64)
+    for k in range(int(width.max(initial=0, where=ok))):   # k-th digit from the right
+        digit = np.where(k < width, buf[hi - 1 - k] - np.uint8(ord("0")), np.uint8(0))
+        ok &= digit <= 9
+        value += digit * np.uint64(10 ** k)
+    full = np.flatnonzero(ok & (width == len(limit)))
+    ok[full] = buf[lo[full, None] + np.arange(len(limit))].view(f"S{len(limit)}").ravel() < limit
+    return value, ok
+
+
+def _parse_lines(text: str, offset: int, out) -> None:
+    """Append (byte offset, trial index, detector id, offset_ns) of each non-blank line of text,
+    at byte `offset` of the file, to the lists of `out`: by `int`, the stripped label, ranges."""
+    for line, kept in zip(text.splitlines(), text.splitlines(keepends=True)):
         if line.strip():
-            yield lineno, line
-
-
-def _line_offset(text: str, lineno: int) -> int:
-    """Byte position in the UTF-8 file of line `lineno` (0-based) of text.splitlines()."""
-    return sum(len(line.encode()) for line in text.splitlines(keepends=True)[:lineno])
+            try:
+                trial, label, off = line.split(",")
+                record = (offset, int(trial), int(Detector.from_label(label.strip())), int(off))
+            except ValueError:
+                raise RecordFormatError(f"bad CSV record {line!r}", offset) from None
+            if not (0 <= record[1] < 2 ** 64 and 0 <= record[3] < 2 ** 32):
+                raise RecordFormatError(f"CSV record {line!r} out of range", offset)
+            for column, value in zip(out, record):
+                column.append(value)
+        offset += len(kept.encode())
 
 
 def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials,
@@ -135,9 +177,7 @@ def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials,
                          (trial_index >= n_trials, f"trial index >= n_trials = {n_trials}")):
         if bad.any():
             raise RecordFormatError(message, record_offset(int(np.argmax(bad))))
-    if schedule is None:
-        schedule = TrialSchedule()
     mode = DetectionMode.SPLIT if split.any() else DetectionMode.SINGLE
-    return RecordStream(mode=mode, schedule=schedule, n_trials=n_trials,
+    return RecordStream(mode=mode, schedule=schedule or TrialSchedule(), n_trials=n_trials,
                         trial_index=trial_index, detector_id=detector_id,
                         offset_ns=offset_ns)

@@ -1,0 +1,58 @@
+"""Line-by-line reference for the CSV record reader.
+
+This is the per-record Python reader that the array reader of
+`dlczsim.records_io` replaced: whole-text `splitlines`, then `split(",")`,
+`int` and the stripped label on each non-blank line, with the byte offset of
+a bad line recounted from the start of the file.  The checks on the decoded
+columns (detector ids, mixed modes, trial count) are the package's own
+`_build_stream`.  The differential test in `test_records_io.py` compares the
+two readers on generated CSV-like text.
+"""
+
+import itertools
+
+import numpy as np
+
+from dlczsim.params import Detector
+from dlczsim.records_io import RecordFormatError, _build_stream
+
+
+def read_csv(data: bytes, schedule=None, n_trials=None):
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError("CSV is not UTF-8 text", exc.start) from None
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "trial_index,detector,offset_ns":
+        raise RecordFormatError("missing or malformed CSV header", 0)
+    trials, dets, offs = [], [], []
+    for lineno, line in _csv_records(lines):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise RecordFormatError(f"bad CSV record {line!r}", _line_offset(text, lineno))
+        try:
+            trials.append(int(parts[0]))
+            dets.append(int(Detector.from_label(parts[1].strip())))
+            offs.append(int(parts[2]))
+        except ValueError:
+            raise RecordFormatError(f"bad CSV record {line!r}",
+                                    _line_offset(text, lineno)) from None
+        if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
+            raise RecordFormatError(f"CSV record {line!r} out of range",
+                                    _line_offset(text, lineno))
+    return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
+                         np.array(offs, np.uint32), schedule, n_trials,
+                         lambda i: _line_offset(
+                             text, next(itertools.islice(_csv_records(lines), i, None))[0]))
+
+
+def _csv_records(lines):
+    """(line number, text) of each non-blank record line after the header."""
+    for lineno, line in enumerate(lines[1:], 1):
+        if line.strip():
+            yield lineno, line
+
+
+def _line_offset(text: str, lineno: int) -> int:
+    """Byte position in the UTF-8 file of line `lineno` (0-based) of text.splitlines()."""
+    return sum(len(line.encode()) for line in text.splitlines(keepends=True)[:lineno])

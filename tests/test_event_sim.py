@@ -10,7 +10,7 @@ from dlczsim import (DetectionConfig, DetectionMode, Detector, ModelParams,
                      sample_trial, simulate_clicks)
 from dlczsim.correlator import CountTable, accumulate_clicks
 from dlczsim.event_sim import _pairs_possible
-from dlczsim.records_io import write_records
+from dlczsim.records_io import CSV, write_records
 
 
 def empirical_vs_analytic(params, mode, n_trials, seed):
@@ -157,6 +157,54 @@ def test_records_pinned(mode):
         write_records(run_session(spec), buf)
         assert hashlib.sha256(buf.getvalue()).hexdigest() == digest, p
 
+
+# SHA-256 of the CSV records of the same sessions, captured from the per-record CSV writer
+CSV_DIGESTS = {
+    DetectionMode.SINGLE: [
+        "d06c0e6f192742f8aebcd28f25efcd5b1c23d49f1af873989228fc3460d8a571",
+        "e6b23075e3df2de88cc0523ac4fe6c57ab565abf2c9c0ad476bb56c4b4d0d73f",
+        "f42d283231a5bac1a924f0ea67bbbe2e9aafe519c1e7fa29a9266ef9f7542c8b",
+        "f834e47ffe82fa5355dffcf99e81264f85d797448d3e961846ba8e5d1a1f6dd8",
+        "f39f1b4a70935d99b7f7c5c9c9260601ff1d80d7f4ad1e6f3306e5b2c16df07c",
+        "d5ac0af3c743e32dded5498ac5e4500069696134caf0182282f0fb9a01ae8c9e",
+        "1790f7cd81ccd8bc52615ac6bfa2be2ea3e0ddbc50b871be2481f9dc6d788574",
+        "0b8980189dedea264abac9a14ac00023057cbd50d987847260867a467f8cfb05",
+        "4f9a537a91337bb03a17a5b9039b335031d8f0136182276d0d9c270ded2f8c52",
+        "dedfb9ce85bc24470e88e244ffb4cc48f94e618b3720489f0875d803f9337ece",
+        "edd596b3d8a3b5a1b289251870d00eff18c455062097e0bef7fb7a947e8852c9",
+        "35f2d25642bb40e4671f3940f3adf938e83cc35466b81d139e4ac935da8ee41f",
+        "9b8f1418463d42934f9c1970944a166bbff29c57ece610732feba6e3c11e18de",
+        "a66b0d526263fcfd753a779dcda1bb0911008c599447c517b8a7bb3c49743085",
+        "967683b49e074b185f6d0c6390e7ee583a424a0e97b2af6d2e8044dddb478038",
+    ],
+    DetectionMode.SPLIT: [
+        "1b8430774140f2cebfd5895e79245ceaa647597eb899b824457969d2e3702b06",
+        "8ec0f839567ead55ea0d84378d4a43b05c689c651df005aa4184b3ceb0c82621",
+        "308eb9c6c5c83f7ce457e792501ebdfc27d1ce8d2f900c6628040573e6c69fdd",
+        "6be6b141af55c2bd0564088793b25d037fc5ae1ec2940739e190a0fdf4bc38f4",
+        "f76e6931ebe4faeab40f35ca6310836a36fb2896c6fb240a4edf8234c84d31aa",
+        "a6d08779f7f01e74e8a56ddbd226985b2a6dcb5726eedffea597b0e8c93766f3",
+        "5495cbde097a37b7ce737f3d4bacc0daa146d1ac17a1db4f7001156c2498cc56",
+        "9117df94408b5d5607363416b0714925bd36c68534f7b947f93aa04f79e70d13",
+        "2051fc66a4c6ccf99a9505acbbda53dfcc99d75c554d52003f3e02e660290d70",
+        "6bde0e6983a6a024cd17e91c174df714976f3fec3d709438bc936d6d5c438f4b",
+        "2a88832f7ea7cd5068565132ab2fd15bec7eef650171fbf153587277c8923d92",
+        "a7ed360cf88fb25644219d91f613871b93d019496b123da53cc3fa978499c3f1",
+        "d6d752a91a2b762556045c01327799bfbe96bc43701bc0f989a8e3282c39b60e",
+        "d943e083e5d9a670553bc35423385d3d0e530c9eb58937245d64f6cf65fd72a8",
+        "91988499c68b360a12ce7b7ebf02ae1eceeabbac8418be2b1c63e2eda184b978",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_csv_records_pinned(mode):
+    for i, (p, digest) in enumerate(zip(pin_params(), CSV_DIGESTS[mode], strict=True)):
+        spec = SessionSpec(params=p, config=DetectionConfig(mode), n_trials=20_000,
+                           seed=100 + i)
+        buf = io.BytesIO()
+        write_records(run_session(spec), buf, CSV)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest, p
 
 def _first_kept(chi: float) -> int:
     """Smallest k such that the uniform k * 2**-53 is kept by _pairs_possible."""

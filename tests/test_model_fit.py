@@ -8,6 +8,7 @@ import pytest
 from dlczsim import (CountTable, DataPoint, Dataset, DetectionMode, ModelParams, chi_from_p1,
                      dataset_from_csv, dataset_to_csv, estimate_metrics, fit,
                      full_metrics, objective, predict_curves, residuals)
+from dlczsim import model_fit
 from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY, _apply_free,
                                _from_internal, _Problem, _to_internal, fit_result_text)
 from dlczsim.photon_model import p1_of_chi
@@ -293,6 +294,20 @@ class TestNewtonInversion:
 
     def test_saturates_at_top_of_bracket(self):
         assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
+
+    def test_one_inversion_per_parameter_point(self, monkeypatch):
+        # TRF takes the Jacobian at the point of its last residuals: p1 -> chi runs once there
+        inversions, points = [], set()
+        invert = model_fit.chi_from_p1
+        monkeypatch.setattr(model_fit, "chi_from_p1",
+                            lambda *args: inversions.append(1) or invert(*args))
+        for name in ("residuals", "jacobian"):
+            method = getattr(_Problem, name)
+            monkeypatch.setattr(_Problem, name,
+                                lambda self, x, method=method: points.add(tuple(x)) or method(self, x))
+        res = fit(criterion_9_dataset(), n_starts=2, seed=1)
+        assert sum(s.nfev for s in res.starts) > len(points)
+        assert len(inversions) == len(points)
 
 
 class TestFitBounds:

@@ -10,6 +10,8 @@ from dlczsim.event_sim import RecordStream
 from dlczsim.records_io import (BINARY, CSV, RecordFormatError, read_records,
                                 write_records)
 
+import csv_reference
+
 
 def make_stream(n_records, rng, mode=DetectionMode.SINGLE):
     dets = ([int(Detector.D1), int(Detector.D2)] if mode is DetectionMode.SINGLE
@@ -160,3 +162,66 @@ def test_any_bytes_give_stream_or_format_error(body, frame):
     except RecordFormatError:
         return
     assert isinstance(stream, RecordStream)
+
+
+def test_empty_csv_is_header_only():
+    stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(), n_trials=0)
+    buf = io.BytesIO()
+    assert write_records(stream, buf, CSV) == len(HEADER)
+    assert buf.getvalue() == HEADER
+    assert len(read_records(io.BytesIO(buf.getvalue()))) == 0
+
+
+@pytest.mark.parametrize("fmt", [BINARY, CSV])
+def test_edge_values_round_trip(fmt):
+    stream = RecordStream(mode=DetectionMode.SPLIT, schedule=TrialSchedule(), n_trials=2 ** 64,
+                          trial_index=np.array([0, 0, 9, 10, 2 ** 64 - 1], np.uint64),
+                          detector_id=np.array([0, 2, 3, 0, 2], np.uint8),
+                          offset_ns=np.array([2 ** 32 - 1, 0, 10, 99, 2 ** 32 - 1], np.uint32))
+    buf = io.BytesIO()
+    write_records(stream, buf, fmt)
+    if fmt == CSV:
+        assert buf.getvalue().decode().splitlines()[1:] == [
+            f"{t},{Detector(d).label},{o}" for t, d, o in stream]
+    back = read_records(io.BytesIO(buf.getvalue()))
+    assert back.n_trials == 2 ** 64
+    for column in ("trial_index", "detector_id", "offset_ns"):
+        assert np.array_equal(getattr(back, column), getattr(stream, column)), column
+
+
+def _outcome(read, data):
+    try:
+        stream = read(data)
+    except RecordFormatError as exc:
+        return "error", str(exc), exc.offset
+    columns = (stream.trial_index, stream.detector_id, stream.offset_ns)
+    return "stream", [(c.dtype, c.tolist()) for c in columns], stream.n_trials, stream.mode
+
+
+# the alphabet of the differential test: digits, separators, labels, signs, whitespace,
+# line breaks and the values at the edges of the columns' ranges
+CSV_TOKENS = (list("0123456789,Dabx+-_ \t\u00a0\r\n\x0c") + ["D1", "D2", "D2a", "D2b", "\r\n"]
+              + [str(v) for v in (2 ** 64 - 1, 2 ** 64, 2 ** 32 - 1, 2 ** 32)])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(head=st.sampled_from([HEADER.decode(), CRLF_HEADER.decode(), "\n",
+                             " trial_index,detector,offset_ns \x0c", HEADER.decode()[:-1] + "\r"]),
+       rows=st.lists(st.tuples(
+           st.one_of(st.integers(0, 2 ** 64 - 1).map(str),
+                     st.sampled_from(["0" * 21 + "7", str(2 ** 64), "9" * 20])),
+           st.sampled_from(["D1", "D2", "D2a", "D2b"]),
+           st.integers(0, 2 ** 32 - 1).map(str),
+           st.sampled_from(["\n", "\r\n"])), max_size=6),
+       noise=st.lists(st.tuples(st.integers(0, 200),
+                                st.lists(st.sampled_from(CSV_TOKENS), max_size=4)), max_size=3))
+def test_csv_reader_matches_line_by_line_reference(head, rows, noise):
+    # well-formed rows with tokens of the alphabet spliced in after the header
+    text = "".join(f"{t},{d},{o}{end}" for t, d, o, end in rows)
+    for at, tokens in noise:
+        at %= len(text) + 1
+        text = text[:at] + "".join(tokens) + text[at:]
+    text = head + text
+    data = text.encode()
+    assert (_outcome(lambda b: read_records(io.BytesIO(b)), data)
+            == _outcome(csv_reference.read_csv, data))
