@@ -128,11 +128,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("need 0 < chi-min < chi-max < 1")
     if args.points < 1:
         raise UsageError("points must be >= 1")
-    if args.points == 1:
-        grid = np.array([args.chi_min])
-    else:
-        grid = np.geomspace(args.chi_min, args.chi_max, args.points)
-    curves = predict_curves(params, grid)
+    curves = predict_curves(params, np.geomspace(args.chi_min, args.chi_max, args.points))
     Path(args.out).write_text(_curves_csv(curves))
     _write_manifest(args.out, "sweep",
                     {"params_file": args.params, "chi_min": args.chi_min,
@@ -193,6 +189,7 @@ def cmd_fit(args) -> int:
                      "starts": args.starts, "objective": result.objective,
                      "flags": list(result.flags)}, args.seed, started,
                     starts=[dataclasses.asdict(s) for s in result.starts], chi2=result.chi2,
+                    chi2_points=list(result.chi2_points),
                     stages=stages, warnings=list(result.flags))
     sys.stdout.write(fit_result_text(result))
     if "under-determined" in result.flags:

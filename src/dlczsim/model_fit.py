@@ -225,7 +225,7 @@ class _Problem:
         follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
         self.passes += 1
         view = self._view(params, alt)
-        if self._chi_of[0] != (params, alt):   # TRF takes a Jacobian where it took residuals
+        if self._chi_of[0] != (params, alt):   # the Jacobian comes where residuals just did
             self._chi_of = ((params, alt), chi_from_p1(view, self.p1))
         chi = self._chi_of[1]
         # NaN chi (p1 below the model's floor) warns in complex division
@@ -283,7 +283,7 @@ class StartResult:
 
     objective: float
     nfev: int      # model passes: residual evaluations and complex-step Jacobians
-    status: int    # scipy.optimize.least_squares status; > 0 means converged
+    status: int    # _least_squares status; > 0 means converged
 
 
 @dataclass
@@ -300,6 +300,7 @@ class FitResult:
     bg1_incoherent_alt: float | None = None
     starts: tuple[StartResult, ...] = ()
     chi2: dict[str, float] = field(default_factory=dict)   # per observable, at the fit
+    chi2_points: tuple[float, ...] = ()                     # per dataset point, at the fit
 
     @property
     def start_objectives(self) -> tuple[float, ...]:
@@ -323,11 +324,59 @@ def _from_internal(names, x):
                      for j, n in enumerate(names)], axis=-1)
 
 
-def fit(dataset: Dataset, base: ModelParams | None = None,
-        free_names=None, bounds: dict[str, tuple[float, float]] | None = None,
-        init: dict[str, float] | None = None, n_starts: int = 16,
-        seed: int = 0) -> FitResult:
-    """Multistart bounded least squares (trust-region reflective) of the free parameters.
+def _least_squares(fun, jac, x0, lo, hi, max_iter=200):
+    """Minimise |fun(x)|^2 over lo <= x <= hi: Levenberg-Marquardt in trust-region form (Moré,
+    LNM 630, 105 (1978)), the radius bounding the step in x, whose coordinates (decades,
+    fractions) are alike; scaling by J's columns stranded starts near PENALTY cliffs.  A
+    variable its gradient pushes out of the box is held at its bound; steps are projected
+    into it.  `jac` runs only where `fun` just ran and the step was taken.  Returns (x, fun(x),
+    jac(x), status): 1, 2 or 3 if converged by gradient, cost or step tolerance, else 0."""
+    x = np.clip(x0, lo, hi)
+    r, J = fun(x), jac(x)
+    cost, radius, moved = r @ r, max(np.linalg.norm(x), 1.0), True
+    for _ in range(max_iter):
+        if moved:
+            g = J.T @ r
+            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+            if np.all(np.abs(g[free]) <= 1e-8 * np.linalg.norm(J[:, free], axis=0) * math.sqrt(cost)):
+                return x, r, J, 1
+            u, sv, vt = np.linalg.svd(J[:, free], full_matrices=False)
+            c = -sv * (u.T @ r)   # the step damped by lam is vt.T @ (c / (d + lam))
+            d = sv * sv + np.finfo(float).eps * sv[0] ** 2   # a zero sv only drops its part
+            if np.linalg.norm(c / d) <= 1e-10 * (np.linalg.norm(x) + 1e-10):
+                return x, r, J, 3
+        lam = 0.0   # stays 0 for a full Gauss-Newton step: only its small gain may end the run
+        for _ in range(20):   # Newton on 1 / |step(lam)|, concave, climbs to 1 / radius
+            norm = np.linalg.norm(c / (d + lam))
+            if norm <= 1.1 * radius:
+                break
+            lam += (1 / radius - 1 / norm) * norm ** 3 / np.sum(c * c / (d + lam) ** 3)
+        x_new = x.copy()
+        x_new[free] = np.clip(x[free] + vt.T @ (c / (d + lam)), lo[free], hi[free])
+        step = x_new - x
+        size = np.linalg.norm(step)
+        if size == 0:   # the radius fell below the resolution of x
+            break
+        js = J @ step
+        predicted = -(2 * (r @ js) + js @ js)
+        r_new = fun(x_new)
+        cost_new = r_new @ r_new
+        gain = (cost - cost_new) / predicted if predicted > 0 else -1.0
+        if not 0.25 <= gain <= 0.75:   # shrink on a poor model, grow on a good one
+            radius = 0.25 * size if gain < 0.25 else max(radius, 2 * size)
+        converged = lam == 0 and max(predicted, abs(cost - cost_new)) <= 1e-10 * cost
+        moved = gain > 1e-4
+        if moved:
+            x, r, J, cost = x_new, r_new, jac(x_new), cost_new
+        if converged:
+            return x, r, J, 2
+    return x, r, J, 0
+
+
+def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
+        bounds: dict[str, tuple[float, float]] | None = None,
+        init: dict[str, float] | None = None, n_starts: int = 16, seed: int = 0) -> FitResult:
+    """Multistart bounded least squares (Levenberg-Marquardt) of the free parameters.
 
     Starts are `init` (clipped into the bounds), then `n_starts` Latin-hypercube
     points (McKay, Beckman & Conover, Technometrics 21, 239 (1979)); the start with
@@ -335,8 +384,6 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     the covariance is that Jacobian's at the solution, in natural units.
     Deterministic given (dataset, inputs, seed).
     """
-    from scipy import optimize          # loaded here so that only `fit` pays for scipy
-
     if not dataset.points:
         raise ValueError("empty dataset")
     if n_starts < 0 or (n_starts == 0 and init is None):
@@ -367,23 +414,20 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     unit = [(rng.permutation(n_starts) + rng.random(n_starts)) / n_starts for _ in range(d)]
     starts += list(lo + np.stack(unit, axis=-1) * (hi - lo))
 
-    runs, solutions = [], []
+    runs = []
     for x0 in starts:
         problem.passes = 0
-        r = optimize.least_squares(problem.residuals, x0, jac=problem.jacobian,
-                                   bounds=(lo, hi), method="trf")
-        runs.append(StartResult(_sorted_sum_of_squares(r.fun), problem.passes, int(r.status)))
-        solutions.append(r)
-    i_best = min(range(len(runs)), key=lambda i: runs[i].objective)   # first of equals
-    best_run, best = runs[i_best], solutions[i_best]
+        x, r, J, status = _least_squares(problem.residuals, problem.jacobian, x0, lo, hi)
+        runs.append((StartResult(_sorted_sum_of_squares(r), problem.passes, status), x, r, J))
+    best_run, x, r, J = min(runs, key=lambda run: run[0].objective)   # first of equals
 
-    natural = _from_internal(free_names, best.x)
+    natural = _from_internal(free_names, x)
     fitted, alt = _apply_free(base, free_names, natural)
 
     n_residuals = int(np.count_nonzero(problem.use))
     flags = ["under-determined"] if n_residuals <= d else []
-    # TRF's last Jacobian is at its solution; d x / d v = 1 / (ln 10 v) where x = log10 v
-    jac = best.jac / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
+    # J is at the solution; d x / d v = 1 / (ln 10 v) where x = log10 v
+    jac = J / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
@@ -393,14 +437,15 @@ def fit(dataset: Dataset, base: ModelParams | None = None,
     if best_run.status <= 0:
         flags.append("non-convergence")
 
-    column = np.nonzero(problem.use)[1]   # each residual's observable
-    chi2 = {name: _sorted_sum_of_squares(best.fun[column == j])
+    point, column = np.nonzero(problem.use)   # each residual's point and observable
+    chi2 = {name: _sorted_sum_of_squares(r[column == j])
             for j, (name, _) in enumerate(_OBSERVABLES)}
     return FitResult(params=fitted, free_names=free_names, values=natural,
                      errors=np.sqrt(np.clip(np.diag(cov), 0.0, None)), covariance=cov,
                      objective=best_run.objective, n_residuals=n_residuals,
                      converged=best_run.status > 0, flags=tuple(flags),
-                     bg1_incoherent_alt=alt, starts=tuple(runs), chi2=chi2)
+                     bg1_incoherent_alt=alt, starts=tuple(run[0] for run in runs), chi2=chi2,
+                     chi2_points=tuple(np.bincount(point, r * r, len(dataset)).tolist()))
 
 
 def fit_result_text(result: FitResult) -> str:

@@ -261,31 +261,29 @@ def full_metrics(params: ModelParams) -> Metrics:
 
 # --- brute-force oracle ---------------------------------------------------------
 
-def _binom_pmf(n: int, p: float) -> np.ndarray:
-    from scipy.special import gammaln   # oracle only: keeps scipy out of the CLI's start-up
+def _log_factorials(n: int) -> np.ndarray:   # log k!, k <= n: within 6e-14 of lgamma at 60
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
 
+
+def _binom_pmf(n: int, p: float) -> np.ndarray:
     k = np.arange(n + 1)
     if p in (0.0, 1.0):
         return (k == (0 if p == 0.0 else n)).astype(float)
-    logpmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-              + k * math.log(p) + (n - k) * math.log1p(-p))
-    return np.exp(logpmf)
+    lf = _log_factorials(n)
+    return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 def _trinom_pmf(n: int, pa: float, pb: float) -> np.ndarray:
     """Joint pmf of (ka, kb) for n trials with outcome probs (pa, pb, 1-pa-pb)."""
-    from scipy.special import gammaln
-
-    ka = np.arange(n + 1)[:, None]
-    kb = np.arange(n + 1)[None, :]
+    ka, kb = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
     rest = n - ka - kb
     valid = rest >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         loga = np.where(ka > 0, ka * np.log(pa if pa > 0 else 1.0), 0.0)
         logb = np.where(kb > 0, kb * np.log(pb if pb > 0 else 1.0), 0.0)
         logr = np.where((rest > 0) & valid, rest * math.log1p(-pa - pb) if pa + pb < 1 else -np.inf, 0.0)
-    logpmf = (gammaln(n + 1) - gammaln(ka + 1) - gammaln(kb + 1)
-              - gammaln(np.where(valid, rest, 0) + 1) + loga + logb + logr)
+    lf = _log_factorials(n)
+    logpmf = lf[n] - lf[ka] - lf[kb] - lf[np.where(valid, rest, 0)] + loga + logb + logr
     pmf = np.where(valid, np.exp(logpmf), 0.0)
     if pa == 0.0:
         pmf[1:, :] = 0.0

@@ -277,6 +277,17 @@ class TestFitCmd:
         assert objective == min(s["objective"] for s in starts)
         assert sum(chi2.values()) == pytest.approx(objective, rel=1e-12, abs=1e-300)
 
+    def test_manifest_chi2_per_point(self, tmp_path):
+        f, _ = self._dataset_csv(tmp_path)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(f), "--seed", "1", "--starts", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
+        points = manifest["chi2_points"]
+        assert len(points) == len(f.read_text().splitlines()) - 1
+        assert all(isinstance(v, float) and v >= 0 for v in points)
+        objective = float(parse_keyvalues(out.read_text())["objective"])
+        assert math.fsum(points) == pytest.approx(objective, rel=1e-12, abs=1e-300)
+
     def test_missing_w_column_ok(self, tmp_path):
         f, _ = self._dataset_csv(tmp_path, drop_w=True)
         out = tmp_path / "fit.txt"
@@ -342,17 +353,21 @@ def scipy_modules_after(code: str) -> list[str]:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["dlczsim", "dlczsim.cli"])
-def test_import_leaves_scipy_unloaded(module):
-    # scipy costs most of a command's start-up; only `fit` and the oracle load it
-    assert scipy_modules_after(f"import {module}") == []
+@pytest.mark.parametrize("code", [
+    pytest.param("import dlczsim", id="dlczsim"),
+    pytest.param("import dlczsim.cli", id="dlczsim.cli"),
+    pytest.param("from dlczsim import DetectionConfig, ModelParams, brute_force_statistics; "
+                 "brute_force_statistics(ModelParams(chi=0.1), DetectionConfig())",
+                 id="brute_force_statistics")])
+def test_import_leaves_scipy_unloaded(code):
+    # the package needs numpy alone, oracle included
+    assert scipy_modules_after(code) == []
 
 
-def test_fit_loads_scipy_optimize_only(tmp_path):
-    # the Latin-hypercube starts are numpy's: `fit` loads no scipy.stats
+def test_fit_loads_no_scipy(tmp_path):
+    # the starts are a numpy Latin hypercube and the solver is numpy's
     f, _ = TestFitCmd()._dataset_csv(tmp_path)
     out = tmp_path / "fit.txt"
     loaded = scipy_modules_after("from dlczsim.cli import main; main(['fit', "
                                  f"{str(f)!r}, '--starts', '1', '--out', {str(out)!r}])")
-    assert "scipy.optimize" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.stats")]
+    assert loaded == []

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim import (CountTable, DataPoint, Dataset, DetectionMode, ModelParams, chi_from_p1,
-                     dataset_from_csv, dataset_to_csv, estimate_metrics, fit,
-                     full_metrics, objective, predict_curves, residuals)
+from dlczsim import (CountTable, DataPoint, Dataset, DetectionConfig, DetectionMode, ModelParams,
+                     chi_from_p1, click_statistics, dataset_from_csv, dataset_to_csv,
+                     estimate_metrics, fit, full_metrics, objective, predict_curves, residuals)
 from dlczsim import model_fit
 from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY, _apply_free,
-                               _from_internal, _Problem, _to_internal, fit_result_text)
+                               _from_internal, _least_squares, _Problem, _to_internal,
+                               fit_result_text)
 from dlczsim.photon_model import p1_of_chi
 
 import scalar_reference
@@ -353,3 +354,95 @@ class TestFitBounds:
         assert all(s.nfev > 0 for s in res.starts)
         assert res.converged == (res.starts[res.start_objectives.index(res.objective)].status > 0)
         assert sum(res.chi2.values()) == pytest.approx(res.objective, rel=1e-12, abs=1e-300)
+
+
+class TestLeastSquares:
+    """The bounded Levenberg-Marquardt solver on problems with known answers."""
+
+    A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]])
+    B = np.array([1.0, 2.0, 0.5])
+
+    def test_linear_minimum_on_a_bound(self):
+        hi = 0.5
+        free_min = np.linalg.lstsq(self.A, self.B, rcond=None)[0]
+        assert free_min[1] > hi   # so the bounded minimum holds x1 at its upper bound
+        a0, a1 = self.A.T
+        x0_at_bound = a0 @ (self.B - a1 * hi) / (a0 @ a0)
+        x, r, J, status = _least_squares(lambda x: self.A @ x - self.B, lambda x: self.A,
+                                         np.zeros(2), np.array([-5.0, -5.0]), np.array([5.0, hi]))
+        assert status > 0
+        assert x[1] == hi
+        assert x[0] == pytest.approx(x0_at_bound, rel=1e-10)
+        assert np.array_equal(r, self.A @ x - self.B) and np.array_equal(J, self.A)
+
+    def test_zero_jacobian_column(self):
+        # x1 does not enter the residuals: a rank-deficient J, solved without a special case
+        J = np.column_stack([self.A[:, 0], np.zeros(3)])
+        x, r, _, status = _least_squares(lambda x: J @ x - self.B, lambda x: J,
+                                         np.array([0.0, 0.3]), np.full(2, -5.0), np.full(2, 5.0))
+        assert status > 0 and np.all(np.isfinite(x))
+        assert x[1] == 0.3
+        assert x[0] == pytest.approx(self.A[:, 0] @ self.B / (self.A[:, 0] @ self.A[:, 0]),
+                                     rel=1e-10)
+
+    @staticmethod
+    def rosenbrock(max_iter):
+        def fun(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jac(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        return _least_squares(fun, jac, np.array([-1.2, 1.0]), np.full(2, -3.0), np.full(2, 3.0),
+                              max_iter=max_iter)
+
+    def test_status_zero_at_the_iteration_limit(self):
+        assert self.rosenbrock(2)[3] == 0
+        x, _, _, status = self.rosenbrock(200)
+        assert status > 0 and x == pytest.approx([1.0, 1.0], abs=1e-8)
+
+
+def benchmark_style_dataset():
+    """Twelve points of g12, qc, p12 and w against p1: the model plus one fixed draw of
+    Gaussian noise at the SEs of 1.32e7 trials per point, w left out where fewer than 20
+    triples are expected, rows shuffled."""
+    rng = np.random.default_rng(9)
+    n = 44_000 * 300
+    pts = []
+    for chi in np.geomspace(3e-4, 0.3, 12):
+        p = PAPER_REGIME.with_chi(float(chi))
+        s = click_statistics(p, DetectionConfig(DetectionMode.SINGLE))
+        triple = click_statistics(p, DetectionConfig(DetectionMode.SPLIT)).p1_2a_2b
+        m = full_metrics(p)
+        z = rng.standard_normal(5)
+        pc = s.p12 / s.p1
+        se = {"p1": math.sqrt(s.p1 * (1 - s.p1) / n),
+              "g12": m.g12 / math.sqrt(n * s.p12),
+              "qc": math.sqrt(pc * (1 - pc) / (n * s.p1)) / p.eta2,
+              "p12": math.sqrt(s.p12 * (1 - s.p12) / n),
+              "w": m.w / math.sqrt(n * triple) if n * triple >= 20 else math.nan}
+        true = {"p1": s.p1, "g12": m.g12, "qc": m.qc, "p12": s.p12, "w": m.w}
+        values = {}
+        for k, zk in zip(("p1", "g12", "qc", "p12", "w"), z):
+            values[k] = true[k] + se[k] * float(zk) if math.isfinite(se[k]) else math.nan
+            values[k + "_se"] = se[k]
+        pts.append(DataPoint(**values))
+    return Dataset([pts[i] for i in np.random.default_rng(1).permutation(len(pts))])
+
+
+class TestFitRobustness:
+    def test_every_start_reaches_the_minimum(self):
+        # starts that land next to a PENALTY cliff, where the gradient is ~1e6 and a
+        # 1e-4 step makes points unreachable, must still reach the one minimum
+        ds = benchmark_style_dataset()
+        objectives = [s.objective for seed in range(5)
+                      for s in fit(ds, n_starts=8, seed=seed).starts]
+        assert len(objectives) == 40
+        assert max(objectives) <= min(objectives) * (1 + 1e-6)
+
+    def test_chi2_per_point(self):
+        ds = benchmark_style_dataset()
+        res = fit(ds, n_starts=2, seed=1)
+        assert len(res.chi2_points) == len(ds)
+        assert all(v > 0 for v in res.chi2_points)
+        assert math.fsum(res.chi2_points) == pytest.approx(res.objective, rel=1e-12)
