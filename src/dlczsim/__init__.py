@@ -1,6 +1,6 @@
 """Simulation and analysis of a heralded photon-pair source with click detectors."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .params import (DetectionConfig, DetectionMode, Detector, ModelParams,
                      SessionSpec, TrialSchedule)

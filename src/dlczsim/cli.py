@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlator import CountTable, accumulate, estimate_metrics, report_text
-from .event_sim import run_session
+from .correlator import (CountTable, accumulate, count_patterns, estimate_metrics, report_text,
+                         table_from_counts)
+from .event_sim import session_chunks
 from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv,
                         fit, fit_result_text, predict_curves)
 from .params import (DetectionConfig, DetectionMode, ModelParams, SessionSpec,
                      TrialSchedule, params_from_text, parse_keyvalues, schedule_from_text)
-from .records_io import BINARY, CSV, RecordFormatError, read_records, write_records
+from .records_io import BINARY, CSV, RecordFormatError, RecordReader, read_records, write_chunks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,14 +46,26 @@ def _load_params(path: str) -> tuple[ModelParams, TrialSchedule]:
 def _stage(stages: list, name: str):
     """Time a block and append {name, s, items} to stages; the block sets items."""
     entry = {"name": name, "s": 0.0, "items": 0}
+    stages.append(entry)
     started = time.perf_counter()
     yield entry
-    entry["s"] = round(time.perf_counter() - started, 6)
-    stages.append(entry)
+    entry["s"] += time.perf_counter() - started
+
+
+def _timed(entry: dict, items):
+    """Yield from an iterable, adding the time taken to produce each item to a stage entry."""
+    started = time.perf_counter()
+    for item in items:
+        entry["s"] += time.perf_counter() - started
+        yield item
+        started = time.perf_counter()
+    entry["s"] += time.perf_counter() - started
 
 
 def _write_manifest(out_path: str, command: str, config: dict, seed, started: float,
                     **extra) -> None:
+    for stage in extra.get("stages", ()):
+        stage["s"] = round(stage["s"], 6)
     manifest = {
         "command": command,
         "config": config,
@@ -77,35 +90,57 @@ def cmd_simulate(args) -> int:
     mode = DetectionMode(args.mode)
     spec = SessionSpec(params=params, config=DetectionConfig(mode), schedule=schedule,
                        n_trials=args.trials, seed=args.seed)
-    stages = []
-    with _stage(stages, "sample") as stage:
-        stream = run_session(spec)
-        stage["items"] = spec.n_trials
-    fmt = BINARY if args.format == "bin" else CSV
-    with _stage(stages, "write") as stage, open(args.out, "wb") as sink:
-        n_bytes = write_records(stream, sink, fmt)
-        stage["items"] = len(stream)
+    sample = {"name": "sample", "s": 0.0, "items": spec.n_trials}   # timed within write
+    stages = [sample]
+    with _stage(stages, "write") as write, open(args.out, "wb") as sink:
+        records, n_bytes = write_chunks(_timed(sample, session_chunks(spec)), sink,
+                                        BINARY if args.format == "bin" else CSV,
+                                        spec.n_trials, mode, spec.seed)
+        write["items"] = records
+    write["s"] -= sample["s"]
     _write_manifest(args.out, "simulate",
                     {"params_file": args.params, "mode": args.mode,
                      "trials": args.trials, "format": args.format,
-                     "records": len(stream), "bytes": n_bytes},
+                     "records": records, "bytes": n_bytes},
                     args.seed, started, stages=stages)
-    print(f"wrote {len(stream)} records ({n_bytes} bytes) to {args.out}")
+    print(f"wrote {records} records ({n_bytes} bytes) to {args.out}")
     return EXIT_OK
+
+
+def _manifest_trials(records: str) -> int | None:
+    """`config.trials` of the manifest that `simulate` wrote beside a record file, if any."""
+    try:
+        trials = json.loads(Path(records + ".manifest.json").read_text())["config"]["trials"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return trials if type(trials) is int and trials >= 0 else None
 
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    stages = []
+    if args.trials is not None and args.trials < 0:
+        raise UsageError("--trials must be >= 0")
+    read = {"name": "read", "s": 0.0, "items": 0}   # timed within accumulate
+    stages = [read]
     try:
-        with _stage(stages, "read") as stage, open(args.records, "rb") as source:
-            stream = read_records(source)
-            stage["items"] = len(stream)
+        with open(args.records, "rb") as source, _stage(stages, "accumulate") as count:
+            reader = RecordReader(source, args.trials)
+            origin = "header" if reader.version == 2 else "flag" if args.trials is not None else None
+            if origin is None:
+                reader.n_trials = _manifest_trials(args.records)
+                origin = "inferred" if reader.n_trials is None else "manifest"
+            counts = count_patterns(_timed(read, reader))
+            if counts is None:   # trial indices decrease somewhere: count the whole file
+                source.seek(0)
+                stream = read_records(source, n_trials=reader.n_trials)
+                table, count["items"] = accumulate(CountTable(mode=stream.mode), stream), len(stream)
+            else:
+                table = table_from_counts(reader.mode, counts, reader.n_trials)
+                count["items"] = reader.records
+            read["items"] = count["items"]
+        count["s"] -= read["s"]
     except OSError as exc:
         raise IOError(f"cannot read {args.records}: {exc}") from exc
-    with _stage(stages, "accumulate") as stage:
-        table = accumulate(CountTable(mode=stream.mode), stream)
-        stage["items"] = len(stream)
     with _stage(stages, "estimate") as stage:
         metrics = estimate_metrics(table, eta2=args.eta2, method=args.error_method,
                                    seed=args.seed)
@@ -113,10 +148,12 @@ def cmd_analyze(args) -> int:
     text = report_text(metrics)
     if args.out:
         Path(args.out).write_text(text)
+        warnings = list(metrics.warnings) + (["trials-inferred"] if origin == "inferred" else [])
         _write_manifest(args.out, "analyze",
                         {"records_file": args.records, "eta2": args.eta2,
-                         "error_method": args.error_method}, args.seed, started,
-                        stages=stages, warnings=list(metrics.warnings))
+                         "error_method": args.error_method, "trials": args.trials},
+                        args.seed, started, stages=stages, warnings=warnings,
+                        n_trials=table.n_trials, n_trials_from=origin)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -180,7 +217,7 @@ def cmd_fit(args) -> int:
         grid = np.geomspace(max(min(p1s) * 0.5, 1e-8), 0.9, 60)
         chis = chi_from_p1(result.params, grid)
         chis = chis[np.isfinite(chis)]
-        curves = predict_curves(result.params, chis) if len(chis) else []
+        curves = predict_curves(result.params, chis)
         out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
         stage["items"] = len(curves)
 
@@ -214,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="estimate metrics from a record file")
-    p.add_argument("records", help="record file (PDR1 binary or CSV)")
+    p.add_argument("records", help="record file (PDR2 or PDR1 binary, CSV v2 or v1)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="trial count of a file whose header has none (PDR1, CSV v1)")
     p.add_argument("--eta2", type=float, default=0.25)
     p.add_argument("--error-method", choices=["delta", "bootstrap"], default="delta")
     p.add_argument("--seed", type=int, default=0, help="bootstrap resampling seed")

@@ -25,6 +25,7 @@ LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
 
 _DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
               DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
+_CHANNEL_BIT = np.array([1, 2, 2, 4], np.uint8)   # by detector id: its bit in its mode's order
 
 # pattern codes in the category order of the seeded bootstrap's multinomial draw
 _DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
@@ -50,17 +51,45 @@ def _add_patterns(table: CountTable, patterns: np.ndarray) -> CountTable:
 
 def accumulate(table: CountTable, records: RecordStream) -> CountTable:
     """Add a record stream's trials to the table.  The stream must match the table's mode."""
-    bits = np.zeros(len(records), np.uint8)
-    for i, d in enumerate(_DETECTORS[table.mode]):
-        bits[records.detector_id == d] = 1 << i
-    if not bits.all():
+    trial, det = records.trial_index, records.detector_id
+    if not np.isin(det, _DETECTORS[table.mode]).all():
         raise ValueError(f"records of other detectors fed to a {table.mode.value}-mode count table")
-    trials, inverse = np.unique(records.trial_index, return_inverse=True)
-    codes = np.zeros(len(trials), np.uint8)
-    np.bitwise_or.at(codes, inverse, bits)
-    patterns = np.bincount(codes, minlength=len(table.values))
-    patterns[0] = records.n_trials - len(trials)
-    return _add_patterns(table, patterns)
+    if np.any(trial[1:] < trial[:-1]):
+        order = np.argsort(trial)
+        trial, det = trial[order], det[order]
+    return merge(table, table_from_counts(table.mode, count_patterns([(trial, det)]),
+                                          records.n_trials))
+
+
+def count_patterns(blocks) -> np.ndarray | None:
+    """Trials by click pattern p > 0 (`counts[p]`; counts[0] is 0), from record blocks
+    (trial_index, detector_id, ...) of one mode, sorted by trial across blocks.  None if a
+    trial index decreases."""
+    counts = np.zeros(8, np.int64)
+    last, carry = -1, 0   # the last trial so far and its pattern, not yet counted
+    for trial, det, *_ in blocks:
+        if len(trial) == 0:
+            continue
+        if trial[0] < last or np.any(trial[1:] < trial[:-1]):
+            return None
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(trial)) + 1))
+        codes = np.bitwise_or.reduceat(_CHANNEL_BIT[det], starts)
+        if trial[0] == last:
+            codes[0] |= carry
+        elif last >= 0:
+            counts[carry] += 1
+        counts += np.bincount(codes[:-1], minlength=8)
+        last, carry = int(trial[-1]), codes[-1]
+    if last >= 0:
+        counts[carry] += 1
+    return counts
+
+
+def table_from_counts(mode: DetectionMode, counts: np.ndarray, n_trials: int) -> CountTable:
+    """Count table of n_trials trials from their counts by click pattern (`count_patterns`)."""
+    patterns = counts[:1 << len(_DETECTORS[mode])].copy()
+    patterns[0] = n_trials - counts.sum()
+    return _add_patterns(CountTable(mode), patterns)
 
 
 def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:

@@ -7,7 +7,7 @@ spec: chunk sizes and worker counts cannot change it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class RecordStream:
     trial_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
     detector_id: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
     offset_ns: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
+    seed: int = 0   # the sampler's; 0 where a record file did not store it
 
     def __len__(self) -> int:
         return len(self.trial_index)
@@ -108,25 +109,31 @@ def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
 
 def run_session(spec: SessionSpec, chunk_size: int = 1 << 16) -> RecordStream:
     """Generate the full record stream: deterministic in spec, ordered by trial then detector."""
+    chunks = [RecordStream(spec.config.mode, spec.schedule, spec.n_trials, seed=spec.seed),
+              *session_chunks(spec, chunk_size)]
+    return replace(chunks[0], **{
+        name: np.concatenate([getattr(c, name) for c in chunks])
+        for name in ("trial_index", "detector_id", "offset_ns")})
+
+
+def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
+    """Yield the session's records a chunk of trials at a time, each chunk a RecordStream
+    with the session's metadata (`n_trials` is the whole session's)."""
     det_ids = np.array([ch.detector for ch in spec.config.channels(spec.params)], dtype=np.uint8)
     read_off = spec.schedule.write_offset_ns + spec.schedule.read_delay_ns
     offset_of = np.full(len(Detector), read_off, dtype=np.uint32)
     offset_of[Detector.D1] = spec.schedule.write_offset_ns
 
-    trials_parts, det_parts = [], []
     for start, codes in simulate_clicks(spec, chunk_size):
         # one record per set bit of each trial with a click, row-major: trial, then detector
         clicked = np.flatnonzero(codes)
         bits = np.unpackbits(codes[clicked, None], axis=1, count=len(det_ids), bitorder="little")
         rows, cols = np.nonzero(bits)
-        trials_parts.append(clicked[rows].astype(np.uint64) + np.uint64(start))
-        det_parts.append(det_ids[cols])
-
-    trial_index = np.concatenate([np.empty(0, np.uint64), *trials_parts])
-    detector_id = np.concatenate([np.empty(0, np.uint8), *det_parts])
-    return RecordStream(mode=spec.config.mode, schedule=spec.schedule,
-                        n_trials=spec.n_trials, trial_index=trial_index,
-                        detector_id=detector_id, offset_ns=offset_of[detector_id])
+        detector_id = det_ids[cols]
+        yield RecordStream(mode=spec.config.mode, schedule=spec.schedule,
+                           n_trials=spec.n_trials, seed=spec.seed,
+                           trial_index=clicked[rows].astype(np.uint64) + np.uint64(start),
+                           detector_id=detector_id, offset_ns=offset_of[detector_id])
 
 
 def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 16):

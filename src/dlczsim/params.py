@@ -170,6 +170,8 @@ class SessionSpec:
     def __post_init__(self):
         if self.n_trials < 0:
             raise ValueError("n_trials must be >= 0")
+        if not 0 <= self.seed < 2 ** 128:
+            raise ValueError("seed must be in [0, 2**128)")
 
 
 # --- flat key-value document I/O ------------------------------------------------

@@ -202,7 +202,7 @@ def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
     P[..., 1] = r[..., 0, 0]
     keep, fire = np.exp(-b), -np.expm1(-b)
     for i in range(len(chans)):   # the background-weighted zeta transform, bit by bit
-        v = P.reshape(*P.shape[:-1], -1, 2, 1 << i)
+        v = P.reshape(*P.shape[:-1], 1 << (len(chans) - 1 - i), 2, 1 << i)
         v[..., 1, :] = keep[..., i, :, :] * v[..., 1, :] + fire[..., i, :, :] * v[..., 0, :]
     return P
 

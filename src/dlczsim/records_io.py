@@ -1,7 +1,10 @@
-"""Detection-record serialization: PDR1 binary and CSV, both little-endian/exact round-trip."""
+"""Detection-record files, written chunk by chunk and read block by block: PDR2 binary and CSV
+v2, whose headers carry n_trials, mode and seed, and the version-1 forms (PDR1, CSV without
+the first line), read with the trial count given or inferred.  Layouts are in README."""
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -10,15 +13,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .event_sim import RecordStream
 from .params import DetectionMode, Detector, TrialSchedule
 
-MAGIC = b"PDR1"
-VERSION = 1
-_HEADER = struct.Struct("<4sIQ")           # magic, version, record count
+MAGIC = b"PDR2"
+VERSION = 2
+_HEADER = struct.Struct("<4sI16sB16sQ")    # magic, version, n_trials, mode, seed, record count
+_HEADER_V1 = struct.Struct("<4sIQ")         # PDR1: magic, version, record count
+_MODES = (DetectionMode.SINGLE, DetectionMode.SPLIT)   # by PDR2 mode byte
 _RECORD_DTYPE = np.dtype([("trial_index", "<u8"), ("detector_id", "u1"), ("offset_ns", "<u4")])
 assert _RECORD_DTYPE.itemsize == 13
+_BLOCK = 1 << 18            # bytes per read block
 
 BINARY = "bin"
 CSV = "csv"
 _CSV_HEADER = "trial_index,detector,offset_ns"
+_CSV_V2 = "# dlczsim records v2 n_trials={} mode={} seed={}"
+_CSV_V2_LINE = re.compile(r"# dlczsim records v2 n_trials=([0-9]+) mode=(single|split) seed=([0-9]+)")
 # ",label," right-aligned and NUL-padded in 5 bytes, by detector id
 _LABEL_FIELDS = np.array([list(f",{d.label},".encode().rjust(5, b"\0")) for d in Detector], "u1")
 # the 3 bytes before a label's second comma as a big-endian number: sorted, so in id order
@@ -33,24 +41,45 @@ class RecordFormatError(ValueError):
         self.offset = offset
 
 
-def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
-    """Serialize a record stream; returns the number of bytes written."""
+def _header(fmt: str, n_trials: int, mode: DetectionMode, seed: int, count: int | None) -> bytes:
+    """A file's header; without a record count, one that the reader rejects: PDR2 declares
+    2**64 - 1 records, and the CSV first line says `incomplete`."""
     if fmt == BINARY:
-        payload = np.empty(len(stream), dtype=_RECORD_DTYPE)
-        payload["trial_index"] = stream.trial_index
-        payload["detector_id"] = stream.detector_id
-        payload["offset_ns"] = stream.offset_ns
-        data = _HEADER.pack(MAGIC, VERSION, len(stream)) + payload.tobytes()
-    elif fmt == CSV:
-        # one NUL-padded row per record: digits, ",label," and digits; the NULs drop out
-        rows = np.hstack([_decimal(stream.trial_index), _LABEL_FIELDS.take(stream.detector_id, 0),
-                          _decimal(stream.offset_ns),
-                          np.full((len(stream), 1), ord("\n"), np.uint8)]).ravel()
-        data = _CSV_HEADER.encode() + b"\n" + rows[rows != 0].tobytes()
-    else:
+        return _HEADER.pack(MAGIC, VERSION, int(n_trials).to_bytes(16, "little"), _MODES.index(mode),
+                            int(seed).to_bytes(16, "little"), 2 ** 64 - 1 if count is None else count)
+    if fmt != CSV:
         raise ValueError(f"unknown format {fmt!r}")
-    sink.write(data)
-    return len(data)
+    line = _CSV_V2.format(n_trials, mode.value, seed)
+    line = line if count is not None else "# dlczsim records v2 incomplete".ljust(len(line))
+    return f"{line}\n{_CSV_HEADER}\n".encode()
+
+
+def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
+                 seed: int = 0) -> tuple[int, int]:
+    """Write record streams as one file into a seekable sink, the final header last, so that
+    a writer that dies leaves a file that does not read; returns (records, bytes)."""
+    start, records = sink.tell(), 0
+    size = sink.write(_header(fmt, n_trials, mode, seed, None))
+    for stream in chunks:
+        if fmt == BINARY:
+            data = np.empty(len(stream), dtype=_RECORD_DTYPE)
+            for name in _RECORD_DTYPE.names:
+                data[name] = getattr(stream, name)
+        else:   # one NUL-padded row per record: digits, ",label," and digits; the NULs drop out
+            data = np.hstack([_decimal(stream.trial_index), _LABEL_FIELDS.take(stream.detector_id, 0),
+                              _decimal(stream.offset_ns),
+                              np.full((len(stream), 1), ord("\n"), np.uint8)]).ravel()
+            data = data[data != 0]
+        size, records = size + sink.write(data.tobytes()), records + len(stream)
+    sink.seek(start)
+    sink.write(_header(fmt, n_trials, mode, seed, records))
+    sink.seek(start + size)
+    return records, size
+
+
+def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
+    """Serialize a whole record stream, header included; returns the number of bytes written."""
+    return write_chunks([stream], sink, fmt, stream.n_trials, stream.mode, stream.seed)[1]
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:
@@ -64,50 +93,159 @@ def _decimal(values: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _read(source, size: int) -> bytes:
+    data = source.read(size)
+    return data.encode() if isinstance(data, str) else data
+
+
+class RecordReader:
+    """A record file read block by block (binary detected by magic).
+
+    Opening reads the header: `n_trials`, `mode`, `seed`, None in a `version` 1 file.  The
+    trial indices are checked against `n_trials`: the header's, the argument, which must
+    agree with it, or a value set before iterating.  Iterating yields the checked columns
+    (trial_index, detector_id, offset_ns) of blocks of about `_BLOCK` bytes up to the first
+    error, and then raises the first error of the highest priority, whatever the block
+    size: invalid UTF-8, bad structure (header, size, CSV row), unknown detector id, record
+    of the other mode, trial index >= n_trials.  Else `n_trials` and `mode` are now known.
+    """
+
+    def __init__(self, source, n_trials: int | None = None):
+        self._source, self._errors, self._end, self.records = source, {}, 0, 0
+        self.version, self.n_trials, self.mode, self.seed = 1, None, None, None
+        data = _read(source, max(_BLOCK, _HEADER.size))
+        self._blocks = (self._binary if data[:4] in (MAGIC, b"PDR1") else self._csv)(data)
+        self._single, self._split = (self.mode is m for m in _MODES)   # records of each mode seen
+        if n_trials is not None and self.n_trials not in (None, n_trials):
+            raise ValueError(f"n_trials = {n_trials} given, but the file header says {self.n_trials}")
+        self.n_trials = self.n_trials if n_trials is None else n_trials
+
+    def __iter__(self):
+        for trial, det, off, offset_of in self._blocks:
+            self._check(trial, det, offset_of)
+            if not self._errors:
+                self.records += len(trial)
+                yield trial, det, off
+        if self._errors:   # by priority, the first error of each kind
+            raise self._errors[min(self._errors)]
+        self.n_trials = self._end if self.n_trials is None else self.n_trials   # the largest + 1
+        self.mode = self.mode or (DetectionMode.SPLIT if self._split else DetectionMode.SINGLE)
+
+    def _binary(self, data: bytes):
+        """Parse the header and check the file's size, which needs a seekable source."""
+        header, start = _HEADER if data[:4] == MAGIC else _HEADER_V1, self._source.tell() - len(data)
+        data += _read(self._source, max(header.size - len(data), 0))
+        if len(data) < header.size:
+            raise RecordFormatError("truncated header", len(data))
+        _, version, *fields, count = header.unpack_from(data)
+        if version != (VERSION if fields else 1):
+            raise RecordFormatError(f"unsupported version {version}", 4)
+        if fields:
+            if fields[1] >= len(_MODES):
+                raise RecordFormatError(f"unknown mode {fields[1]}", 24)
+            self.version, self.mode = 2, _MODES[fields[1]]
+            self.n_trials, self.seed = (int.from_bytes(f, "little") for f in fields[::2])
+        size, found = _RECORD_DTYPE.itemsize, self._source.seek(0, 2) - start - header.size
+        if found != count * size:
+            raise RecordFormatError(f"record section has {found} bytes, expected {count} records",
+                                    header.size + min(found, count * size))
+        self._source.seek(start + header.size)
+        return self._binary_blocks(header.size, count)
+
+    def _binary_blocks(self, at: int, count: int):
+        size, per_block = _RECORD_DTYPE.itemsize, max(_BLOCK // _RECORD_DTYPE.itemsize, 1)
+        for first in range(0, count, per_block):
+            records = np.frombuffer(_read(self._source, min(count - first, per_block) * size),
+                                    _RECORD_DTYPE)
+            yield (records["trial_index"].astype(np.uint64), records["detector_id"].copy(),
+                   records["offset_ns"].astype(np.uint32),
+                   lambda i, at=at + first * size: at + i * size)
+
+    def _csv(self, data: bytes):
+        """Parse the header lines, which the first block holds: it ends at an LF after two."""
+        while data.count(b"\n") < 2 and (more := _read(self._source, _BLOCK)):
+            data += more
+        cut = data.rfind(b"\n") + 1 if data.count(b"\n") >= 2 else len(data)
+        text = _utf8(data[:cut], 0)
+        head = column = _line(text, 0)
+        if v2 := _CSV_V2_LINE.fullmatch(head.strip()):
+            self.version, self.mode, self.n_trials, self.seed = 2, DetectionMode(v2[2]), int(v2[1]), int(v2[3])
+            column = _line(text, len(head))
+        at = len(head.encode()) if v2 else 0   # the column header's byte offset
+        if column.strip() != _CSV_HEADER:
+            self._errors[2] = RecordFormatError("missing or malformed CSV header", at)
+        return self._csv_blocks(data[:cut], at + len(column.encode()), data[cut:])
+
+    def _csv_blocks(self, block: bytes, rows_at: int, pending: bytes):
+        """Blocks that end just after an LF, or at the end of the file; one without an LF
+        grows until one appears.  Rows decode up to the first bad one, UTF-8 to the end."""
+        at = 0   # the file offset of block
+        while block:
+            if 2 not in self._errors:
+                try:
+                    yield _csv_rows(block, at, rows_at if at == 0 else 0)
+                except RecordFormatError as exc:
+                    self._errors[2] = exc
+            at += len(block)
+            while (more := _read(self._source, _BLOCK)) and b"\n" not in more:
+                pending += more
+            pending += more
+            cut = pending.rfind(b"\n") + 1 if more else len(pending)
+            block, pending = pending[:cut], pending[cut:]
+            _utf8(block, at)
+
+    def _check(self, trial, det, offset_of) -> None:
+        """Note a block's first unknown id, record of the other mode and trial >= n_trials."""
+        split, single = (det == Detector.D2A) | (det == Detector.D2B), det == Detector.D2
+        other = ((split & (self._single | np.logical_or.accumulate(single)))
+                 | (single & (self._split | np.logical_or.accumulate(split))))
+        self._single, self._split = self._single or bool(single.any()), self._split or bool(split.any())
+        mixed = (f"record of the other mode in a {self.mode.value}-mode file" if self.version == 2
+                 else "stream mixes D2 with D2a/D2b records")
+        ends = np.inf if self.n_trials is None else self.n_trials
+        for kind, bad, message in ((3, det > max(Detector), "unknown detector id"), (4, other, mixed),
+                                   (5, trial >= ends, f"trial index >= n_trials = {ends}")):
+            if kind not in self._errors and bad.any():
+                self._errors[kind] = RecordFormatError(message, offset_of(int(np.argmax(bad))))
+        self._end = max(self._end, int(trial.max()) + 1 if len(trial) else 0)
+
+
+def _utf8(data: bytes, at: int) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError("CSV is not UTF-8 text", at + exc.start) from None
+
+
+def _line(text: str, start: int) -> str:
+    """The line of text at `start`, with its end, as `str.splitlines` splits."""
+    return (text[start:text.find("\n", start) + 1 or len(text)].splitlines(keepends=True) or [""])[0]
+
+
 def read_records(source, schedule: TrialSchedule | None = None,
                  n_trials: int | None = None) -> RecordStream:
-    """Read either format (binary detected by magic).  Raises RecordFormatError on corruption."""
-    data = source.read()
-    if isinstance(data, str):
-        data = data.encode()
-    if data[:4] == MAGIC:
-        return _read_binary(data, schedule, n_trials)
-    return _read_csv(data, schedule, n_trials)
+    """Read a whole record file: the columns of every block of a `RecordReader`, joined.
+    Raises RecordFormatError on corruption."""
+    reader = RecordReader(source, n_trials)
+    columns = list(zip(*reader)) or [(), (), ()]
+    trial, det, off = (np.concatenate([np.empty(0, dtype), *parts])
+                       for dtype, parts in zip((np.uint64, np.uint8, np.uint32), columns))
+    return RecordStream(mode=reader.mode, schedule=schedule or TrialSchedule(),
+                        n_trials=reader.n_trials, trial_index=trial, detector_id=det,
+                        offset_ns=off, seed=reader.seed or 0)
 
 
-def _read_binary(data: bytes, schedule, n_trials) -> RecordStream:
-    if len(data) < _HEADER.size:
-        raise RecordFormatError("truncated header", len(data))
-    magic, version, count = _HEADER.unpack_from(data)
-    if version != VERSION:
-        raise RecordFormatError(f"unsupported version {version}", 4)
-    expected = _HEADER.size + count * _RECORD_DTYPE.itemsize
-    if len(data) != expected:
-        raise RecordFormatError(
-            f"record section has {len(data) - _HEADER.size} bytes, expected {count} records",
-            min(len(data), expected))
-    payload = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
-    return _build_stream(payload["trial_index"].astype(np.uint64),
-                         payload["detector_id"].astype(np.uint8),
-                         payload["offset_ns"].astype(np.uint32), schedule, n_trials,
-                         lambda i: _HEADER.size + i * _RECORD_DTYPE.itemsize)
-
-
-def _read_csv(data: bytes, schedule, n_trials) -> RecordStream:
-    """Rows (bytes between line feeds) that are digits, a label and digits, separated by two
-    commas and ended by at most a CR, decode as arrays; the rest go through `_parse_lines`."""
-    try:
-        data.decode()
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError("CSV is not UTF-8 text", exc.start) from None
-    buf = np.frombuffer(data, np.uint8)
-    lf = np.flatnonzero(buf == ord("\n"))
-    head = (data[:lf[0] if len(lf) else len(data)].decode().splitlines(keepends=True) or [""])[0]
-    if head.strip() != _CSV_HEADER:
-        raise RecordFormatError("missing or malformed CSV header", 0)
-    starts = np.concatenate(([len(head.encode())], lf + 1))   # row 0 is the header's rest
-    ends = np.append(lf, len(buf))
-    commas = np.flatnonzero(buf == ord(","))
+def _csv_rows(data: bytes, base: int, start: int):
+    """Decode the CSV rows of a block at byte `base` of the file, from byte `start` of the
+    block: rows (bytes between line feeds) that are digits, a label and digits, separated
+    by two commas and ended by at most a CR, decode as arrays; the rest go through
+    `_parse_lines`.  Returns the columns in file order and the byte offset of record i."""
+    n = len(data)
+    buf = np.frombuffer(data + bytes(4), np.uint8)   # a label window that wraps reads NULs
+    lf = np.flatnonzero(buf[start:n] == ord("\n")) + start
+    starts = np.concatenate(([start], lf + 1))
+    ends = np.append(lf, n)
+    commas = np.flatnonzero(buf[start:n] == ord(",")) + start
     first = np.searchsorted(commas, starts)
     rows = np.flatnonzero(np.diff(first, append=len(commas)) == 2)
     c1, c2 = commas[first[rows]], commas[first[rows] + 1]
@@ -123,12 +261,12 @@ def _read_csv(data: bytes, schedule, n_trials) -> RecordStream:
     # runs of the other rows, line by line; then every record in file order
     slow = ([], [], [], [])                        # byte offset and the three columns
     for a, b in np.flatnonzero(np.diff(~good, prepend=False, append=False)).reshape(-1, 2).tolist():
-        _parse_lines(data[starts[a]:ends[b - 1]].decode(), int(starts[a]), slow)
+        _parse_lines(data[starts[a]:ends[b - 1]].decode(), base + int(starts[a]), slow)
     at, trial, det, off = (np.concatenate((fast, np.array(more, fast.dtype))) for fast, more in zip(
-        (starts[rows[ok]], trial[ok], det[ok].astype(np.uint8), off[ok].astype(np.uint32)), slow))
+        (starts[rows[ok]] + base, trial[ok], det[ok].astype(np.uint8), off[ok].astype(np.uint32)),
+        slow))
     order = np.argsort(at)
-    return _build_stream(trial[order], det[order], off[order], schedule, n_trials,
-                         lambda i: int(at[order[i]]))
+    return trial[order], det[order], off[order], lambda i: int(at[order[i]])
 
 
 def _decode_digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, limit: bytes):
@@ -161,23 +299,3 @@ def _parse_lines(text: str, offset: int, out) -> None:
             for column, value in zip(out, record):
                 column.append(value)
         offset += len(kept.encode())
-
-
-def _build_stream(trial_index, detector_id, offset_ns, schedule, n_trials,
-                  record_offset) -> RecordStream:
-    """Validate decoded columns; `record_offset(i)` is the byte position of record i."""
-    split = (detector_id == Detector.D2A) | (detector_id == Detector.D2B)
-    single = detector_id == Detector.D2
-    # a record is mixed once both single- and split-mode records have appeared
-    mixed = (split & np.logical_or.accumulate(single)) | (single & np.logical_or.accumulate(split))
-    if n_trials is None:
-        n_trials = int(trial_index.max()) + 1 if len(trial_index) else 0
-    for bad, message in ((detector_id > max(Detector), "unknown detector id"),
-                         (mixed, "stream mixes D2 with D2a/D2b records"),
-                         (trial_index >= n_trials, f"trial index >= n_trials = {n_trials}")):
-        if bad.any():
-            raise RecordFormatError(message, record_offset(int(np.argmax(bad))))
-    mode = DetectionMode.SPLIT if split.any() else DetectionMode.SINGLE
-    return RecordStream(mode=mode, schedule=schedule or TrialSchedule(), n_trials=n_trials,
-                        trial_index=trial_index, detector_id=detector_id,
-                        offset_ns=offset_ns)

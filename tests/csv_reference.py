@@ -3,18 +3,16 @@
 This is the per-record Python reader that the array reader of
 `dlczsim.records_io` replaced: whole-text `splitlines`, then `split(",")`,
 `int` and the stripped label on each non-blank line, with the byte offset of
-a bad line recounted from the start of the file.  The checks on the decoded
-columns (detector ids, mixed modes, trial count) are the package's own
-`_build_stream`.  The differential test in `test_records_io.py` compares the
-two readers on generated CSV-like text.
+a bad line recounted from the start of the file, then the record checks (mixed
+modes, trial count) record by record.  The differential test in
+`test_records_io.py` compares the two readers on generated CSV-like text.
 """
-
-import itertools
 
 import numpy as np
 
-from dlczsim.params import Detector
-from dlczsim.records_io import RecordFormatError, _build_stream
+from dlczsim.event_sim import RecordStream
+from dlczsim.params import DetectionMode, Detector, TrialSchedule
+from dlczsim.records_io import RecordFormatError
 
 
 def read_csv(data: bytes, schedule=None, n_trials=None):
@@ -25,7 +23,7 @@ def read_csv(data: bytes, schedule=None, n_trials=None):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "trial_index,detector,offset_ns":
         raise RecordFormatError("missing or malformed CSV header", 0)
-    trials, dets, offs = [], [], []
+    trials, dets, offs, linenos = [], [], [], []
     for lineno, line in _csv_records(lines):
         parts = line.split(",")
         if len(parts) != 3:
@@ -40,10 +38,24 @@ def read_csv(data: bytes, schedule=None, n_trials=None):
         if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
             raise RecordFormatError(f"CSV record {line!r} out of range",
                                     _line_offset(text, lineno))
-    return _build_stream(np.array(trials, np.uint64), np.array(dets, np.uint8),
-                         np.array(offs, np.uint32), schedule, n_trials,
-                         lambda i: _line_offset(
-                             text, next(itertools.islice(_csv_records(lines), i, None))[0]))
+        linenos.append(lineno)
+    modes = set()
+    for det, lineno in zip(dets, linenos):
+        if det in (Detector.D2, Detector.D2A, Detector.D2B):
+            modes.add(det == Detector.D2)
+            if len(modes) == 2:
+                raise RecordFormatError("stream mixes D2 with D2a/D2b records",
+                                        _line_offset(text, lineno))
+    if n_trials is None:
+        n_trials = max(trials, default=-1) + 1
+    for trial, lineno in zip(trials, linenos):
+        if trial >= n_trials:
+            raise RecordFormatError(f"trial index >= n_trials = {n_trials}",
+                                    _line_offset(text, lineno))
+    return RecordStream(mode=DetectionMode.SPLIT if False in modes else DetectionMode.SINGLE,
+                        schedule=schedule or TrialSchedule(), n_trials=n_trials,
+                        trial_index=np.array(trials, np.uint64),
+                        detector_id=np.array(dets, np.uint8), offset_ns=np.array(offs, np.uint32))
 
 
 def _csv_records(lines):

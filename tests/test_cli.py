@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import (DetectionConfig, DetectionMode, ModelParams,
-                     click_statistics, full_metrics)
+from dlczsim import (CountTable, DetectionConfig, DetectionMode, ModelParams, SessionSpec,
+                     accumulate_clicks, click_statistics, estimate_metrics, full_metrics,
+                     simulate_clicks)
+from dlczsim import cli, records_io
 from dlczsim.cli import main
+from dlczsim.correlator import report_text
 from dlczsim.params import params_to_text, parse_keyvalues
 
 PARAMS_TEXT = params_to_text(ModelParams(
@@ -47,13 +50,13 @@ class TestSimulate:
         out = tmp_path / "empty.pdr"
         assert main(["simulate", "--params", str(pf), "--trials", "1000",
                      "--out", str(out)]) == 0
-        assert len(out.read_bytes()) == 16
+        assert len(out.read_bytes()) == 49
 
     def test_split_mode_ids(self, tmp_path, params_file):
         out = tmp_path / "s.csv"
         assert main(["simulate", "--params", params_file, "--trials", "20000",
                      "--mode", "split", "--format", "csv", "--out", str(out)]) == 0
-        body = out.read_text().splitlines()[1:]
+        body = out.read_text().splitlines()[2:]
         dets = {line.split(",")[1] for line in body}
         assert dets <= {"D1", "D2a", "D2b"} and "D2" not in dets
 
@@ -165,8 +168,8 @@ def test_manifest_stages(tmp_path, params_file):
     ana = json.loads((tmp_path / "report.txt.manifest.json").read_text())
     n_records = sim["config"]["records"]
     assert n_records > 0
-    # the trials analyze reads back (PDR1 does not store the simulated count)
     n_read = int(read_report(report)["n_trials"])
+    assert n_read == 20000
     dataset, _ = TestFitCmd()._dataset_csv(tmp_path)
     assert main(["fit", str(dataset), "--starts", "2", "--out", str(tmp_path / "fit.txt")]) == 0
     fitm = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
@@ -184,6 +187,122 @@ def test_manifest_stages(tmp_path, params_file):
             assert isinstance(stage["s"], float) and 0.0 <= stage["s"] <= manifest["wall_clock_s"]
             assert isinstance(stage["items"], int)
         assert [(st["name"], st["items"]) for st in stages] == expected[manifest["command"]]
+
+
+def version_1(path: Path, out: Path) -> None:
+    """Write a PDR2 / CSV v2 record file as the version-1 bytes of the same records."""
+    data = path.read_bytes()
+    if data[:4] == b"PDR2":
+        count = (len(data) - 49) // 13
+        out.write_bytes(b"PDR1" + (1).to_bytes(4, "little") + count.to_bytes(8, "little")
+                        + data[49:])
+    else:
+        out.write_bytes(data.partition(b"\n")[2])
+
+
+def analyze_manifest(tmp_path, *args):
+    report = tmp_path / "report.txt"
+    assert main(["analyze", *map(str, args), "--out", str(report)]) == 0
+    return read_report(report), json.loads((tmp_path / "report.txt.manifest.json").read_text())
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("mode", ["single", "split"])
+    def test_no_click_session(self, tmp_path, mode, fmt):
+        pf = tmp_path / "p.txt"
+        pf.write_text(params_to_text(ModelParams(chi=0.01)))
+        out = tmp_path / f"r.{fmt}"
+        assert main(["simulate", "--params", str(pf), "--trials", "10", "--mode", mode,
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert json.loads((tmp_path / f"r.{fmt}.manifest.json").read_text())["config"]["records"] == 0
+        kv, manifest = analyze_manifest(tmp_path, out)
+        assert (kv["mode"], kv["n_trials"], kv["p1"]) == (mode, "10", "0.0")
+        assert (manifest["n_trials"], manifest["n_trials_from"]) == (10, "header")
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_version_1_files(self, tmp_path, params_file, fmt):
+        new = tmp_path / f"new.{fmt}"
+        assert main(["simulate", "--params", params_file, "--trials", "3000", "--seed", "2",
+                     "--format", fmt, "--out", str(new)]) == 0
+        with open(new, "rb") as source:
+            last = int(records_io.read_records(source).trial_index.max())
+        assert last + 1 < 3000     # inference would lose trials
+        old = tmp_path / f"old.{fmt}"
+        version_1(new, old)
+        expected = analyze_manifest(tmp_path, new)[0]
+
+        kv, flag = analyze_manifest(tmp_path, old, "--trials", 3000)
+        assert kv == expected and (flag["n_trials"], flag["n_trials_from"]) == (3000, "flag")
+        (tmp_path / f"old.{fmt}.manifest.json").write_text(
+            (tmp_path / f"new.{fmt}.manifest.json").read_text())
+        kv, beside = analyze_manifest(tmp_path, old)
+        assert kv == expected
+        assert (beside["n_trials"], beside["n_trials_from"]) == (3000, "manifest")
+        (tmp_path / f"old.{fmt}.manifest.json").unlink()
+        kv, inferred = analyze_manifest(tmp_path, old)
+        assert kv["n_trials"] == str(last + 1)
+        assert (inferred["n_trials"], inferred["n_trials_from"]) == (last + 1, "inferred")
+        assert "trials-inferred" in inferred["warnings"]
+        assert "trials-inferred" not in flag["warnings"] + beside["warnings"]
+
+    def test_garbage_beside_a_manifest_is_format_error(self, tmp_path, params_file):
+        records = tmp_path / "r.pdr"
+        assert main(["simulate", "--params", params_file, "--trials", "100",
+                     "--out", str(records)]) == 0
+        records.write_bytes(b"not a record file\n")
+        assert main(["analyze", str(records)]) == 2
+
+    @pytest.mark.parametrize("trials", ["-1", "99"])
+    def test_bad_trials_flag_is_usage_error(self, tmp_path, params_file, trials):
+        records = tmp_path / "r.pdr"
+        assert main(["simulate", "--params", params_file, "--trials", "100",
+                     "--out", str(records)]) == 0
+        assert main(["analyze", str(records), "--trials", trials]) == 1
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_count_table_does_not_depend_on_block_size(self, tmp_path, monkeypatch, fmt):
+        pf = tmp_path / "p.txt"
+        params = ModelParams(chi=0.3, bg1_incoherent=1e-3, bg2_incoherent=1e-3)
+        pf.write_text(params_to_text(params))
+        out = tmp_path / f"r.{fmt}"
+        assert main(["simulate", "--params", str(pf), "--trials", "20000", "--seed", "6",
+                     "--mode", "split", "--format", fmt, "--out", str(out)]) == 0
+        spec = SessionSpec(params=params, config=DetectionConfig(DetectionMode.SPLIT),
+                           n_trials=20000, seed=6)
+        table = CountTable(DetectionMode.SPLIT)
+        for _, codes in simulate_clicks(spec):
+            table = accumulate_clicks(table, codes)
+        expected = report_text(estimate_metrics(table))
+        for block in (64, 4099, 1 << 18):
+            monkeypatch.setattr(records_io, "_BLOCK", block)
+            assert main(["analyze", str(out), "--out", str(tmp_path / "rep.txt")]) == 0
+            assert (tmp_path / "rep.txt").read_text() == expected, block
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_unsorted_file_is_counted_whole(self, tmp_path, monkeypatch, params_file, fmt):
+        new = tmp_path / f"new.{fmt}"
+        assert main(["simulate", "--params", params_file, "--trials", "5000", "--seed", "1",
+                     "--mode", "split", "--format", fmt, "--out", str(new)]) == 0
+        with open(new, "rb") as source:
+            stream = records_io.read_records(source)
+        order = np.random.default_rng(0).permutation(len(stream))
+        for name in ("trial_index", "detector_id", "offset_ns"):
+            setattr(stream, name, getattr(stream, name)[order])
+        shuffled = tmp_path / f"shuffled.{fmt}"
+        with open(shuffled, "wb") as sink:
+            records_io.write_records(stream, sink, records_io.BINARY if fmt == "bin" else records_io.CSV)
+        old = tmp_path / f"old.{fmt}"
+        version_1(shuffled, old)
+        whole = []
+        monkeypatch.setattr(cli, "read_records",
+                            lambda *a, **k: whole.append(1) or records_io.read_records(*a, **k))
+        for path in (new, old, shuffled):
+            assert main(["analyze", str(path), "--trials", "5000",
+                         "--out", str(tmp_path / f"{path.name}.txt")]) == 0
+        assert len(whole) == 2
+        reports = [(tmp_path / f"{p}.{fmt}.txt").read_text() for p in ("new", "old", "shuffled")]
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestSweep:

@@ -108,7 +108,7 @@ def pin_params():
             + [random_params(rng, chi_max=0.95) for _ in range(10)])
 
 
-# SHA-256 of the binary records of 20 000 trials per parameter set (seed 100 + index),
+# SHA-256 of the PDR1 files of 20 000 trials per parameter set (seed 100 + index),
 # captured from the sampler that drew integers and computed every trial's pair number
 RECORD_DIGESTS = {
     DetectionMode.SINGLE: [
@@ -155,7 +155,14 @@ def test_records_pinned(mode):
                            seed=100 + i)
         buf = io.BytesIO()
         write_records(run_session(spec), buf)
-        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest, p
+        data = buf.getvalue()
+        count = (len(data) - 49) // 13
+        assert data[:49] == (b"PDR2" + (2).to_bytes(4, "little") + (20_000).to_bytes(16, "little")
+                             + bytes([mode is DetectionMode.SPLIT])
+                             + (100 + i).to_bytes(16, "little") + count.to_bytes(8, "little"))
+        # the record section, behind the PDR1 header it was pinned with
+        v1 = b"PDR1" + (1).to_bytes(4, "little") + count.to_bytes(8, "little") + data[49:]
+        assert hashlib.sha256(v1).hexdigest() == digest, p
 
 
 # SHA-256 of the CSV records of the same sessions, captured from the per-record CSV writer
@@ -204,7 +211,10 @@ def test_csv_records_pinned(mode):
                            seed=100 + i)
         buf = io.BytesIO()
         write_records(run_session(spec), buf, CSV)
-        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest, p
+        first, _, rest = buf.getvalue().partition(b"\n")
+        assert first == f"# dlczsim records v2 n_trials=20000 mode={mode.value} seed={100 + i}".encode()
+        # the column header and the rows, as pinned without the first line
+        assert hashlib.sha256(rest).hexdigest() == digest, p
 
 def _first_kept(chi: float) -> int:
     """Smallest k such that the uniform k * 2**-53 is kept by _pairs_possible."""

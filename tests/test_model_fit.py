@@ -61,6 +61,10 @@ class TestPredictCurves:
         p1s = [c.p1 for c in curves]
         assert p1s == sorted(p1s)
 
+    def test_empty_grid_gives_no_points(self):
+        assert predict_curves(PAPER_REGIME, []) == []
+        assert predict_curves(PAPER_REGIME, np.empty(0)) == []
+
 
 class TestChiInversion:
     def test_round_trip(self):
@@ -297,7 +301,8 @@ class TestNewtonInversion:
         assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_one_inversion_per_parameter_point(self, monkeypatch):
-        # TRF takes the Jacobian at the point of its last residuals: p1 -> chi runs once there
+        # the Levenberg-Marquardt solver takes the Jacobian at the point of its last residuals:
+        # p1 -> chi runs once there
         inversions, points = [], set()
         invert = model_fit.chi_from_p1
         monkeypatch.setattr(model_fit, "chi_from_p1",

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from dlczsim import DetectionMode, Detector, ModelParams, SessionSpec, TrialSchedule
 from dlczsim.event_sim import RecordStream
-from dlczsim.records_io import (BINARY, CSV, RecordFormatError, read_records,
-                                write_records)
+from dlczsim import records_io
+from dlczsim.records_io import (BINARY, CSV, RecordFormatError, RecordReader,
+                                read_records, write_chunks, write_records)
 
 import csv_reference
 
@@ -29,8 +31,9 @@ def test_empty_binary_is_header_only():
     stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(), n_trials=0)
     buf = io.BytesIO()
     n = write_records(stream, buf, BINARY)
-    assert n == 16
-    assert buf.getvalue()[:4] == b"PDR1"
+    assert n == 49
+    assert buf.getvalue() == (b"PDR2" + (2).to_bytes(4, "little") + bytes(16) + b"\0"
+                              + bytes(16) + bytes(8))
 
 
 def test_csv_line_format():
@@ -40,7 +43,9 @@ def test_csv_line_format():
                           offset_ns=np.array([300], np.uint32))
     buf = io.BytesIO()
     write_records(stream, buf, CSV)
-    assert buf.getvalue().decode().splitlines() == ["trial_index,detector,offset_ns", "5,D2a,300"]
+    assert buf.getvalue().decode().splitlines() == [
+        "# dlczsim records v2 n_trials=10 mode=split seed=0", "trial_index,detector,offset_ns",
+        "5,D2a,300"]
 
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
@@ -60,7 +65,7 @@ def test_binary_record_is_13_bytes(rng):
     stream = make_stream(7, rng)
     buf = io.BytesIO()
     n = write_records(stream, buf, BINARY)
-    assert n == 16 + 7 * 13
+    assert n == 49 + 7 * 13
 
 
 def test_truncated_binary_reports_offset(rng):
@@ -93,17 +98,23 @@ def test_mode_detected_from_ids(rng):
     assert read_records(buf).mode is DetectionMode.SINGLE
 
 
-def _binary(records):
-    """PDR1 bytes for (trial_index, detector_id, offset_ns) tuples."""
+def _binary(records, v2=None, count=None):
+    """PDR1 bytes for (trial_index, detector_id, offset_ns) tuples; PDR2 bytes for v2 =
+    (n_trials, mode byte).  The header declares `count` records, by default all of them."""
     payload = np.array(records, dtype=[("t", "<u8"), ("d", "u1"), ("o", "<u4")])
-    header = b"PDR1" + (1).to_bytes(4, "little") + len(records).to_bytes(8, "little")
+    count = len(records) if count is None else count
+    header = b"PDR1" + (1).to_bytes(4, "little") + count.to_bytes(8, "little")
+    if v2:
+        header = (b"PDR2" + (2).to_bytes(4, "little") + v2[0].to_bytes(16, "little")
+                  + bytes([v2[1]]) + bytes(16) + count.to_bytes(8, "little"))
     return header + payload.tobytes()
 
 
 HEADER = b"trial_index,detector,offset_ns\n"
+V2_SPLIT = b"# dlczsim records v2 n_trials=5 mode=split seed=0\n"
 
 
-@pytest.mark.parametrize("data, offset", [
+MALFORMED = [
     (HEADER + b"0,D1,0\n-1,D2,300\n", len(HEADER) + 7),
     (HEADER + b"0,D1,0\n" + str(10 ** 23).encode() + b",D2,300\n", len(HEADER) + 7),
     (HEADER + b"0,D1,0\n0,D2," + str(2 ** 32).encode() + b"\n", len(HEADER) + 7),
@@ -112,8 +123,20 @@ HEADER = b"trial_index,detector,offset_ns\n"
     (HEADER + b"0,D1,0\n0,D3,300\n", len(HEADER) + 7),
     (_binary([(0, 0, 0), (0, 1, 300), (1, 3, 300)]), 16 + 2 * 13),
     (_binary([(0, 0, 0), (1, 9, 300)]), 16 + 13),
-], ids=["csv-negative-trial", "csv-huge-trial", "csv-huge-offset", "csv-not-utf8",
-        "csv-mixed-modes", "csv-unknown-label", "bin-mixed-modes", "bin-unknown-detector"])
+    (V2_SPLIT + HEADER + b"1,D1,0\n2,D2,300\n", len(V2_SPLIT + HEADER) + 7),
+    (V2_SPLIT + HEADER + b"1,D1,0\n5,D2a,300\n", len(V2_SPLIT + HEADER) + 7),
+    (_binary([(0, 0, 0), (1, 2, 300)], v2=(5, 0)), 49 + 13),
+    (_binary([(0, 0, 0), (5, 0, 300)], v2=(5, 0)), 49 + 13),
+    (_binary([(0, 0, 0), (5, 0, 300)], v2=(5, 0), count=2 ** 64 - 1), 49 + 26),
+    (b"# dlczsim records v2 incomplete".ljust(len(V2_SPLIT) - 1) + b"\n" + HEADER + b"1,D1,0\n", 0),
+]
+
+
+@pytest.mark.parametrize("data, offset", MALFORMED, ids=[
+    "csv-negative-trial", "csv-huge-trial", "csv-huge-offset", "csv-not-utf8", "csv-mixed-modes",
+    "csv-unknown-label", "bin-mixed-modes", "bin-unknown-detector", "csv-v2-other-mode",
+    "csv-v2-trial-beyond-header", "bin-v2-other-mode", "bin-v2-trial-beyond-header",
+    "bin-v2-unfinished", "csv-v2-unfinished"])
 def test_malformed_input_raises_format_error(data, offset):
     with pytest.raises(RecordFormatError) as exc:
         read_records(io.BytesIO(data))
@@ -167,8 +190,9 @@ def test_any_bytes_give_stream_or_format_error(body, frame):
 def test_empty_csv_is_header_only():
     stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(), n_trials=0)
     buf = io.BytesIO()
-    assert write_records(stream, buf, CSV) == len(HEADER)
-    assert buf.getvalue() == HEADER
+    first = b"# dlczsim records v2 n_trials=0 mode=single seed=0\n"
+    assert write_records(stream, buf, CSV) == len(first + HEADER)
+    assert buf.getvalue() == first + HEADER
     assert len(read_records(io.BytesIO(buf.getvalue()))) == 0
 
 
@@ -181,7 +205,7 @@ def test_edge_values_round_trip(fmt):
     buf = io.BytesIO()
     write_records(stream, buf, fmt)
     if fmt == CSV:
-        assert buf.getvalue().decode().splitlines()[1:] == [
+        assert buf.getvalue().decode().splitlines()[2:] == [
             f"{t},{Detector(d).label},{o}" for t, d, o in stream]
     back = read_records(io.BytesIO(buf.getvalue()))
     assert back.n_trials == 2 ** 64
@@ -225,3 +249,92 @@ def test_csv_reader_matches_line_by_line_reference(head, rows, noise):
     data = text.encode()
     assert (_outcome(lambda b: read_records(io.BytesIO(b)), data)
             == _outcome(csv_reference.read_csv, data))
+
+
+# blocks of 1 byte (a line or a record each) and of 7 bytes (reads that cut rows) for the
+# short inputs; blocks that cut rows and records, several hundred of them, for the long one
+@pytest.mark.parametrize("block", [1, 7, 4099])
+def test_block_size_changes_nothing(monkeypatch, block, rng):
+    monkeypatch.setattr(records_io, "_BLOCK", block)
+    if block > 13:
+        for fmt in (BINARY, CSV):
+            test_round_trip(fmt, rng)
+        return
+    for data, offset in MALFORMED:
+        test_malformed_input_raises_format_error(data, offset)
+    test_any_bytes_give_stream_or_format_error()
+    if block == 7:
+        test_csv_reader_matches_line_by_line_reference()
+
+
+def _outcome_at(block, data):
+    saved, records_io._BLOCK = records_io._BLOCK, block
+    try:
+        return _outcome(lambda b: read_records(io.BytesIO(b)), data)
+    finally:
+        records_io._BLOCK = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.builds(lambda head, tokens: head + HEADER + "".join(tokens).encode(),
+              st.sampled_from([V2_SPLIT, b"# dlczsim records v2 n_trials=90 mode=single seed=1\n"]),
+              st.lists(st.sampled_from(CSV_TOKENS + ["#", ",7,", "\u00e9"]), max_size=30)),
+    st.builds(lambda records, n_trials, mode, cut: _binary(records, v2=(n_trials, mode))[:cut],
+              st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5), st.integers(0, 9)),
+                       max_size=8),
+              st.sampled_from([0, 10, 41]), st.integers(0, 2), st.integers(40, 200))))
+def test_version_2_outcome_does_not_depend_on_block_size(data):
+    assert _outcome_at(1, data) == _outcome_at(6, data) == _outcome_at(1 << 18, data)
+
+
+def test_parse_error_in_later_block_beats_earlier_mixed_record(monkeypatch):
+    data = HEADER + b"0,D1,0\n0,D2,300\n1,D2b,300\n" + b"2,D1,0\n" * 50 + b"x,D1,0\n"
+    errors = []
+    for block in (8, 1 << 18):
+        monkeypatch.setattr(records_io, "_BLOCK", block)
+        with pytest.raises(RecordFormatError) as exc:
+            read_records(io.BytesIO(data))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == f"bad CSV record 'x,D1,0' (byte offset {len(data) - 7})"
+
+
+@pytest.mark.parametrize("n_records", [0, 100])
+@pytest.mark.parametrize("fmt", [BINARY, CSV])
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_header_round_trip(fmt, mode, n_records, rng):
+    # a session without clicks keeps its mode and trial count too
+    stream = make_stream(n_records, rng, mode)
+    stream.seed = 2 ** 100 + 3
+    buf = io.BytesIO()
+    write_records(stream, buf, fmt)
+    reader = RecordReader(io.BytesIO(buf.getvalue()))
+    assert (reader.version, reader.n_trials, reader.mode, reader.seed) == (2, 10 ** 6, mode, stream.seed)
+    back = read_records(io.BytesIO(buf.getvalue()), n_trials=10 ** 6)
+    assert (back.n_trials, back.mode, back.seed, len(back)) == (10 ** 6, mode, stream.seed, n_records)
+    with pytest.raises(ValueError, match="header says 1000000"):
+        read_records(io.BytesIO(buf.getvalue()), n_trials=10 ** 6 + 1)
+
+
+@pytest.mark.parametrize("fmt", [BINARY, CSV])
+def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
+    stream = make_stream(1000, rng)
+
+    def chunks():
+        yield stream
+        raise RuntimeError("killed")
+
+    buf = io.BytesIO()
+    with pytest.raises(RuntimeError):
+        write_chunks(chunks(), buf, fmt, stream.n_trials, stream.mode, seed=4)
+    with pytest.raises(RecordFormatError):
+        read_records(io.BytesIO(buf.getvalue()))
+    halves = [dataclasses.replace(stream, **{name: getattr(stream, name)[part] for name in
+                                             ("trial_index", "detector_id", "offset_ns")})
+              for part in (slice(0, 400), slice(400, None))]
+    buf = io.BytesIO()
+    assert write_chunks(halves, buf, fmt, stream.n_trials, stream.mode, seed=4) == (
+        1000, len(buf.getvalue()))
+    whole = io.BytesIO()
+    write_records(dataclasses.replace(stream, seed=4), whole, fmt)
+    assert buf.getvalue() == whole.getvalue()
