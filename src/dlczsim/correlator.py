@@ -17,15 +17,15 @@ import math
 import numpy as np
 
 from .event_sim import RecordStream
-from .params import DetectionMode, Detector
+from .params import DETECTORS, DetectionMode, Detector
 from .photon_model import (METRIC_NAMES, METRICS, SUBSETS, Metrics, SubsetValues, metric_record,
                            metric_values, mobius, zeta)
 
 LOW_COUNT = 10  # below this, error bars are unreliable and get flagged
 
-_DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
-              DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
-_CHANNEL_BIT = np.array([1, 2, 2, 4], np.uint8)   # by detector id: its bit in its mode's order
+# by detector id: its bit in its mode's channel order
+_CHANNEL_BIT = np.array([next(1 << ds.index(d) for ds in DETECTORS.values() if d in ds)
+                         for d in Detector], np.uint8)
 
 # pattern codes in the category order of the seeded bootstrap's multinomial draw
 _DRAW_ORDER = {DetectionMode.SINGLE: [0b00, 0b01, 0b10, 0b11],
@@ -43,16 +43,10 @@ class CountTable(SubsetValues):
     default = (0, 0)
 
 
-def _add_patterns(table: CountTable, patterns: np.ndarray) -> CountTable:
-    """Add trials given as a count per click-pattern code to the table."""
-    subsets = patterns @ zeta(len(_DETECTORS[table.mode]))
-    return CountTable(table.mode, tuple(n + s for n, s in zip(table.values, subsets.tolist())))
-
-
 def accumulate(table: CountTable, records: RecordStream) -> CountTable:
     """Add a record stream's trials to the table.  The stream must match the table's mode."""
     trial, det = records.trial_index, records.detector_id
-    if not np.isin(det, _DETECTORS[table.mode]).all():
+    if not np.isin(det, DETECTORS[table.mode]).all():
         raise ValueError(f"records of other detectors fed to a {table.mode.value}-mode count table")
     if np.any(trial[1:] < trial[:-1]):
         order = np.argsort(trial)
@@ -86,29 +80,20 @@ def count_patterns(blocks) -> np.ndarray | None:
 
 
 def table_from_counts(mode: DetectionMode, counts: np.ndarray, n_trials: int) -> CountTable:
-    """Count table of n_trials trials from their counts by click pattern (`count_patterns`)."""
-    patterns = counts[:1 << len(_DETECTORS[mode])].copy()
-    patterns[0] = n_trials - counts.sum()
-    return _add_patterns(CountTable(mode), patterns)
+    """Count table of n_trials trials from `counts[p]`, the trials of click-pattern code p > 0
+    (`count_patterns`); counts[0] is ignored, as the trials without a click are the rest."""
+    k = len(DETECTORS[mode])
+    if np.any(counts[1 << k:]):
+        raise ValueError(f"codes >= {1 << k} fed to a {mode.value}-mode count table")
+    patterns = counts[:1 << k].copy()
+    patterns[0] = n_trials - counts[1:].sum()
+    return CountTable(mode, tuple((patterns @ zeta(k)).tolist()))
 
 
 def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:
     """Fast path: accumulate per-trial click-pattern codes (from event_sim.simulate_clicks)."""
-    size = len(table.values)
-    patterns = np.bincount(codes, minlength=size)
-    if len(patterns) > size:
-        raise ValueError(f"codes >= {size} fed to a {table.mode.value}-mode count table")
-    return _add_patterns(table, patterns)
-
-
-def table_from_patterns(mode: DetectionMode, counts: dict[tuple[bool, ...], int]) -> CountTable:
-    """Count table of trials given as a count per click pattern, keyed like
-    `photon_model.click_pattern_distribution` (channel-order booleans)."""
-    table = CountTable(mode)
-    patterns = np.zeros(len(table.values), np.int64)
-    for pattern, n in counts.items():
-        patterns[sum(1 << i for i, clicked in enumerate(pattern) if clicked)] += n
-    return _add_patterns(table, patterns)
+    counts = np.bincount(codes, minlength=len(table.values))
+    return merge(table, table_from_counts(table.mode, counts, len(codes)))
 
 
 def merge(a: CountTable, b: CountTable) -> CountTable:
@@ -146,7 +131,7 @@ def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
 def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
                       n_boot: int, seed: int) -> dict[str, float]:
     """Whole-trial bootstrap: resample the per-trial click-pattern multinomial."""
-    k = len(_DETECTORS[mode])
+    k = len(DETECTORS[mode])
     order = _DRAW_ORDER[mode]
     n = counts[0]
     patterns = counts.astype(np.int64) @ mobius(k)

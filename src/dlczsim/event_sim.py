@@ -7,11 +7,11 @@ spec: chunk sizes and worker counts cannot change it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import DetectionMode, Detector, SessionSpec, TrialSchedule
+from .params import DETECTORS, DetectionMode, Detector, SessionSpec
 
 # uniforms consumed per trial; Philox counter units are 4x64-bit blocks
 _DRAWS_PER_TRIAL = 8
@@ -23,7 +23,6 @@ class RecordStream:
     """Column-oriented detection records plus the metadata needed to interpret them."""
 
     mode: DetectionMode
-    schedule: TrialSchedule
     n_trials: int
     trial_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
     detector_id: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
@@ -35,6 +34,13 @@ class RecordStream:
 
     def __iter__(self):
         return zip(self.trial_index.tolist(), self.detector_id.tolist(), self.offset_ns.tolist())
+
+    @classmethod
+    def join(cls, mode: DetectionMode, n_trials: int, blocks, seed: int = 0) -> "RecordStream":
+        """The stream of column blocks (trial_index, detector_id, offset_ns), in order."""
+        columns = list(zip(*blocks)) or [(), (), ()]
+        return cls(mode, n_trials, *(np.concatenate([np.empty(0, dtype), *parts]) for dtype, parts
+                                     in zip((np.uint64, np.uint8, np.uint32), columns)), seed=seed)
 
 
 def _trial_uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -104,22 +110,19 @@ def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     """Click set of one trial; distribution matches click_statistics exactly."""
     u = _trial_uniforms(spec.seed, trial_index, np.empty((1, _DRAWS_PER_TRIAL)))
     code = int(_sample_clicks(spec, u)[0])
-    return {ch.detector for i, ch in enumerate(spec.config.channels(spec.params)) if code >> i & 1}
+    return {det for i, det in enumerate(DETECTORS[spec.config.mode]) if code >> i & 1}
 
 
 def run_session(spec: SessionSpec, chunk_size: int = 1 << 16) -> RecordStream:
     """Generate the full record stream: deterministic in spec, ordered by trial then detector."""
-    chunks = [RecordStream(spec.config.mode, spec.schedule, spec.n_trials, seed=spec.seed),
-              *session_chunks(spec, chunk_size)]
-    return replace(chunks[0], **{
-        name: np.concatenate([getattr(c, name) for c in chunks])
-        for name in ("trial_index", "detector_id", "offset_ns")})
+    return RecordStream.join(spec.config.mode, spec.n_trials, session_chunks(spec, chunk_size),
+                             spec.seed)
 
 
 def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
-    """Yield the session's records a chunk of trials at a time, each chunk a RecordStream
-    with the session's metadata (`n_trials` is the whole session's)."""
-    det_ids = np.array([ch.detector for ch in spec.config.channels(spec.params)], dtype=np.uint8)
+    """Yield the session's records a chunk of trials at a time, as column blocks
+    (trial_index, detector_id, offset_ns), the blocks that `RecordReader` yields."""
+    det_ids = np.array(DETECTORS[spec.config.mode], dtype=np.uint8)
     read_off = spec.schedule.write_offset_ns + spec.schedule.read_delay_ns
     offset_of = np.full(len(Detector), read_off, dtype=np.uint32)
     offset_of[Detector.D1] = spec.schedule.write_offset_ns
@@ -130,10 +133,7 @@ def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
         bits = np.unpackbits(codes[clicked, None], axis=1, count=len(det_ids), bitorder="little")
         rows, cols = np.nonzero(bits)
         detector_id = det_ids[cols]
-        yield RecordStream(mode=spec.config.mode, schedule=spec.schedule,
-                           n_trials=spec.n_trials, seed=spec.seed,
-                           trial_index=clicked[rows].astype(np.uint64) + np.uint64(start),
-                           detector_id=detector_id, offset_ns=offset_of[detector_id])
+        yield clicked[rows].astype(np.uint64) + np.uint64(start), detector_id, offset_of[detector_id]
 
 
 def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 16):

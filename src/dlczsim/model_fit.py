@@ -175,13 +175,6 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     return np.where(reachable, chi, np.nan)
 
 
-def _apply_free(params: ModelParams, names, values) -> tuple[ModelParams, float | None]:
-    """Returns (params with free values applied, alternate bg1_incoherent or None)."""
-    updates = {name: float(value) for name, value in zip(names, values)}
-    alt = updates.pop("bg1_incoherent_alt", None)
-    return replace(params, **updates), alt
-
-
 # fitted observables in residual order, and whether each is compared in log space
 _OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
 
@@ -193,7 +186,7 @@ class _Problem:
     the free parameters' internal values x against them, with their complex-step
     Jacobian (Squire & Trapp, SIAM Rev. 40, 110 (1998)).  `passes` counts model passes."""
 
-    def __init__(self, dataset: Dataset, base: ModelParams | None = None, free_names=()):
+    def __init__(self, dataset: Dataset, base: ModelParams, free_names=()):
         pts = dataset.points
         names = [name for name, _ in _OBSERVABLES]
         obs, se = (np.array([[getattr(pt, k + suffix) for k in names] for pt in pts],
@@ -207,32 +200,32 @@ class _Problem:
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
         self.base, self.free_names, self.passes = base, tuple(free_names), 0
-        self._chi_of = (None, None)                # (params, alt) and its real chi
+        self._chi_of = (None, None)                # free values and their real chi
 
-    def _view(self, params: ModelParams, alt: float | None, **values) -> SimpleNamespace:
-        """The fields of `params` and its eta2, with `values` and the flagged points'
-        bg1_incoherent set unvalidated: arrays over points, complex over perturbations."""
-        alt = values.pop("bg1_incoherent_alt", alt)
-        if alt is not None:
-            values["bg1_incoherent"] = np.where(
-                self.flagged, alt, values.get("bg1_incoherent", params.bg1_incoherent))
-        return SimpleNamespace(**{**vars(params), "eta2": params.eta2, **values})
+    def _view(self, free: dict) -> SimpleNamespace:
+        """The base fields and eta2, with the free values set unvalidated (arrays over points,
+        complex over perturbations), bg1_incoherent_alt as the flagged points' bg1_incoherent."""
+        values = {**vars(self.base), **free}
+        if "bg1_incoherent_alt" in values:
+            values["bg1_incoherent"] = np.where(self.flagged, values.pop("bg1_incoherent_alt"),
+                                                values["bg1_incoherent"])
+        return SimpleNamespace(**values, eta2=values["eta2_path"] * values["eta_apd"])
 
-    def table(self, params: ModelParams, alt: float | None = None,
-              perturbed: dict | None = None) -> np.ndarray:
-        """Weighted residuals [point, observable] (PENALTY where the model cannot reach
-        one).  `perturbed` maps free names to complex values over a leading axis; chi
-        follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
+    def table(self, free: dict, perturbed: dict | None = None) -> np.ndarray:
+        """Weighted residuals [point, observable] (PENALTY where the model cannot reach one)
+        at the free values by name, in natural units.  `perturbed` maps the same names to
+        complex values over a leading axis; chi follows by the implicit function theorem,
+        dchi = -dp1 / (dp1/dchi)."""
         self.passes += 1
-        view = self._view(params, alt)
-        if self._chi_of[0] != (params, alt):   # the Jacobian comes where residuals just did
-            self._chi_of = ((params, alt), chi_from_p1(view, self.p1))
+        view = self._view(free)
+        if self._chi_of[0] != free:   # the Jacobian comes where residuals just did
+            self._chi_of = (free, chi_from_p1(view, self.p1))
         chi = self._chi_of[1]
         # NaN chi (p1 below the model's floor) warns in complex division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if perturbed is not None:
                 dp1 = p1_of_chi(view, chi + 1j * _STEP).imag / _STEP
-                view = self._view(params, alt, **perturbed)
+                view = self._view(perturbed)
                 chi = chi - 1j * p1_of_chi(view, chi).imag / dp1
             curves = metric_curves(view, chi)
             pred = np.stack([curves[k] for k, _ in _OBSERVABLES], axis=-1)
@@ -240,15 +233,17 @@ class _Problem:
         # pred or obs <= 0 in log space makes r non-finite, but for a complex pred
         return np.where(~np.isfinite(r) | (self.log & (pred.real <= 0)), PENALTY, r)
 
+    def free(self, x: np.ndarray) -> dict:
+        """The free values by name, in natural units, of internal values x."""
+        return dict(zip(self.free_names, _from_internal(self.free_names, x).tolist()))
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self.table(*_apply_free(self.base, self.free_names,
-                                       _from_internal(self.free_names, x)))[self.use]
+        return self.table(self.free(x))[self.use]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """d residuals / d x, one complex-step pass with x_j perturbed on row j."""
         shifted = _from_internal(self.free_names, x + 1j * _STEP * np.eye(len(x)))
-        r = self.table(*_apply_free(self.base, self.free_names, _from_internal(self.free_names, x)),
-                       {n: col[:, None] for n, col in zip(self.free_names, shifted.T)})
+        r = self.table(self.free(x), {n: col[:, None] for n, col in zip(self.free_names, shifted.T)})
         return r.imag[:, self.use].T / _STEP
 
 
@@ -260,8 +255,9 @@ def residuals(params: ModelParams, dataset: Dataset,
     reach at a point (p1 below the model's floor, or a non-positive value in log
     space) gets the residual PENALTY.
     """
-    problem = _Problem(dataset)
-    return problem.table(params, bg1_incoherent_alt)[problem.use]
+    problem = _Problem(dataset, params)
+    alt = {} if bg1_incoherent_alt is None else {"bg1_incoherent_alt": bg1_incoherent_alt}
+    return problem.table(alt)[problem.use]
 
 
 def _sorted_sum_of_squares(r: np.ndarray) -> float:
@@ -422,7 +418,9 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
     best_run, x, r, J = min(runs, key=lambda run: run[0].objective)   # first of equals
 
     natural = _from_internal(free_names, x)
-    fitted, alt = _apply_free(base, free_names, natural)
+    updates = problem.free(x)
+    alt = updates.pop("bg1_incoherent_alt", None)
+    fitted = replace(base, **updates)
 
     n_residuals = int(np.count_nonzero(problem.use))
     flags = ["under-determined"] if n_residuals <= d else []

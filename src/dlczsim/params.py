@@ -32,6 +32,11 @@ class Detector(enum.IntEnum):
         return Detector(_LABELS.index(label))
 
 
+# each mode's detectors in channel order: channel i is bit i of a click-pattern code
+DETECTORS = {DetectionMode.SINGLE: (Detector.D1, Detector.D2),
+             DetectionMode.SPLIT: (Detector.D1, Detector.D2A, Detector.D2B)}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the pair source, its backgrounds, and the detection chain.
@@ -106,20 +111,17 @@ class DetectionConfig:
         fields are read: the fit passes arrays, complex for its Jacobian.
         """
         scale = (p.chi if chi is None else chi) / p.chi_ref
-        b1 = p.bg1_coherent * scale * p.eta1 + p.bg1_incoherent
-        d1 = Channel(Detector.D1, p.eta1, b1)
         if self.mode is DetectionMode.SINGLE:
-            eff2 = p.eta2_path * p.eta_apd
-            d2 = Channel(Detector.D2, p.retrieval_eff * eff2,
-                         p.bg2_coherent * scale * eff2 + p.bg2_incoherent)
-            return (d1, d2)
-        eff_a = p.eta2_path * p.bs_transmission * p.bs_ratio * p.eta_apd
-        eff_b = p.eta2_path * p.bs_transmission * (1.0 - p.bs_ratio) * p.eta_apd
-        d2a = Channel(Detector.D2A, p.retrieval_eff * eff_a,
-                      p.bg2_coherent * scale * eff_a + p.bg2_incoherent * p.bs_ratio)
-        d2b = Channel(Detector.D2B, p.retrieval_eff * eff_b,
-                      p.bg2_coherent * scale * eff_b + p.bg2_incoherent * (1.0 - p.bs_ratio))
-        return (d1, d2a, d2b)
+            field2 = [(p.eta2_path * p.eta_apd, 1.0)]   # (pair efficiency, incoherent share)
+        else:
+            field2 = [(p.eta2_path * p.bs_transmission * p.bs_ratio * p.eta_apd, p.bs_ratio),
+                      (p.eta2_path * p.bs_transmission * (1.0 - p.bs_ratio) * p.eta_apd,
+                       1.0 - p.bs_ratio)]
+        d1, *d2 = DETECTORS[self.mode]
+        return (Channel(d1, p.eta1, p.bg1_coherent * scale * p.eta1 + p.bg1_incoherent),
+                *(Channel(det, p.retrieval_eff * eff,
+                          p.bg2_coherent * scale * eff + p.bg2_incoherent * share)
+                  for det, (eff, share) in zip(d2, field2)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ applies to subset counts.  The click-pattern distribution is their Moebius trans
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, make_dataclass
@@ -207,16 +206,11 @@ def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
     return P
 
 
-def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> dict[tuple[bool, ...], float]:
-    """Exact joint distribution of the per-trial click pattern across all detectors.
-
-    Keys are tuples of booleans in channel order (D1 first).  The Moebius transform
-    of the subset-click probabilities.
-    """
+def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> np.ndarray:
+    """Exact distribution of the per-trial click pattern, indexed by code (bit i is
+    channel i, D1 bit 0): the Moebius transform of the subset-click probabilities."""
     chans = config.channels(params)
-    dist = (_subset_click_probs(chans, params.chi) @ mobius(len(chans))).tolist()
-    return {pattern: max(dist[sum(1 << i for i, on in enumerate(pattern) if on)], 0.0)
-            for pattern in itertools.product((False, True), repeat=len(chans))}
+    return np.maximum(_subset_click_probs(chans, params.chi) @ mobius(len(chans)), 0.0)
 
 
 def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .event_sim import RecordStream
-from .params import DetectionMode, Detector, TrialSchedule
+from .params import DETECTORS, DetectionMode, Detector
 
 MAGIC = b"PDR2"
 VERSION = 2
@@ -56,21 +56,21 @@ def _header(fmt: str, n_trials: int, mode: DetectionMode, seed: int, count: int 
 
 def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
                  seed: int = 0) -> tuple[int, int]:
-    """Write record streams as one file into a seekable sink, the final header last, so that
-    a writer that dies leaves a file that does not read; returns (records, bytes)."""
+    """Write column blocks (trial_index, detector_id, offset_ns) as one file into a seekable
+    sink, the final header last, so that a writer that dies leaves a file that does not read;
+    returns (records, bytes)."""
     start, records = sink.tell(), 0
     size = sink.write(_header(fmt, n_trials, mode, seed, None))
-    for stream in chunks:
+    for trial, det, off in chunks:
         if fmt == BINARY:
-            data = np.empty(len(stream), dtype=_RECORD_DTYPE)
-            for name in _RECORD_DTYPE.names:
-                data[name] = getattr(stream, name)
+            data = np.empty(len(trial), dtype=_RECORD_DTYPE)
+            for name, column in zip(_RECORD_DTYPE.names, (trial, det, off)):
+                data[name] = column
         else:   # one NUL-padded row per record: digits, ",label," and digits; the NULs drop out
-            data = np.hstack([_decimal(stream.trial_index), _LABEL_FIELDS.take(stream.detector_id, 0),
-                              _decimal(stream.offset_ns),
-                              np.full((len(stream), 1), ord("\n"), np.uint8)]).ravel()
+            data = np.hstack([_decimal(trial), _LABEL_FIELDS.take(det, 0), _decimal(off),
+                              np.full((len(trial), 1), ord("\n"), np.uint8)]).ravel()
             data = data[data != 0]
-        size, records = size + sink.write(data.tobytes()), records + len(stream)
+        size, records = size + sink.write(data.tobytes()), records + len(trial)
     sink.seek(start)
     sink.write(_header(fmt, n_trials, mode, seed, records))
     sink.seek(start + size)
@@ -79,7 +79,8 @@ def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
 
 def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
     """Serialize a whole record stream, header included; returns the number of bytes written."""
-    return write_chunks([stream], sink, fmt, stream.n_trials, stream.mode, stream.seed)[1]
+    return write_chunks([(stream.trial_index, stream.detector_id, stream.offset_ns)], sink, fmt,
+                        stream.n_trials, stream.mode, stream.seed)[1]
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:
@@ -196,7 +197,7 @@ class RecordReader:
 
     def _check(self, trial, det, offset_of) -> None:
         """Note a block's first unknown id, record of the other mode and trial >= n_trials."""
-        split, single = (det == Detector.D2A) | (det == Detector.D2B), det == Detector.D2
+        single, split = (np.isin(det, DETECTORS[m][1:]) for m in _MODES)   # field-2 detectors
         other = ((split & (self._single | np.logical_or.accumulate(single)))
                  | (single & (self._split | np.logical_or.accumulate(split))))
         self._single, self._split = self._single or bool(single.any()), self._split or bool(split.any())
@@ -222,17 +223,12 @@ def _line(text: str, start: int) -> str:
     return (text[start:text.find("\n", start) + 1 or len(text)].splitlines(keepends=True) or [""])[0]
 
 
-def read_records(source, schedule: TrialSchedule | None = None,
-                 n_trials: int | None = None) -> RecordStream:
-    """Read a whole record file: the columns of every block of a `RecordReader`, joined.
-    Raises RecordFormatError on corruption."""
+def read_records(source, n_trials: int | None = None) -> RecordStream:
+    """Read a whole record file: the blocks of a `RecordReader`, joined once all are read, when
+    its mode and n_trials are known.  Raises RecordFormatError on corruption."""
     reader = RecordReader(source, n_trials)
-    columns = list(zip(*reader)) or [(), (), ()]
-    trial, det, off = (np.concatenate([np.empty(0, dtype), *parts])
-                       for dtype, parts in zip((np.uint64, np.uint8, np.uint32), columns))
-    return RecordStream(mode=reader.mode, schedule=schedule or TrialSchedule(),
-                        n_trials=reader.n_trials, trial_index=trial, detector_id=det,
-                        offset_ns=off, seed=reader.seed or 0)
+    blocks = list(reader)
+    return RecordStream.join(reader.mode, reader.n_trials, blocks, reader.seed or 0)
 
 
 def _csv_rows(data: bytes, base: int, start: int):

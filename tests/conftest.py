@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dlczsim import DetectionConfig, DetectionMode, ModelParams
-from dlczsim.correlator import CountTable, table_from_patterns
+from dlczsim.correlator import CountTable, table_from_counts
+from dlczsim.params import DETECTORS
 from dlczsim.photon_model import click_pattern_distribution
 
 
@@ -30,13 +31,18 @@ def random_params(rng: np.random.Generator, chi_max: float = 0.9) -> ModelParams
 
 def table_from_multinomial(params: ModelParams, mode: DetectionMode, n_trials: int,
                            rng: np.random.Generator) -> CountTable:
-    """Sample an exact count table from the analytic click-pattern distribution."""
+    """Sample an exact count table from the analytic click-pattern distribution.
+
+    The categories are drawn in bit-reversed code order, the order in which
+    `itertools.product((False, True), repeat=k)` lists channel-order patterns, so
+    that a seeded table does not depend on how patterns are indexed."""
     dist = click_pattern_distribution(params, DetectionConfig(mode))
-    cats = list(dist)
-    probs = np.array([dist[c] for c in cats])
-    probs = probs / probs.sum()
-    counts = rng.multinomial(n_trials, probs)
-    return table_from_patterns(mode, dict(zip(cats, counts)))
+    k = len(DETECTORS[mode])
+    order = [int(f"{code:0{k}b}"[::-1], 2) for code in range(len(dist))]
+    probs = dist[order]
+    counts = np.zeros(len(dist), np.int64)
+    counts[order] = rng.multinomial(n_trials, probs / probs.sum())
+    return table_from_counts(mode, counts, n_trials)
 
 
 @pytest.fixture

@@ -11,11 +11,11 @@ modes, trial count) record by record.  The differential test in
 import numpy as np
 
 from dlczsim.event_sim import RecordStream
-from dlczsim.params import DetectionMode, Detector, TrialSchedule
+from dlczsim.params import DetectionMode, Detector
 from dlczsim.records_io import RecordFormatError
 
 
-def read_csv(data: bytes, schedule=None, n_trials=None):
+def read_csv(data: bytes, n_trials=None):
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -53,7 +53,7 @@ def read_csv(data: bytes, schedule=None, n_trials=None):
             raise RecordFormatError(f"trial index >= n_trials = {n_trials}",
                                     _line_offset(text, lineno))
     return RecordStream(mode=DetectionMode.SPLIT if False in modes else DetectionMode.SINGLE,
-                        schedule=schedule or TrialSchedule(), n_trials=n_trials,
+                        n_trials=n_trials,
                         trial_index=np.array(trials, np.uint64),
                         detector_id=np.array(dets, np.uint8), offset_ns=np.array(offs, np.uint32))
 

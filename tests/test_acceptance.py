@@ -179,11 +179,10 @@ def test_criterion_7_classicality_baseline():
 
 def test_criterion_8_estimator_correctness():
     from dlczsim.event_sim import RecordStream
-    from dlczsim.params import TrialSchedule
     trials = np.array([1, 1, 2, 3], np.uint64)
     dets = np.array([int(Detector.D1), int(Detector.D2), int(Detector.D1),
                      int(Detector.D2)], np.uint8)
-    stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(),
+    stream = RecordStream(mode=DetectionMode.SINGLE,
                           n_trials=10, trial_index=trials, detector_id=dets,
                           offset_ns=np.zeros(4, np.uint32))
     t = accumulate(CountTable(mode=DetectionMode.SINGLE), stream)

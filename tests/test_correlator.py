@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector,
-                     ModelParams, SessionSpec, TrialSchedule, accumulate,
+                     ModelParams, SessionSpec, accumulate,
                      accumulate_clicks, click_statistics, estimate_metrics, merge,
                      simulate_clicks)
 from dlczsim.correlator import report_text
@@ -24,7 +24,7 @@ def stream_from_clicks(click_map, mode=DetectionMode.SINGLE, n_trials=10):
             dets.append(int(det))
     order = np.lexsort((dets, trials))
     return RecordStream(
-        mode=mode, schedule=TrialSchedule(), n_trials=n_trials,
+        mode=mode, n_trials=n_trials,
         trial_index=np.array(trials, np.uint64)[order],
         detector_id=np.array(dets, np.uint8)[order],
         offset_ns=np.zeros(len(trials), np.uint32),

@@ -9,13 +9,21 @@ from dlczsim import (CountTable, DataPoint, Dataset, DetectionConfig, DetectionM
                      chi_from_p1, click_statistics, dataset_from_csv, dataset_to_csv,
                      estimate_metrics, fit, full_metrics, objective, predict_curves, residuals)
 from dlczsim import model_fit
-from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY, _apply_free,
+from dlczsim.model_fit import (DEFAULT_BOUNDS, DEFAULT_FREE, PENALTY,
                                _from_internal, _least_squares, _Problem, _to_internal,
                                fit_result_text)
 from dlczsim.photon_model import p1_of_chi
 
 import scalar_reference
 from conftest import random_params, table_from_multinomial
+
+
+def params_and_alt(base, names, x):
+    """(base with the free values of internal values x, bg1_incoherent_alt or None)."""
+    values = dict(zip(names, _from_internal(names, x).tolist()))
+    alt = values.pop("bg1_incoherent_alt", None)
+    return dataclasses.replace(base, **values), alt
+
 
 PAPER_REGIME = ModelParams(bg1_coherent=2e-3, bg2_coherent=1.3e-2,
                            bg1_incoherent=1e-5, bg2_incoherent=1e-5,
@@ -246,7 +254,7 @@ class TestVectorisedResiduals:
         yield PAPER_REGIME, 3e-6
         for _ in range(20):
             x = lo + rng.random(len(self.FREE)) * (hi - lo)
-            yield _apply_free(ModelParams(chi_ref=0.01), self.FREE, _from_internal(self.FREE, x))
+            yield params_and_alt(ModelParams(chi_ref=0.01), self.FREE, x)
 
     def test_match_scalar_reference_at_the_same_chi(self, dataset):
         def invert(p, p1):
@@ -263,7 +271,7 @@ class TestVectorisedResiduals:
         base = ModelParams(chi_ref=0.01)
 
         def at(x):   # the public residuals at internal values x
-            p, alt = _apply_free(base, self.FREE, _from_internal(self.FREE, x))
+            p, alt = params_and_alt(base, self.FREE, x)
             return residuals(p, dataset, alt)
 
         problem = _Problem(dataset, base, self.FREE)
@@ -274,6 +282,16 @@ class TestVectorisedResiduals:
                                        for step in np.eye(len(x)) * 1e-6])
             assert np.all(jac[-2:] == 0)   # PENALTY rows do not move
             assert np.abs(jac - central).max() <= 1e-6 * np.abs(central).max(), p
+
+    def test_jacobian_follows_eta2_of_a_free_efficiency(self, dataset):
+        # qc = pc / eta2, and eta2 = eta2_path * eta_apd moves with a free eta_apd
+        names = ("bg1_coherent", "eta_apd")
+        problem = _Problem(dataset, PAPER_REGIME, names)
+        x = _to_internal(names, [PAPER_REGIME.bg1_coherent, 0.45])
+        jac = problem.jacobian(x)
+        central = np.column_stack([(problem.residuals(x + step) - problem.residuals(x - step)) / 2e-6
+                                   for step in np.eye(len(x)) * 1e-6])
+        assert np.abs(jac - central).max() <= 1e-6 * np.abs(central).max()
 
     def test_match_bisection_reference_near_the_truth(self, dataset):
         for alt in (3e-6, 1e-5):

@@ -1,6 +1,7 @@
 import pytest
 
-from dlczsim.params import Detector, params_from_text, schedule_from_text
+from dlczsim.params import (DETECTORS, DetectionConfig, DetectionMode, Detector, ModelParams,
+                            params_from_text, schedule_from_text)
 
 
 def test_detector_labels_round_trip():
@@ -31,3 +32,9 @@ def test_window_must_fit_in_the_mot_cycle():
     with pytest.raises(ValueError, match="window_ms"):
         schedule_from_text("mot_rate_hz = 40\nwindow_ms = 100\ntrials_per_window = 40000\n")
     assert schedule_from_text("mot_rate_hz = 40\nwindow_ms = 25\n").window_ms == 25
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_channels_follow_the_detector_table(mode):
+    p = ModelParams(bg1_incoherent=1e-3, bg2_incoherent=1e-3)
+    assert tuple(ch.detector for ch in DetectionConfig(mode).channels(p)) == DETECTORS[mode]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlczsim import DetectionMode, Detector, ModelParams, SessionSpec, TrialSchedule
-from dlczsim.event_sim import RecordStream
+from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector, ModelParams, SessionSpec,
+                     accumulate_clicks, simulate_clicks)
+from dlczsim.correlator import count_patterns, table_from_counts
+from dlczsim.event_sim import RecordStream, session_chunks
 from dlczsim import records_io
 from dlczsim.records_io import (BINARY, CSV, RecordFormatError, RecordReader,
                                 read_records, write_chunks, write_records)
@@ -20,7 +22,7 @@ def make_stream(n_records, rng, mode=DetectionMode.SINGLE):
             else [int(Detector.D1), int(Detector.D2A), int(Detector.D2B)])
     trials = np.sort(rng.integers(0, 10 ** 6, n_records).astype(np.uint64))
     return RecordStream(
-        mode=mode, schedule=TrialSchedule(), n_trials=10 ** 6,
+        mode=mode, n_trials=10 ** 6,
         trial_index=trials,
         detector_id=rng.choice(dets, n_records).astype(np.uint8),
         offset_ns=rng.integers(0, 2000, n_records).astype(np.uint32),
@@ -28,7 +30,7 @@ def make_stream(n_records, rng, mode=DetectionMode.SINGLE):
 
 
 def test_empty_binary_is_header_only():
-    stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(), n_trials=0)
+    stream = RecordStream(mode=DetectionMode.SINGLE, n_trials=0)
     buf = io.BytesIO()
     n = write_records(stream, buf, BINARY)
     assert n == 49
@@ -37,7 +39,7 @@ def test_empty_binary_is_header_only():
 
 
 def test_csv_line_format():
-    stream = RecordStream(mode=DetectionMode.SPLIT, schedule=TrialSchedule(), n_trials=10,
+    stream = RecordStream(mode=DetectionMode.SPLIT, n_trials=10,
                           trial_index=np.array([5], np.uint64),
                           detector_id=np.array([int(Detector.D2A)], np.uint8),
                           offset_ns=np.array([300], np.uint32))
@@ -54,7 +56,7 @@ def test_round_trip(fmt, rng):
     buf = io.BytesIO()
     write_records(stream, buf, fmt)
     buf.seek(0)
-    back = read_records(buf, schedule=stream.schedule, n_trials=stream.n_trials)
+    back = read_records(buf, n_trials=stream.n_trials)
     assert np.array_equal(back.trial_index, stream.trial_index)
     assert np.array_equal(back.detector_id, stream.detector_id)
     assert np.array_equal(back.offset_ns, stream.offset_ns)
@@ -188,7 +190,7 @@ def test_any_bytes_give_stream_or_format_error(body, frame):
 
 
 def test_empty_csv_is_header_only():
-    stream = RecordStream(mode=DetectionMode.SINGLE, schedule=TrialSchedule(), n_trials=0)
+    stream = RecordStream(mode=DetectionMode.SINGLE, n_trials=0)
     buf = io.BytesIO()
     first = b"# dlczsim records v2 n_trials=0 mode=single seed=0\n"
     assert write_records(stream, buf, CSV) == len(first + HEADER)
@@ -198,7 +200,7 @@ def test_empty_csv_is_header_only():
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
 def test_edge_values_round_trip(fmt):
-    stream = RecordStream(mode=DetectionMode.SPLIT, schedule=TrialSchedule(), n_trials=2 ** 64,
+    stream = RecordStream(mode=DetectionMode.SPLIT, n_trials=2 ** 64,
                           trial_index=np.array([0, 0, 9, 10, 2 ** 64 - 1], np.uint64),
                           detector_id=np.array([0, 2, 3, 0, 2], np.uint8),
                           offset_ns=np.array([2 ** 32 - 1, 0, 10, 99, 2 ** 32 - 1], np.uint32))
@@ -320,8 +322,10 @@ def test_header_round_trip(fmt, mode, n_records, rng):
 def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
     stream = make_stream(1000, rng)
 
+    columns = (stream.trial_index, stream.detector_id, stream.offset_ns)
+
     def chunks():
-        yield stream
+        yield columns
         raise RuntimeError("killed")
 
     buf = io.BytesIO()
@@ -329,8 +333,7 @@ def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
         write_chunks(chunks(), buf, fmt, stream.n_trials, stream.mode, seed=4)
     with pytest.raises(RecordFormatError):
         read_records(io.BytesIO(buf.getvalue()))
-    halves = [dataclasses.replace(stream, **{name: getattr(stream, name)[part] for name in
-                                             ("trial_index", "detector_id", "offset_ns")})
+    halves = [tuple(column[part] for column in columns)
               for part in (slice(0, 400), slice(400, None))]
     buf = io.BytesIO()
     assert write_chunks(halves, buf, fmt, stream.n_trials, stream.mode, seed=4) == (
@@ -338,3 +341,25 @@ def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
     whole = io.BytesIO()
     write_records(dataclasses.replace(stream, seed=4), whole, fmt)
     assert buf.getvalue() == whole.getvalue()
+
+
+@pytest.mark.parametrize("fmt", [BINARY, CSV])
+def test_sampler_chunks_and_reader_blocks_count_alike(fmt, monkeypatch):
+    # a dense split session: several sampler chunks and many read blocks
+    monkeypatch.setattr(records_io, "_BLOCK", 1 << 14)
+    p = ModelParams(chi=0.3, bg1_coherent=2e-3, bg2_coherent=1.3e-2, bg1_incoherent=1e-5,
+                    bg2_incoherent=1e-5)
+    spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT), n_trials=200_000,
+                       seed=12)
+    buf = io.BytesIO()
+    write_chunks(session_chunks(spec, 1 << 14), buf, fmt, spec.n_trials, DetectionMode.SPLIT,
+                 spec.seed)
+    from_chunks = count_patterns(session_chunks(spec, 1 << 14))
+    blocks = list(RecordReader(io.BytesIO(buf.getvalue())))
+    from_file = count_patterns(blocks)
+    assert len(blocks) > 10
+    assert np.array_equal(from_chunks, from_file)
+    table = CountTable(DetectionMode.SPLIT)
+    for _, codes in simulate_clicks(spec):
+        table = accumulate_clicks(table, codes)
+    assert table_from_counts(DetectionMode.SPLIT, from_file, spec.n_trials) == table
