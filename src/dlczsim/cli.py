@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .correlator import (CountTable, accumulate, count_patterns, estimate_metrics, report_text,
                          table_from_counts)
-from .event_sim import session_chunks
+from .event_sim import sampler_workers, session_chunks
 from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv,
                         fit, fit_result_text, predict_curves)
 from .params import (DetectionConfig, DetectionMode, ModelParams, SessionSpec,
@@ -100,8 +100,8 @@ def cmd_simulate(args) -> int:
     write["s"] -= sample["s"]
     _write_manifest(args.out, "simulate",
                     {"params_file": args.params, "mode": args.mode,
-                     "trials": args.trials, "format": args.format,
-                     "records": records, "bytes": n_bytes},
+                     "trials": args.trials, "format": args.format, "records": records,
+                     "bytes": n_bytes, "workers": sampler_workers(spec.n_trials)},
                     args.seed, started, stages=stages)
     print(f"wrote {records} records ({n_bytes} bytes) to {args.out}")
     return EXIT_OK

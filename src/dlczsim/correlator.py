@@ -179,6 +179,5 @@ def report_text(m: Metrics) -> str:
         lines += [f"{name} = {getattr(m, name)!r}", f"{name}_se = {getattr(m, name + '_se')!r}"]
     if m.undefined:
         lines.append("undefined = " + ",".join(sorted(m.undefined)))
-    for wmsg in m.warnings:
-        lines.append(f"warning = {wmsg}")
+    lines += [f"warning = {wmsg}" for wmsg in m.warnings]
     return "\n".join(lines) + "\n"

@@ -7,15 +7,17 @@ spec: chunk sizes and worker counts cannot change it.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import DETECTORS, DetectionMode, Detector, SessionSpec
 
-# uniforms consumed per trial; Philox counter units are 4x64-bit blocks
+# raw 64-bit Philox words drawn per trial; a Philox counter unit is a block of 4 words
 _DRAWS_PER_TRIAL = 8
-_BLOCKS_PER_TRIAL = _DRAWS_PER_TRIAL // 4
+_UNIT = 1 << 14   # trials per work unit: 1 MiB of words (numpy asks huge pages for 4 MiB)
 
 
 @dataclass
@@ -43,53 +45,48 @@ class RecordStream:
                                      in zip((np.uint64, np.uint8, np.uint32), columns)), seed=seed)
 
 
-def _trial_uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill out, shape (count, _DRAWS_PER_TRIAL), with the uniforms of trials [start, start+count).
+def _word_limit(t: float) -> int:
+    """The L for which a word w, read as the uniform (w >> 11) * 2**-53, has u < t exactly
+    when w < L: ceil(t * 2**53) << 11 in [0, 2**64] (all words are below 2**64)."""
+    return min(max(math.ceil(t * 2.0 ** 53), 0), 1 << 53) << 11
 
-    Each uniform is (next_uint64 >> 11) * 2**-53, which is exactly numpy's double.
+
+def _limits(spec: SessionSpec) -> tuple[list[int], int]:
+    """Word limits of each channel's background test, and of the pair cut u0 >= 1 - chi (1 + 1e-6):
+    n = floor(log1p(-u0) / log(chi)) is 0 where 1 - u0 > chi, and the margin is far beyond the
+    rounding of log1p and the division, so n == 0 exactly below the cut (at chi = 0, always)."""
+    return ([_word_limit(1.0 - np.exp(-ch.bg_mean)) for ch in spec.config.channels(spec.params)],
+            _word_limit(1.0 - spec.params.chi * (1.0 + 1e-6)))
+
+
+def _sample_clicks(spec: SessionSpec, limits, start: int, count: int) -> np.ndarray:
+    """Click-pattern codes (uint8; bit i is detector channel i) of trials [start, start + count).
+
+    Inverse-CDF on each trial's raw Philox words, read as the uniforms (w >> 11) * 2**-53
+    of numpy's `random`: pair number n is geometric in chi; given n, each detector's
+    pair-photon arrival (jointly for the two split arms) and its Poisson background use
+    one word each, so the click-pattern distribution is exactly the analytic one.
+    Backgrounds and the pair cut compare words with `limits` (`_limits(spec)`); words 0,
+    1 and 3 of the trials above the cut, about a fraction chi, become doubles.
     """
-    bg = np.random.Philox(key=seed, counter=[start * _BLOCKS_PER_TRIAL, 0, 0, 0])
-    return np.random.Generator(bg).random(out=out)
-
-
-def _pairs_possible(u0: np.ndarray, chi: float) -> np.ndarray:
-    """Indices of a superset of the trials whose pair number n is positive.
-
-    n = floor(log1p(-u0) / log(chi)) is 0 when 1 - u0 > chi.  The cut keeps a
-    relative margin of 1e-6 on 1 - u0, far beyond the rounding of log1p and the
-    division, so every trial outside the returned set has n == 0 exactly (at
-    chi = 0 the set is empty, as every u0 < 1).
-    """
-    return np.flatnonzero(u0 >= 1.0 - chi * (1.0 + 1e-6))
-
-
-def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> np.ndarray:
-    """Click-pattern codes (uint8; bit i is detector channel i) for the trials of uniform block u.
-
-    Sampling is by inverse-CDF on the per-trial uniform block: pair number n is
-    geometric in chi; conditioned on n, each detector's pair-photon arrival
-    indicator (jointly, for the two split arms) and its Poisson background
-    indicator use one uniform each.  The induced click-pattern distribution is
-    exactly the analytic one.  A trial with n = 0 has every pair-arrival
-    threshold at exactly 0, so pair arithmetic runs only on the trials that can
-    hold a pair; backgrounds are one comparison per trial.
-    """
-    p = spec.params
-    chans = spec.config.channels(p)
-    background_uniforms = (2, 4) if spec.config.mode is DetectionMode.SINGLE else (2, 4, 5)
-    codes = np.zeros(len(u), np.uint8)
-    for i, (k, ch) in enumerate(zip(background_uniforms, chans)):
-        codes |= (u[:, k] < 1.0 - np.exp(-ch.bg_mean)).view(np.uint8) << i
-
-    rows = _pairs_possible(u[:, 0], p.chi)
+    philox = np.random.Philox(key=spec.seed, counter=[start * _DRAWS_PER_TRIAL // 4, 0, 0, 0])
+    words = philox.random_raw(count * _DRAWS_PER_TRIAL).reshape(count, _DRAWS_PER_TRIAL)
+    p, (bg_limits, cut) = spec.params, limits
+    background_words = (2, 4) if spec.config.mode is DetectionMode.SINGLE else (2, 4, 5)
+    codes = np.zeros(count, np.uint8)
+    for i, (k, limit) in enumerate(zip(background_words, bg_limits)):
+        codes |= (words[:, k] < limit).view(np.uint8) << i
+    rows = np.flatnonzero(words[:, 0] >= cut)
     if len(rows) == 0:
         return codes
-    u = u[rows]
-    n = np.floor(np.log1p(-u[:, 0]) / np.log(p.chi)).astype(np.int64)
+    u0, u1, u3 = np.right_shift(words[rows[:, None], (0, 1, 3)], 11).T * 2.0 ** -53
+    del words   # a work unit's 1 MiB, freed before the pair arithmetic
+    n = np.floor(np.log1p(-u0) / np.log(p.chi)).astype(np.int64)
 
-    pairs = (u[:, 1] < 1.0 - (1.0 - chans[0].pair_eff) ** n).view(np.uint8)
+    chans = spec.config.channels(p)
+    pairs = (u1 < 1.0 - (1.0 - chans[0].pair_eff) ** n).view(np.uint8)
     if spec.config.mode is DetectionMode.SINGLE:
-        pairs |= (u[:, 3] < 1.0 - (1.0 - chans[1].pair_eff) ** n).view(np.uint8) << 1
+        pairs |= (u3 < 1.0 - (1.0 - chans[1].pair_eff) ** n).view(np.uint8) << 1
     else:
         ca, cb = chans[1], chans[2]
         # joint pair-arrival indicator for the two arms: routing is exclusive per photon
@@ -97,7 +94,6 @@ def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> np.ndarray:
         pa0 = (1.0 - ca.pair_eff) ** n   # no photon at arm a
         pb0 = (1.0 - cb.pair_eff) ** n
         # cell layout on [0,1): neither | a only | b only | both
-        u3 = u[:, 3]
         edge_a = pb0                      # p00 + P(a only) = p00 + (pb0 - p00)
         edge_b = pb0 + (pa0 - p00)        # + P(b only)
         pairs |= (((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)).view(np.uint8) << 1
@@ -108,8 +104,7 @@ def _sample_clicks(spec: SessionSpec, u: np.ndarray) -> np.ndarray:
 
 def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     """Click set of one trial; distribution matches click_statistics exactly."""
-    u = _trial_uniforms(spec.seed, trial_index, np.empty((1, _DRAWS_PER_TRIAL)))
-    code = int(_sample_clicks(spec, u)[0])
+    code = int(_sample_clicks(spec, _limits(spec), trial_index, 1)[0])
     return {det for i, det in enumerate(DETECTORS[spec.config.mode]) if code >> i & 1}
 
 
@@ -136,14 +131,45 @@ def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
         yield clicked[rows].astype(np.uint64) + np.uint64(start), detector_id, offset_of[detector_id]
 
 
+def sampler_workers(n_trials: int) -> int:
+    """Sampling threads for a session: one per CPU this process may run on
+    (`os.sched_getaffinity`, else `os.cpu_count`), at most one per work unit, at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, -(-n_trials // _UNIT)))
+
+
+def _unit_codes(spec: SessionSpec):
+    """Yield the codes of the session's work units of _UNIT trials in trial order: inline for one
+    worker, else from `sampler_workers` threads with at most workers + 1 units in flight."""
+    n, limits, workers = spec.n_trials, _limits(spec), sampler_workers(spec.n_trials)
+    units = ((spec, limits, a, min(_UNIT, n - a)) for a in range(0, n, _UNIT))
+    if workers == 1:
+        yield from (_sample_clicks(*unit) for unit in units)
+        return
+    from concurrent.futures import ThreadPoolExecutor   # imported only where a pool runs
+    with ThreadPoolExecutor(workers) as pool:
+        window = []
+        for unit in units:
+            window.append(pool.submit(_sample_clicks, *unit))
+            if len(window) > workers:
+                yield window.pop(0).result()
+        yield from (future.result() for future in window)
+
+
 def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 16):
     """Yield (start, click-pattern codes) per chunk without materializing records.
 
     Fast path for statistics-only consumers (the correlator counts the codes
-    instead of round-tripping through a record file).  The uniforms of all
-    chunks share one buffer; the yielded code arrays are new per chunk.
+    instead of round-tripping through a record file).  Whatever the chunk size,
+    trials are sampled in work units (`_unit_codes`), so memory stays bounded;
+    each chunk's codes are copied into a new array.
     """
-    buf = np.empty((min(chunk_size, spec.n_trials), _DRAWS_PER_TRIAL))
+    units, rest = _unit_codes(spec), np.empty(0, np.uint8)   # rest: sampled, not yet yielded
     for start in range(0, spec.n_trials, chunk_size):
-        count = min(chunk_size, spec.n_trials - start)
-        yield start, _sample_clicks(spec, _trial_uniforms(spec.seed, start, buf[:count]))
+        codes, filled = np.empty(min(chunk_size, spec.n_trials - start), np.uint8), 0
+        while filled < len(codes):
+            rest = rest if len(rest) else next(units)
+            take = min(len(codes) - filled, len(rest))
+            codes[filled:filled + take], rest = rest[:take], rest[take:]
+            filled += take
+        yield start, codes

@@ -451,8 +451,7 @@ def fit_result_text(result: FitResult) -> str:
              f"n_residuals = {result.n_residuals}",
              f"converged = {result.converged}"]
     for name, value, err in zip(result.free_names, result.values, result.errors):
-        lines.append(f"{name} = {float(value)!r}")
-        lines.append(f"{name}_se = {float(err)!r}")
+        lines += [f"{name} = {float(value)!r}", f"{name}_se = {float(err)!r}"]
     if result.flags:
         lines.append("flags = " + ",".join(result.flags))
     return "\n".join(lines) + "\n"

@@ -155,10 +155,8 @@ class TrialSchedule:
 
     def trial_start_ns(self, trial_index):
         """Absolute schedule time (ns) at which a trial begins. Accepts arrays."""
-        window = trial_index // self.trials_per_window
-        in_window = trial_index % self.trials_per_window
-        window_period_ns = 1e9 / self.mot_rate_hz
-        return window * window_period_ns + in_window * self.trial_period_ns
+        window, in_window = divmod(trial_index, self.trials_per_window)
+        return window * (1e9 / self.mot_rate_hz) + in_window * self.trial_period_ns
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,8 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return out
 
 
-def format_keyvalues(items: dict) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in items.items())
-
-
 def params_to_text(p: ModelParams) -> str:
-    return format_keyvalues({k: repr(getattr(p, k)) for k in _MODEL_KEYS})
+    return "".join(f"{k} = {getattr(p, k)!r}\n" for k in _MODEL_KEYS)
 
 
 def params_from_text(text: str) -> ModelParams:
@@ -210,14 +204,9 @@ def params_from_text(text: str) -> ModelParams:
     unknown = set(kv) - set(_MODEL_KEYS) - set(_SCHEDULE_KEYS)
     if unknown:
         raise ValueError(f"unknown parameter key(s): {', '.join(sorted(unknown))}")
-    values = {k: float(v) for k, v in kv.items() if k in _MODEL_KEYS}
-    return ModelParams(**values)
+    return ModelParams(**{k: float(v) for k, v in kv.items() if k in _MODEL_KEYS})
 
 
 def schedule_from_text(text: str) -> TrialSchedule:
-    kv = parse_keyvalues(text)
-    values = {}
-    for k, v in kv.items():
-        if k in _SCHEDULE_KEYS:
-            values[k] = int(v) if k in _INT_SCHEDULE_KEYS else float(v)
-    return TrialSchedule(**values)
+    return TrialSchedule(**{k: int(v) if k in _INT_SCHEDULE_KEYS else float(v)
+                            for k, v in parse_keyvalues(text).items() if k in _SCHEDULE_KEYS})

@@ -85,9 +85,7 @@ def tmss_pgf(chi, x, y):
 
     Closed form: (1 - chi) / (1 - chi x y).  Accepts numpy arrays.
     """
-    chi = np.asarray(chi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    chi, x, y = (np.asarray(v, dtype=float) for v in (chi, x, y))
     if np.any(chi < 0) or np.any(chi >= 1):
         raise ValueError("chi must be in [0, 1)")
     if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
@@ -304,45 +302,34 @@ def brute_force_statistics(params: ModelParams, config: DetectionConfig,
         warnings.warn(f"pair-number truncation tail {tail:.3e} exceeds 1e-12 at nmax={nmax}",
                       stacklevel=2)
 
-    d1 = chans[0]
-    z1_1 = 1.0 - math.exp(-d1.bg_mean)   # P(>= 1 background count)
-
-    split = config.mode is DetectionMode.SPLIT
-    if split:
-        ca, cb = chans[1], chans[2]
-        za_1 = 1.0 - math.exp(-ca.bg_mean)
-        zb_1 = 1.0 - math.exp(-cb.bg_mean)
-    else:
-        c2 = chans[1]
-        z2_1 = 1.0 - math.exp(-c2.bg_mean)
-
+    z = [1.0 - math.exp(-ch.bg_mean) for ch in chans]   # P(>= 1 background count)
     acc = {"p" + s: 0.0 for s in SUBSETS[config.mode]}
 
     for n in range(nmax + 1):
         weight = (1.0 - chi) * chi ** n
 
         # field 1: survivors m ~ Binom(n, eta1); click iff m >= 1 or background fires
-        pm = _binom_pmf(n, d1.pair_eff)
-        c1 = pm[0] * z1_1 + (1.0 - pm[0])  # m=0 needs a background count; m>=1 always clicks
+        pm = _binom_pmf(n, chans[0].pair_eff)
+        c1 = pm[0] * z[0] + (1.0 - pm[0])  # m=0 needs a background count; m>=1 always clicks
 
-        if not split:
-            pk = _binom_pmf(n, c2.pair_eff)
-            c2p = pk[0] * z2_1 + (1.0 - pk[0])
+        if config.mode is DetectionMode.SINGLE:
+            pk = _binom_pmf(n, chans[1].pair_eff)
+            c2p = pk[0] * z[1] + (1.0 - pk[0])
             acc["p1"] += weight * c1
             acc["p2"] += weight * c2p
             acc["p12"] += weight * c1 * c2p  # conditionally independent given n
             continue
 
-        pk = _trinom_pmf(n, ca.pair_eff, cb.pair_eff)
+        pk = _trinom_pmf(n, chans[1].pair_eff, chans[2].pair_eff)
         pa0 = pk[0, :].sum()          # no pair photon reached arm a
         pb0 = pk[:, 0].sum()
         pab0 = pk[0, 0]
-        cA = pa0 * za_1 + (1.0 - pa0)
-        cB = pb0 * zb_1 + (1.0 - pb0)
+        cA = pa0 * z[1] + (1.0 - pa0)
+        cB = pb0 * z[2] + (1.0 - pb0)
         # joint: enumerate (ka==0, kb==0) cells, backgrounds independent per arm
-        cAB = (pab0 * za_1 * zb_1
-               + (pb0 - pab0) * zb_1           # ka>=1, kb=0: A clicks, B needs background
-               + (pa0 - pab0) * za_1
+        cAB = (pab0 * z[1] * z[2]
+               + (pb0 - pab0) * z[2]           # ka>=1, kb=0: A clicks, B needs background
+               + (pa0 - pab0) * z[1]
                + (1.0 - pa0 - pb0 + pab0))
         acc["p1"] += weight * c1
         acc["p2a"] += weight * cA

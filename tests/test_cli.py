@@ -189,6 +189,21 @@ def test_manifest_stages(tmp_path, params_file):
         assert [(st["name"], st["items"]) for st in stages] == expected[manifest["command"]]
 
 
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_simulate_manifest_records_workers(tmp_path, params_file, monkeypatch, fmt):
+    # three work units or more: as many threads as CPUs, and the same bytes
+    outs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"r{cpus}.{fmt}"
+        assert main(["simulate", "--params", params_file, "--trials", "100000", "--seed", "4",
+                     "--mode", "split", "--format", fmt, "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["workers"] == cpus
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def version_1(path: Path, out: Path) -> None:
     """Write a PDR2 / CSV v2 record file as the version-1 bytes of the same records."""
     data = path.read_bytes()

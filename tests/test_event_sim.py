@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
 import io
+import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from dlczsim import (DetectionConfig, DetectionMode, Detector, ModelParams,
                      SessionSpec, TrialSchedule, click_statistics, run_session,
                      sample_trial, simulate_clicks)
 from dlczsim.correlator import CountTable, accumulate_clicks
-from dlczsim.event_sim import _pairs_possible
+from dlczsim import event_sim
+from dlczsim.event_sim import _limits, _word_limit
 from dlczsim.records_io import CSV, write_records
 
 
@@ -216,33 +221,117 @@ def test_csv_records_pinned(mode):
         # the column header and the rows, as pinned without the first line
         assert hashlib.sha256(rest).hexdigest() == digest, p
 
-def _first_kept(chi: float) -> int:
-    """Smallest k such that the uniform k * 2**-53 is kept by _pairs_possible."""
-    lo, hi = 0, 2 ** 53
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if len(_pairs_possible(np.array([mid * 2.0 ** -53]), chi)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
 
 @pytest.mark.parametrize("chi", [1e-300, 1e-17, 1.1e-16, 1e-16, 3e-16, 1e-12, 1e-9,
                                  1e-6, 1e-2, 0.3, 0.5, 0.7, 0.95, 0.999999])
 def test_trials_left_out_have_no_pair(chi):
-    # uniforms are multiples of 2**-53: take the 2**18 largest ones below the cut,
-    # plus a coarse grid over [0, 1)
-    cut = _first_kept(chi)
-    k = np.arange(max(cut - 2 ** 18, 0), cut)
-    u0 = np.concatenate([k * 2.0 ** -53, np.linspace(0.0, 1.0 - 2.0 ** -53, 2 ** 16)])
-    left_out = np.ones(len(u0), dtype=bool)
-    left_out[_pairs_possible(u0, chi)] = False
-    assert left_out[:len(k)].all()
+    # word 0 of a trial is kept when w0 >= cut.  Take the 2**18 largest words below
+    # the cut, the largest word of each of the 2**18 largest uniforms below it, and a
+    # coarse grid over all words
+    cut = _limits(SessionSpec(params=ModelParams(chi=chi)))[1]
+    m = cut >> 11
+    words = np.concatenate([np.arange(max(cut - 2 ** 18, 0), cut, dtype=np.uint64),
+                            np.arange(max(m - 2 ** 18, 0), m, dtype=np.uint64) << 11 | 0x7ff,
+                            np.linspace(0, 2.0 ** 64 - 2 ** 11, 2 ** 16).astype(np.uint64)])
+    left_out = words < cut
+    below = len(words) - 2 ** 16
+    assert left_out[:below].all()
+    u0 = (words >> 11) * 2.0 ** -53
     n = np.floor(np.log1p(-u0) / np.log(chi))
     assert np.all(n[left_out] == 0)
     # the superset stays tight: it admits at most 1e-5 relative more trials than n > 0
-    assert 1.0 - cut * 2.0 ** -53 <= chi * (1.0 + 1e-5) + 2.0 ** -52
+    assert 1.0 - m * 2.0 ** -53 <= chi * (1.0 + 1e-5) + 2.0 ** -52
+
+
+# the last two are the background thresholds of means 0 and 800 (1 - exp(-800) is 1.0)
+THRESHOLDS = {"negative": -0.5, "zero": 0.0, "least-subnormal": 5e-324,
+              "subnormal": 2.0 ** -1074 * 3, "2^-53": 2.0 ** -53, "half": 0.5,
+              "1-2^-53": 1.0 - 2.0 ** -53, "one": 1.0,
+              "background-0": 1.0 - np.exp(-0.0), "background-800": 1.0 - np.exp(-800.0)}
+
+
+@pytest.mark.parametrize("t", THRESHOLDS.values(), ids=THRESHOLDS.keys())
+def test_word_limit_is_the_uniform_test(t):
+    m = math.ceil(t * 2.0 ** 53)
+    ks = [k for k in (m - 1, m, m + 1) if 0 <= k < 2 ** 53]
+    words = [0, 2 ** 64 - 1, *(k << 11 for k in ks), *(k << 11 | 0x7ff for k in ks)]
+    expected = [(w >> 11) * 2.0 ** -53 < t for w in words]
+    assert (np.array(words, np.uint64) < _word_limit(t)).tolist() == expected
+
+
+def test_background_limits_at_the_extremes():
+    # channel D1 carries a background mean of 800, so 1 - exp(-800) is 1.0: every word
+    # passes; D2's mean is 0, so none does
+    spec = SessionSpec(params=ModelParams(chi=0.1, bg1_incoherent=800.0), n_trials=3000, seed=2)
+    assert _limits(spec)[0] == [2 ** 64, 0]
+    codes = np.concatenate([c for _, c in simulate_clicks(spec)])
+    assert np.all(codes & 1) and np.any(codes & 2)
+
+
+def set_cpus(monkeypatch, n):
+    """Make the sampler see an affinity of n CPUs."""
+    monkeypatch.setattr(event_sim.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+WORKER_SPEC = SessionSpec(params=ModelParams(chi=0.3, bg1_incoherent=1e-2, bg2_incoherent=1e-2),
+                          config=DetectionConfig(DetectionMode.SPLIT),
+                          n_trials=2 ** 16 + 5, seed=21)
+
+
+def records_bytes(spec, chunk_size):
+    buf = io.BytesIO()
+    write_records(run_session(spec, chunk_size=chunk_size), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_worker_count_never_changes_output(monkeypatch, cpus):
+    spec = WORKER_SPEC
+    # the reference: every word of the session drawn at once, no units, no threads
+    reference = event_sim._sample_clicks(spec, _limits(spec), 0, spec.n_trials)
+    records = records_bytes(spec, spec.n_trials)
+    set_cpus(monkeypatch, cpus)
+    assert event_sim.sampler_workers(spec.n_trials) == cpus
+    for chunk in (1, 997, 2 ** 14, 2 ** 16 + 3, 2 ** 21):
+        chunks = list(simulate_clicks(spec, chunk_size=chunk))
+        assert [s for s, _ in chunks] == list(range(0, spec.n_trials, chunk))
+        assert np.array_equal(np.concatenate([c for _, c in chunks]), reference), chunk
+        assert records_bytes(spec, chunk) == records, chunk
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_no_more_threads_than_cpus(monkeypatch, cpus):
+    started, before, start = [], threading.active_count(), threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    set_cpus(monkeypatch, cpus)
+    spec = dataclasses.replace(WORKER_SPEC, n_trials=4 * event_sim._UNIT)   # 4 work units
+    alive = [threading.active_count() for _ in simulate_clicks(spec, chunk_size=5000)]
+    if cpus == 1:   # inline: no thread at all
+        assert not started and set(alive) == {before}
+    else:
+        assert 0 < len(started) <= cpus and max(alive) <= before + cpus
+    assert threading.active_count() == before   # the pool is shut down
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_large_chunk_memory_is_bounded(monkeypatch, cpus):
+    # one 2**21-trial chunk: its 2 MiB of codes, plus at most twice a unit's words (1 MiB)
+    # for each unit in flight, its words and their temporaries
+    set_cpus(monkeypatch, cpus)
+    spec = dataclasses.replace(WORKER_SPEC, n_trials=2 ** 21)
+    tracemalloc.start()
+    try:
+        (start, codes), = simulate_clicks(spec, chunk_size=2 ** 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start == 0 and len(codes) == 2 ** 21
+    assert peak < 2 ** 21 + (cpus + 1) * 2 * event_sim._UNIT * event_sim._DRAWS_PER_TRIAL * 8, peak
 
 
 def test_yielded_chunks_are_not_overwritten():
