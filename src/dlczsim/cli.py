@@ -221,12 +221,14 @@ def cmd_fit(args) -> int:
         out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
         stage["items"] = len(curves)
 
+    dof = result.n_residuals - len(result.free_names)
     _write_manifest(args.out, "fit",
                     {"dataset": args.dataset, "bounds_file": args.bounds,
                      "starts": args.starts, "objective": result.objective,
                      "flags": list(result.flags)}, args.seed, started,
                     starts=[dataclasses.asdict(s) for s in result.starts], chi2=result.chi2,
-                    chi2_points=list(result.chi2_points),
+                    chi2_points=list(result.chi2_points), dof=dof,
+                    chi2_per_dof=result.objective / dof if dof > 0 else None,
                     stages=stages, warnings=list(result.flags))
     sys.stdout.write(fit_result_text(result))
     if "under-determined" in result.flags:

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .params import DetectionConfig, ModelParams
+from .params import ModelParams, bg1_mean
 from .photon_model import Metrics, metric_curves, metric_record, p1_of_chi
 
 PENALTY = 1e3  # residual assigned to an observable the model cannot reach
@@ -148,9 +148,8 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     A parameter may be an array over the targets (the fit's per-point background).
     """
     targets = np.atleast_1d(np.asarray(p1_targets, dtype=float))
-    d1_at0 = DetectionConfig().channels(params, 0.0)[0]
-    eff, bg0 = d1_at0.pair_eff, d1_at0.bg_mean
-    slope = DetectionConfig().channels(params, 1.0)[0].bg_mean - bg0   # affine in chi
+    eff, bg0 = params.eta1, bg1_mean(params, 0.0)
+    slope = bg1_mean(params, 1.0) - bg0   # affine in chi
     floor = p1_of_chi(params, 0.0)
     active = reachable = targets > floor
     # start from the line through p1(0) with slope dp1/dchi at 0
@@ -166,8 +165,9 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
         den = 1.0 - chi * (1.0 - eff)
         dp1 = np.exp(-bg0 - slope * chi) * (slope * (1.0 - chi) / den + eff / (den * den))
         step = chi - miss / dp1
-        # strictly inside, so that every evaluation shrinks the bracket
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        # strictly inside, so that every evaluation shrinks the bracket; a correction below an
+        # ulp leaves chi, which may be a bracket end, and has converged
+        step = np.where((step > lo) & (step < hi) | (step == chi), step, 0.5 * (lo + hi))
         step = np.where(active & (miss != 0), step, chi)
         # Newton converges quadratically: a step this small leaves ~_CHI_RTOL**2
         active = active & (np.abs(step - chi) > _CHI_RTOL * step)
@@ -179,12 +179,13 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
 _OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
 
 _STEP = 1e-20   # complex step: f(x + ih) = f(x) + ih f'(x) + O(h^2), with no difference taken
+_BLOCK = 64     # starts advanced in lock-step: a pass's memory grows with it, not with n_starts
 
 
 class _Problem:
     """A dataset's observation arrays, built once per fit, and the weighted residuals of
-    the free parameters' internal values x against them, with their complex-step
-    Jacobian (Squire & Trapp, SIAM Rev. 40, 110 (1998)).  `passes` counts model passes."""
+    the free parameters' internal values x against them, with their complex-step Jacobian
+    (Squire & Trapp, SIAM Rev. 40, 110 (1998)), in one model pass for starts (S, d) of x."""
 
     def __init__(self, dataset: Dataset, base: ModelParams, free_names=()):
         pts = dataset.points
@@ -199,12 +200,12 @@ class _Problem:
             # residual = (pred, or log pred in log space, - ref) / scale
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
-        self.base, self.free_names, self.passes = base, tuple(free_names), 0
-        self._chi_of = (None, None)                # free values and their real chi
+        self.base, self.free_names = base, tuple(free_names)
+        self._chi_of = {}   # each start's free values at the last inversion -> its chi
 
     def _view(self, free: dict) -> SimpleNamespace:
-        """The base fields and eta2, with the free values set unvalidated (arrays over points,
-        complex over perturbations), bg1_incoherent_alt as the flagged points' bg1_incoherent."""
+        """The base fields and eta2, with the free values set unvalidated (arrays over starts,
+        points, perturbations), bg1_incoherent_alt as the flagged points' bg1_incoherent."""
         values = {**vars(self.base), **free}
         if "bg1_incoherent_alt" in values:
             values["bg1_incoherent"] = np.where(self.flagged, values.pop("bg1_incoherent_alt"),
@@ -212,21 +213,24 @@ class _Problem:
         return SimpleNamespace(**values, eta2=values["eta2_path"] * values["eta_apd"])
 
     def table(self, free: dict, perturbed: dict | None = None) -> np.ndarray:
-        """Weighted residuals [point, observable] (PENALTY where the model cannot reach one)
-        at the free values by name, in natural units.  `perturbed` maps the same names to
-        complex values over a leading axis; chi follows by the implicit function theorem,
-        dchi = -dp1 / (dp1/dchi)."""
-        self.passes += 1
+        """Weighted residuals [..., point, observable] (PENALTY where the model cannot reach
+        one) at the free values by name, in natural units: numbers, or arrays [start, 1].
+        `perturbed` maps the same names to complex values with one more axis before the
+        points; chi follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
         view = self._view(free)
-        if self._chi_of[0] != free:   # the Jacobian comes where residuals just did
-            self._chi_of = (free, chi_from_p1(view, self.p1))
-        chi = self._chi_of[1]
+        starts = list(zip(*(np.ravel(v).tolist() for v in free.values())))
+        shape = np.broadcast_shapes(*map(np.shape, free.values()))[:-1] + self.p1.shape
+        if starts and all(s in self._chi_of for s in starts):   # the Jacobian follows residuals
+            chi = np.reshape([self._chi_of[s] for s in starts], shape)
+        else:
+            chi = np.broadcast_to(chi_from_p1(view, self.p1), shape)
+            self._chi_of = dict(zip(starts, chi.reshape(len(starts) or 1, -1)))
         # NaN chi (p1 below the model's floor) warns in complex division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if perturbed is not None:
                 dp1 = p1_of_chi(view, chi + 1j * _STEP).imag / _STEP
-                view = self._view(perturbed)
-                chi = chi - 1j * p1_of_chi(view, chi).imag / dp1
+                view, chi = self._view(perturbed), chi[..., None, :]
+                chi = chi - 1j * p1_of_chi(view, chi).imag / dp1[..., None, :]
             curves = metric_curves(view, chi)
             pred = np.stack([curves[k] for k, _ in _OBSERVABLES], axis=-1)
             r = (np.where(self.log, np.log(pred), pred) - self.ref) / self.scale
@@ -234,17 +238,19 @@ class _Problem:
         return np.where(~np.isfinite(r) | (self.log & (pred.real <= 0)), PENALTY, r)
 
     def free(self, x: np.ndarray) -> dict:
-        """The free values by name, in natural units, of internal values x."""
-        return dict(zip(self.free_names, _from_internal(self.free_names, x).tolist()))
+        """The free values by name, in natural units, of internal values x (..., d), each (..., 1)."""
+        values = _from_internal(self.free_names, x)
+        return {name: values[..., j, None] for j, name in enumerate(self.free_names)}
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self.table(self.free(x))[self.use]
+        return self.table(self.free(x))[..., self.use]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """d residuals / d x, one complex-step pass with x_j perturbed on row j."""
-        shifted = _from_internal(self.free_names, x + 1j * _STEP * np.eye(len(x)))
-        r = self.table(self.free(x), {n: col[:, None] for n, col in zip(self.free_names, shifted.T)})
-        return r.imag[:, self.use].T / _STEP
+        shifted = _from_internal(self.free_names, x[..., None, :] + 1j * _STEP * np.eye(x.shape[-1]))
+        r = self.table(self.free(x), {n: shifted[..., j, None]
+                                      for j, n in enumerate(self.free_names)})
+        return np.swapaxes(r.imag[..., self.use], -1, -2) / _STEP
 
 
 def residuals(params: ModelParams, dataset: Dataset,
@@ -278,7 +284,7 @@ class StartResult:
     """Outcome of one start of the multistart fit."""
 
     objective: float
-    nfev: int      # model passes: residual evaluations and complex-step Jacobians
+    nfev: int      # model passes it took part in: residuals and complex-step Jacobians
     status: int    # _least_squares status; > 0 means converged
 
 
@@ -320,53 +326,77 @@ def _from_internal(names, x):
                      for j, n in enumerate(names)], axis=-1)
 
 
+def _mv(A, b):   # A @ b per start, by one start's BLAS call: the same bits in any block
+    return (A @ b[..., None])[..., 0]
+
+
+def _dot(a, b):
+    return _mv(a[..., None, :], b)[..., 0]
+
+
 def _least_squares(fun, jac, x0, lo, hi, max_iter=200):
     """Minimise |fun(x)|^2 over lo <= x <= hi: Levenberg-Marquardt in trust-region form (Moré,
     LNM 630, 105 (1978)), the radius bounding the step in x, whose coordinates (decades,
     fractions) are alike; scaling by J's columns stranded starts near PENALTY cliffs.  A
     variable its gradient pushes out of the box is held at its bound; steps are projected
-    into it.  `jac` runs only where `fun` just ran and the step was taken.  Returns (x, fun(x),
-    jac(x), status): 1, 2 or 3 if converged by gradient, cost or step tolerance, else 0."""
+    into it.  The starts x0 (S, d) advance in lock-step, each computing as it would alone:
+    `fun` and `jac` take the rows (n, d) of the starts still running, `jac` only where `fun`
+    just ran and the step was taken.
+    Returns per start x, fun(x), jac(x), the status, 1, 2 or 3 if converged by gradient, cost
+    or step tolerance, else 0, and the passes (calls of `fun` or `jac`) it took part in."""
     x = np.clip(x0, lo, hi)
-    r, J = fun(x), jac(x)
-    cost, radius, moved = r @ r, max(np.linalg.norm(x), 1.0), True
+    r, J = fun(x).copy(), jac(x).copy()   # their rows are replaced in place
+    cost, radius = _dot(r, r), np.maximum(np.sqrt(_dot(x, x)), 1.0)
+    status, nfev, run = np.zeros(len(x), int), np.full(len(x), 2), np.ones(len(x), bool)
     for _ in range(max_iter):
-        if moved:
-            g = J.T @ r
-            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-            if np.all(np.abs(g[free]) <= 1e-8 * np.linalg.norm(J[:, free], axis=0) * math.sqrt(cost)):
-                return x, r, J, 1
-            u, sv, vt = np.linalg.svd(J[:, free], full_matrices=False)
-            c = -sv * (u.T @ r)   # the step damped by lam is vt.T @ (c / (d + lam))
-            d = sv * sv + np.finfo(float).eps * sv[0] ** 2   # a zero sv only drops its part
-            if np.linalg.norm(c / d) <= 1e-10 * (np.linalg.norm(x) + 1e-10):
-                return x, r, J, 3
-        lam = 0.0   # stays 0 for a full Gauss-Newton step: only its small gain may end the run
-        for _ in range(20):   # Newton on 1 / |step(lam)|, concave, climbs to 1 / radius
-            norm = np.linalg.norm(c / (d + lam))
-            if norm <= 1.1 * radius:
-                break
-            lam += (1 / radius - 1 / norm) * norm ** 3 / np.sum(c * c / (d + lam) ** 3)
-        x_new = x.copy()
-        x_new[free] = np.clip(x[free] + vt.T @ (c / (d + lam)), lo[free], hi[free])
-        step = x_new - x
-        size = np.linalg.norm(step)
-        if size == 0:   # the radius fell below the resolution of x
+        if not (a := np.flatnonzero(run)).size:
             break
-        js = J @ step
-        predicted = -(2 * (r @ js) + js @ js)
+        xa, ra, Ja = x[a], r[a], J[a]   # a start that did not move repeats its last decomposition
+        g = _mv(Ja.transpose(0, 2, 1), ra)
+        held = ((xa <= lo) & (g > 0)) | ((xa >= hi) & (g < 0))
+        colnorm = np.sqrt(np.add.reduce(Ja * Ja, axis=1))
+        flat = held | (np.abs(g) <= 1e-8 * colnorm * np.sqrt(cost[a, None]))
+        short, lam, x_new = np.zeros(len(a), bool), np.zeros(len(a)), xa.copy()
+        for free in set(map(tuple, (~held).tolist())):   # one SVD shape per set of free columns
+            j, cols = np.flatnonzero((held != free).all(axis=1)), np.flatnonzero(free)
+            u, sv, vt = np.linalg.svd(Ja[j][..., cols], full_matrices=False)
+            c = -sv * _mv(u.transpose(0, 2, 1), ra[j])   # the step is vt.T @ (c / (d + lam))
+            # a zero sv only drops its part; tiny keeps J = 0 (status 1) from dividing 0 by 0
+            d = sv * sv + np.finfo(float).eps * sv[:, :1] ** 2 + np.finfo(float).tiny
+            short[j] = np.sqrt(_dot(c / d, c / d)) <= 1e-10 * (np.sqrt(_dot(xa[j], xa[j])) + 1e-10)
+            # lam stays 0 for a full Gauss-Newton step, whose small gain alone may end a run;
+            # else Newton on 1 / |step(lam)|, concave, climbs to 1 / radius
+            lj, rj = lam[j], radius[a[j]]
+            with np.errstate(divide="ignore", invalid="ignore"):   # 1 / norm of a row not far
+                for _ in range(20):
+                    norm = np.sqrt(_dot(q := c / (dl := d + lj[:, None]), q))
+                    if not (far := norm > 1.1 * rj).any():
+                        break
+                    cube = np.array([v ** 3 for v in norm.tolist()])   # libm's pow, as for one start
+                    lj = np.where(far, lj + (1 / rj - 1 / norm) * cube
+                                  / np.sum(c * c / dl ** 3, axis=1), lj)
+            lam[j], step = lj, _mv(vt.transpose(0, 2, 1), c / (d + lj[:, None]))
+            x_new[j[:, None], cols] = np.clip(xa[j[:, None], cols] + step, lo[cols], hi[cols])
+        status[a] = np.where(flat.all(axis=1), 1, np.where(short, 3, 0))
+        size = np.sqrt(_dot(step := x_new - xa, step))
+        run[a] = keep = (status[a] == 0) & (size > 0)   # size 0: the radius fell below x's resolution
+        if not keep.any():
+            continue
+        a, x_new, step, size, lam = a[keep], x_new[keep], step[keep], size[keep], lam[keep]
+        js = _mv(J[a], step)
+        predicted = -(2 * _dot(r[a], js) + _dot(js, js))
         r_new = fun(x_new)
-        cost_new = r_new @ r_new
-        gain = (cost - cost_new) / predicted if predicted > 0 else -1.0
-        if not 0.25 <= gain <= 0.75:   # shrink on a poor model, grow on a good one
-            radius = 0.25 * size if gain < 0.25 else max(radius, 2 * size)
-        converged = lam == 0 and max(predicted, abs(cost - cost_new)) <= 1e-10 * cost
-        moved = gain > 1e-4
-        if moved:
-            x, r, J, cost = x_new, r_new, jac(x_new), cost_new
-        if converged:
-            return x, r, J, 2
-    return x, r, J, 0
+        cost_a, cost_new = cost[a], _dot(r_new, r_new)
+        gain = np.divide(cost_a - cost_new, predicted, out=np.full(len(a), -1.0), where=predicted > 0)
+        radius[a] = np.where(gain < 0.25, 0.25 * size,   # shrink on a poor model, grow on a good one
+                             np.where(gain > 0.75, np.maximum(radius[a], 2 * size), radius[a]))
+        converged = (lam == 0) & (np.maximum(predicted, np.abs(cost_a - cost_new)) <= 1e-10 * cost_a)
+        nfev[a] += 1
+        if (t := gain > 1e-4).any():
+            x[a[t]], r[a[t]], cost[a[t]], J[a[t]] = x_new[t], r_new[t], cost_new[t], jac(x_new[t])
+            nfev[a[t]] += 1
+        status[a[converged]], run[a[converged]] = 2, False
+    return x, r, J, status, nfev
 
 
 def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
@@ -375,13 +405,13 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
     """Multistart bounded least squares (Levenberg-Marquardt) of the free parameters.
 
     Starts are `init` (clipped into the bounds), then `n_starts` Latin-hypercube
-    points (McKay, Beckman & Conover, Technometrics 21, 239 (1979)); the start with
-    the lowest objective wins.  The Jacobian is exact to rounding (complex step), and
-    the covariance is that Jacobian's at the solution, in natural units.
-    Deterministic given (dataset, inputs, seed).
+    points (McKay, Beckman & Conover, Technometrics 21, 239 (1979)); they advance in
+    lock-step, up to _BLOCK of them in each model pass, and the one with the lowest
+    objective wins.  The Jacobian is exact to rounding (complex step), and the covariance
+    is that Jacobian's at the solution, in natural units.  Deterministic given (dataset,
+    inputs, seed), whatever _BLOCK.  A dataset without an observable that has a value and
+    an SE > 0 is a ValueError.
     """
-    if not dataset.points:
-        raise ValueError("empty dataset")
     if n_starts < 0 or (n_starts == 0 and init is None):
         raise ValueError(f"n_starts must be >= 1, or >= 0 with init; got {n_starts}")
     base = base if base is not None else ModelParams()
@@ -401,28 +431,30 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
     hi = _to_internal(free_names, [bounds[n][1] for n in free_names])
 
     problem = _Problem(dataset, base, free_names)
-    d = len(free_names)
+    n_residuals, d = int(np.count_nonzero(problem.use)), len(free_names)
+    if not n_residuals:
+        raise ValueError("no observable of the dataset has a value and an SE > 0")
     starts = []
     if init is not None:
         starts.append(_to_internal(free_names, [min(max(init[n], bounds[n][0]), bounds[n][1])
                                                 for n in free_names]))
     rng = np.random.default_rng(seed)
     unit = [(rng.permutation(n_starts) + rng.random(n_starts)) / n_starts for _ in range(d)]
-    starts += list(lo + np.stack(unit, axis=-1) * (hi - lo))
+    starts = np.array(starts + list(lo + np.stack(unit, axis=-1) * (hi - lo)))
 
-    runs = []
-    for x0 in starts:
-        problem.passes = 0
-        x, r, J, status = _least_squares(problem.residuals, problem.jacobian, x0, lo, hi)
-        runs.append((StartResult(_sorted_sum_of_squares(r), problem.passes, status), x, r, J))
-    best_run, x, r, J = min(runs, key=lambda run: run[0].objective)   # first of equals
+    runs, best = [], []
+    for k in range(0, len(starts), _BLOCK):   # blocks bound the memory of a pass
+        xs, rs, Js, status, nfev = _least_squares(problem.residuals, problem.jacobian,
+                                                  starts[k:k + _BLOCK], lo, hi)
+        runs += map(StartResult, map(_sorted_sum_of_squares, rs), nfev.tolist(), status.tolist())
+        j = int(np.argmin([run.objective for run in runs[k:]]))
+        best.append((runs[k + j], xs[j], rs[j], Js[j]))
+    best_run, x, r, J = min(best, key=lambda run: run[0].objective)   # first of equals
 
     natural = _from_internal(free_names, x)
-    updates = problem.free(x)
+    updates = dict(zip(free_names, natural.tolist()))
     alt = updates.pop("bg1_incoherent_alt", None)
     fitted = replace(base, **updates)
-
-    n_residuals = int(np.count_nonzero(problem.use))
     flags = ["under-determined"] if n_residuals <= d else []
     # J is at the solution; d x / d v = 1 / (ln 10 v) where x = log10 v
     jac = J / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
@@ -442,7 +474,7 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
                      errors=np.sqrt(np.clip(np.diag(cov), 0.0, None)), covariance=cov,
                      objective=best_run.objective, n_residuals=n_residuals,
                      converged=best_run.status > 0, flags=tuple(flags),
-                     bg1_incoherent_alt=alt, starts=tuple(run[0] for run in runs), chi2=chi2,
+                     bg1_incoherent_alt=alt, starts=tuple(runs), chi2=chi2,
                      chi2_points=tuple(np.bincount(point, r * r, len(dataset)).tolist()))
 
 

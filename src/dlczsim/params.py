@@ -93,6 +93,11 @@ class Channel:
     bg_mean: float       # Poisson mean of background counts per trial (array over a chi array)
 
 
+def bg1_mean(p: ModelParams, chi):
+    """D1's background mean at drive chi, its coherent part quoted at chi_ref."""
+    return p.bg1_coherent * (chi / p.chi_ref) * p.eta1 + p.bg1_incoherent
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     mode: DetectionMode = DetectionMode.SINGLE
@@ -110,7 +115,8 @@ class DetectionConfig:
         (a number or an array, which the means then follow) where given.  Only p's
         fields are read: the fit passes arrays, complex for its Jacobian.
         """
-        scale = (p.chi if chi is None else chi) / p.chi_ref
+        chi = p.chi if chi is None else chi
+        scale = chi / p.chi_ref
         if self.mode is DetectionMode.SINGLE:
             field2 = [(p.eta2_path * p.eta_apd, 1.0)]   # (pair efficiency, incoherent share)
         else:
@@ -118,7 +124,7 @@ class DetectionConfig:
                       (p.eta2_path * p.bs_transmission * (1.0 - p.bs_ratio) * p.eta_apd,
                        1.0 - p.bs_ratio)]
         d1, *d2 = DETECTORS[self.mode]
-        return (Channel(d1, p.eta1, p.bg1_coherent * scale * p.eta1 + p.bg1_incoherent),
+        return (Channel(d1, p.eta1, bg1_mean(p, chi)),
                 *(Channel(det, p.retrieval_eff * eff,
                           p.bg2_coherent * scale * eff + p.bg2_incoherent * share)
                   for det, (eff, share) in zip(d2, field2)))

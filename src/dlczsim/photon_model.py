@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .params import Channel, DetectionConfig, DetectionMode, ModelParams
+from .params import Channel, DetectionConfig, DetectionMode, ModelParams, bg1_mean
 
 UNDEFINED = float("nan")
 
@@ -55,13 +55,14 @@ METRICS = {
 def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
     """Metrics over rows of subset values (last axis S is subset S): click probabilities,
     or counts as exact Python ints in an object array.  NaN where a denominator is 0."""
-    vals = {}
-    for name, (num, den) in METRICS[mode].items():
-        top = np.prod(values[..., num], axis=-1)
-        bottom = np.prod(values[..., den], axis=-1)
-        defined = bottom != 0
-        vals[name] = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(
-            complex if np.iscomplexobj(values) else float)
+    names, parts = zip(*METRICS[mode].items())
+    values = np.concatenate([values, np.ones_like(values[..., :1])], axis=-1)   # [-1]: a factor 1
+    top, bottom = (np.prod(values[..., [f + (-1,) * (2 - len(f)) for f in side]], axis=-1)
+                   for side in zip(*parts))   # [..., metric]
+    defined = bottom != 0
+    out = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(
+        complex if np.iscomplexobj(values) else float)
+    vals = dict(zip(names, np.moveaxis(out, -1, 0)))
     if "pc" in vals:
         vals["qc"] = vals["pc"] / eta2
     return vals
@@ -219,8 +220,8 @@ def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics
 
 def p1_of_chi(params: ModelParams, chi):
     """Field-1 click probability as a vectorized function of chi (other params fixed)."""
-    d1 = DetectionConfig().channels(params, chi)[0]
-    return -np.expm1(-d1.bg_mean) + np.exp(-d1.bg_mean) * _reach(chi, d1.pair_eff)
+    bg = bg1_mean(params, chi)
+    return -np.expm1(-bg) + np.exp(-bg) * _reach(chi, params.eta1)
 
 
 def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:

@@ -472,6 +472,34 @@ class TestFitCmd:
         assert "under-determined" in manifest["warnings"]
         assert manifest["warnings"] == manifest["config"]["flags"]
 
+    @pytest.mark.parametrize("text", ["p1,g12,g12_se\n0.01,,\n0.02,,\n", "p1\n0.01\n0.02\n",
+                                      "p1,g12,qc\n0.01,10,0.5\n"])
+    def test_no_usable_observable_is_usage_error(self, tmp_path, capsys, text):
+        f = tmp_path / "empty.csv"
+        f.write_text(text)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(f), "--starts", "2", "--out", str(out)]) == 1
+        assert "no observable" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_degrees_of_freedom(self, tmp_path):
+        from dlczsim.model_fit import dataset_to_csv
+        from test_model_fit import PAPER_REGIME, benchmark_style_dataset, exact_dataset
+        for name, ds in (("bench", benchmark_style_dataset()),
+                         ("one", exact_dataset(PAPER_REGIME, [1e-2]))):
+            f, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            f.write_text(dataset_to_csv(ds))
+            assert main(["fit", str(f), "--seed", "1", "--starts", "2", "--out", str(out)]) == 0
+            kv = parse_keyvalues(out.read_text())
+            manifest = json.loads((tmp_path / f"{name}.txt.manifest.json").read_text())
+            dof = int(kv["n_residuals"]) - 5
+            assert manifest["dof"] == dof
+            if name == "bench":
+                assert dof == 41 - 5
+                assert manifest["chi2_per_dof"] == float(kv["objective"]) / dof
+            else:
+                assert dof == 4 - 5 and manifest["chi2_per_dof"] is None
+
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1

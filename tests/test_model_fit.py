@@ -189,6 +189,14 @@ class TestFit:
         res = fit(ds, n_starts=2, seed=1)
         assert "under-determined" in res.flags
 
+    @pytest.mark.parametrize("ds", [
+        dataset_from_csv("p1,g12,g12_se\n0.01,,\n0.02,,\n"),
+        Dataset([DataPoint(p1=0.01), DataPoint(p1=0.02)]),
+        Dataset([DataPoint(p1=0.01, g12=10.0, qc=0.5, p12=1e-3, w=0.1)])])   # no SE
+    def test_no_usable_observable_rejected(self, ds):
+        with pytest.raises(ValueError, match="no observable"):
+            fit(ds, n_starts=2, seed=1)
+
     def test_objective_at_truth_not_beaten_by_much(self):
         ds = exact_dataset(PAPER_REGIME, np.geomspace(1e-3, 0.2, 8).tolist())
         res = fit(ds, n_starts=4, seed=3)
@@ -315,23 +323,35 @@ class TestNewtonInversion:
         assert np.isnan(chi_from_p1(p, [floor, floor * 0.5, 0.0])).all()
         assert chi_from_p1(p, [floor * 1.001])[0] > 0
 
+    def test_correction_below_an_ulp_is_converged(self, monkeypatch):
+        # Newton reaches this root from above in 5 steps; its last correction, below an ulp,
+        # lands on the bracket's upper end, which once restarted it by bisection (45 steps)
+        p = ModelParams(bg1_coherent=2e-3, bg2_coherent=1.3e-2, bg1_incoherent=1e-5,
+                        bg2_incoherent=1e-5)
+        target, calls = 0.660998372958884, []
+        monkeypatch.setattr(model_fit, "p1_of_chi",
+                            lambda params, chi: calls.append(1) or p1_of_chi(params, chi))
+        chi = chi_from_p1(p, [target])
+        assert len(calls) <= 8
+        assert p1_of_chi(p, chi)[0] == pytest.approx(target, rel=1e-14)
+
     def test_saturates_at_top_of_bracket(self):
         assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_one_inversion_per_parameter_point(self, monkeypatch):
-        # the Levenberg-Marquardt solver takes the Jacobian at the point of its last residuals:
-        # p1 -> chi runs once there
-        inversions, points = [], set()
+        # the lock-step solver takes a start's Jacobian at the point of its last residuals:
+        # p1 -> chi runs once per start there, one row of an inversion over the pass's starts
+        rows, points = [], set()   # rows inverted; (start, x) of every residual or Jacobian row
         invert = model_fit.chi_from_p1
         monkeypatch.setattr(model_fit, "chi_from_p1",
-                            lambda *args: inversions.append(1) or invert(*args))
+                            lambda *args: rows.append(len(chi := invert(*args))) or chi)
         for name in ("residuals", "jacobian"):
             method = getattr(_Problem, name)
-            monkeypatch.setattr(_Problem, name,
-                                lambda self, x, method=method: points.add(tuple(x)) or method(self, x))
+            monkeypatch.setattr(_Problem, name, lambda self, x, method=method: points.update(
+                map(tuple, x.tolist())) or method(self, x))   # no two starts share an x here
         res = fit(criterion_9_dataset(), n_starts=2, seed=1)
         assert sum(s.nfev for s in res.starts) > len(points)
-        assert len(inversions) == len(points)
+        assert sum(rows) == len(points)
 
 
 class TestFitBounds:
@@ -379,6 +399,13 @@ class TestFitBounds:
         assert sum(res.chi2.values()) == pytest.approx(res.objective, rel=1e-12, abs=1e-300)
 
 
+def one_start(fun, jac, x0, lo, hi, max_iter=200):
+    """`_least_squares` of one start, a block of one: (x, fun(x), jac(x), status)."""
+    x, r, J, status, _ = _least_squares(lambda x: fun(x[0])[None], lambda x: jac(x[0])[None],
+                                        x0[None], lo, hi, max_iter)
+    return x[0], r[0], J[0], status[0]
+
+
 class TestLeastSquares:
     """The bounded Levenberg-Marquardt solver on problems with known answers."""
 
@@ -391,7 +418,7 @@ class TestLeastSquares:
         assert free_min[1] > hi   # so the bounded minimum holds x1 at its upper bound
         a0, a1 = self.A.T
         x0_at_bound = a0 @ (self.B - a1 * hi) / (a0 @ a0)
-        x, r, J, status = _least_squares(lambda x: self.A @ x - self.B, lambda x: self.A,
+        x, r, J, status = one_start(lambda x: self.A @ x - self.B, lambda x: self.A,
                                          np.zeros(2), np.array([-5.0, -5.0]), np.array([5.0, hi]))
         assert status > 0
         assert x[1] == hi
@@ -401,7 +428,7 @@ class TestLeastSquares:
     def test_zero_jacobian_column(self):
         # x1 does not enter the residuals: a rank-deficient J, solved without a special case
         J = np.column_stack([self.A[:, 0], np.zeros(3)])
-        x, r, _, status = _least_squares(lambda x: J @ x - self.B, lambda x: J,
+        x, r, _, status = one_start(lambda x: J @ x - self.B, lambda x: J,
                                          np.array([0.0, 0.3]), np.full(2, -5.0), np.full(2, 5.0))
         assert status > 0 and np.all(np.isfinite(x))
         assert x[1] == 0.3
@@ -416,7 +443,7 @@ class TestLeastSquares:
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        return _least_squares(fun, jac, np.array([-1.2, 1.0]), np.full(2, -3.0), np.full(2, 3.0),
+        return one_start(fun, jac, np.array([-1.2, 1.0]), np.full(2, -3.0), np.full(2, 3.0),
                               max_iter=max_iter)
 
     def test_status_zero_at_the_iteration_limit(self):
@@ -462,6 +489,43 @@ class TestFitRobustness:
                       for s in fit(ds, n_starts=8, seed=seed).starts]
         assert len(objectives) == 40
         assert max(objectives) <= min(objectives) * (1 + 1e-6)
+
+    @staticmethod
+    def panel(monkeypatch, block):
+        """The 40-start panel with the starts advanced `block` at a time."""
+        monkeypatch.setattr(model_fit, "_BLOCK", block)
+        ds = benchmark_style_dataset()
+        return [s for seed in range(5) for s in fit(ds, n_starts=8, seed=seed).starts]
+
+    def test_block_size_does_not_change_a_start(self, monkeypatch):
+        alone = self.panel(monkeypatch, 1)
+        for block in (3, 64):
+            for a, b in zip(alone, self.panel(monkeypatch, block), strict=True):
+                assert b.status == a.status
+                assert b.objective == pytest.approx(a.objective, rel=1e-10, abs=0)
+
+    def test_nfev_counts_the_passes_a_start_took_part_in(self, monkeypatch):
+        # run one start at a time, each row of a pass names its start; then count, per start,
+        # the lock-step passes with a row of that start
+        passes, table, solve = [], _Problem.table, model_fit._least_squares
+        monkeypatch.setattr(_Problem, "table", lambda self, free, perturbed=None: passes.append(
+            list(zip(*(np.ravel(v).tolist() for v in free.values())))) or table(self, free, perturbed))
+        monkeypatch.setattr(model_fit, "_least_squares", lambda *args: passes.append(None) or solve(*args))
+        ds, owner, start = benchmark_style_dataset(), {}, -1
+        monkeypatch.setattr(model_fit, "_BLOCK", 1)
+        fit(ds, n_starts=8, seed=0)
+        for rows in passes:
+            start += rows is None
+            for row in rows or ():
+                assert owner.setdefault(row, start) == start
+        del passes[:]
+        monkeypatch.setattr(model_fit, "_BLOCK", 64)
+        res = fit(ds, n_starts=8, seed=0)
+        assert passes[0] is None and None not in passes[1:]   # one block
+        taken = [owner[row] for rows in passes[1:] for row in set(rows)]
+        assert all(len(set(rows)) == len(rows) for rows in passes[1:])
+        assert [taken.count(i) for i in range(8)] == [s.nfev for s in res.starts]
+        assert max(len(rows) for rows in passes[1:]) == 8
 
     def test_chi2_per_point(self):
         ds = benchmark_style_dataset()
