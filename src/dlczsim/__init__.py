@@ -6,9 +6,8 @@ from .params import (DetectionConfig, DetectionMode, Detector, ModelParams,
                      SessionSpec, TrialSchedule)
 from .photon_model import (Metrics, Statistics, brute_force_statistics,
                            click_statistics, derived_metrics, full_metrics, tmss_pgf)
-from .event_sim import RecordStream, run_session, sample_trial, simulate_clicks
-from .correlator import (CountTable, MetricsWithErrors, accumulate,
-                         accumulate_clicks, estimate_metrics, merge)
+from .event_sim import sample_trial, simulate_clicks
+from .correlator import CountTable, accumulate_clicks, estimate_metrics, merge
 from .model_fit import (Dataset, DataPoint, FitResult, chi_from_p1,
                         dataset_from_csv, dataset_to_csv, fit, objective,
                         predict_curves, residuals)
@@ -17,8 +16,7 @@ __all__ = [
     "DetectionConfig", "DetectionMode", "Detector", "ModelParams", "SessionSpec",
     "TrialSchedule", "Metrics", "Statistics", "brute_force_statistics",
     "click_statistics", "derived_metrics", "full_metrics", "tmss_pgf",
-    "RecordStream", "run_session", "sample_trial", "simulate_clicks",
-    "CountTable", "MetricsWithErrors", "accumulate", "accumulate_clicks",
+    "sample_trial", "simulate_clicks", "CountTable", "accumulate_clicks",
     "estimate_metrics", "merge", "Dataset", "DataPoint", "FitResult",
     "chi_from_p1", "dataset_from_csv", "dataset_to_csv", "fit", "objective",
     "predict_curves", "residuals",

@@ -13,14 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlator import (CountTable, accumulate, count_patterns, estimate_metrics, report_text,
-                         table_from_counts)
+from .correlator import count_patterns, estimate_metrics, report_text, table_from_counts
 from .event_sim import sampler_workers, session_chunks
 from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv,
                         fit, fit_result_text, predict_curves)
 from .params import (DetectionConfig, DetectionMode, ModelParams, SessionSpec,
                      TrialSchedule, params_from_text, parse_keyvalues, schedule_from_text)
-from .records_io import BINARY, CSV, RecordFormatError, RecordReader, read_records, write_chunks
+from .records_io import BINARY, CSV, RecordFormatError, RecordReader, write_chunks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,14 +129,14 @@ def cmd_analyze(args) -> int:
                 reader.n_trials = _manifest_trials(args.records)
                 origin = "inferred" if reader.n_trials is None else "manifest"
             counts = count_patterns(_timed(read, reader))
-            if counts is None:   # trial indices decrease somewhere: count the whole file
+            if counts is None:   # trial indices decrease somewhere: count the whole file, sorted
                 source.seek(0)
-                stream = read_records(source, n_trials=reader.n_trials)
-                table, count["items"] = accumulate(CountTable(mode=stream.mode), stream), len(stream)
-            else:
-                table = table_from_counts(reader.mode, counts, reader.n_trials)
-                count["items"] = reader.records
-            read["items"] = count["items"]
+                reader = RecordReader(source, reader.n_trials)
+                trial, det = (np.concatenate(c) for c in zip(*(b[:2] for b in _timed(read, reader))))
+                order = np.argsort(trial, kind="stable")
+                counts = count_patterns([(trial[order], det[order])])
+            table = table_from_counts(reader.mode, counts, reader.n_trials)
+            count["items"] = read["items"] = reader.records
         count["s"] -= read["s"]
     except OSError as exc:
         raise IOError(f"cannot read {args.records}: {exc}") from exc

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .event_sim import RecordStream
 from .params import DETECTORS, DetectionMode, Detector
 from .photon_model import (METRIC_NAMES, METRICS, SUBSETS, Metrics, SubsetValues, metric_record,
                            metric_values, mobius, zeta)
@@ -41,18 +40,6 @@ class CountTable(SubsetValues):
     prefix = "n"
     whole = "n_trials"
     default = (0, 0)
-
-
-def accumulate(table: CountTable, records: RecordStream) -> CountTable:
-    """Add a record stream's trials to the table.  The stream must match the table's mode."""
-    trial, det = records.trial_index, records.detector_id
-    if not np.isin(det, DETECTORS[table.mode]).all():
-        raise ValueError(f"records of other detectors fed to a {table.mode.value}-mode count table")
-    if np.any(trial[1:] < trial[:-1]):
-        order = np.argsort(trial)
-        trial, det = trial[order], det[order]
-    return merge(table, table_from_counts(table.mode, count_patterns([(trial, det)]),
-                                          records.n_trials))
 
 
 def count_patterns(blocks) -> np.ndarray | None:
@@ -101,9 +88,6 @@ def merge(a: CountTable, b: CountTable) -> CountTable:
     if a.mode is not b.mode:
         raise ValueError("cannot merge count tables of different detection modes")
     return CountTable(a.mode, tuple(x + y for x, y in zip(a.values, b.values)))
-
-
-MetricsWithErrors = Metrics   # the estimate's name for the one metric record
 
 
 def _delta_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,

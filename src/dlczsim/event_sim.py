@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,31 +17,6 @@ from .params import DETECTORS, DetectionMode, Detector, SessionSpec
 # raw 64-bit Philox words drawn per trial; a Philox counter unit is a block of 4 words
 _DRAWS_PER_TRIAL = 8
 _UNIT = 1 << 14   # trials per work unit: 1 MiB of words (numpy asks huge pages for 4 MiB)
-
-
-@dataclass
-class RecordStream:
-    """Column-oriented detection records plus the metadata needed to interpret them."""
-
-    mode: DetectionMode
-    n_trials: int
-    trial_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
-    detector_id: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
-    offset_ns: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
-    seed: int = 0   # the sampler's; 0 where a record file did not store it
-
-    def __len__(self) -> int:
-        return len(self.trial_index)
-
-    def __iter__(self):
-        return zip(self.trial_index.tolist(), self.detector_id.tolist(), self.offset_ns.tolist())
-
-    @classmethod
-    def join(cls, mode: DetectionMode, n_trials: int, blocks, seed: int = 0) -> "RecordStream":
-        """The stream of column blocks (trial_index, detector_id, offset_ns), in order."""
-        columns = list(zip(*blocks)) or [(), (), ()]
-        return cls(mode, n_trials, *(np.concatenate([np.empty(0, dtype), *parts]) for dtype, parts
-                                     in zip((np.uint64, np.uint8, np.uint32), columns)), seed=seed)
 
 
 def _word_limit(t: float) -> int:
@@ -106,12 +80,6 @@ def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     """Click set of one trial; distribution matches click_statistics exactly."""
     code = int(_sample_clicks(spec, _limits(spec), trial_index, 1)[0])
     return {det for i, det in enumerate(DETECTORS[spec.config.mode]) if code >> i & 1}
-
-
-def run_session(spec: SessionSpec, chunk_size: int = 1 << 16) -> RecordStream:
-    """Generate the full record stream: deterministic in spec, ordered by trial then detector."""
-    return RecordStream.join(spec.config.mode, spec.n_trials, session_chunks(spec, chunk_size),
-                             spec.seed)
 
 
 def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):

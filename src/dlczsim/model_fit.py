@@ -97,6 +97,8 @@ def dataset_from_csv(text: str) -> Dataset:
     for col in header:
         if col not in CSV_COLUMNS:
             raise ValueError(f"unknown dataset column {col!r}")
+        if header.count(col) > 1:
+            raise ValueError(f"dataset column {col!r} is repeated")
     if "p1" not in header:
         raise ValueError("dataset is missing required column 'p1'")
     points = []

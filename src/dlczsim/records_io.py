@@ -10,7 +10,6 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .event_sim import RecordStream
 from .params import DETECTORS, DetectionMode, Detector
 
 MAGIC = b"PDR2"
@@ -77,12 +76,6 @@ def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
     return records, size
 
 
-def write_records(stream: RecordStream, sink, fmt: str = BINARY) -> int:
-    """Serialize a whole record stream, header included; returns the number of bytes written."""
-    return write_chunks([(stream.trial_index, stream.detector_id, stream.offset_ns)], sink, fmt,
-                        stream.n_trials, stream.mode, stream.seed)[1]
-
-
 def _decimal(values: np.ndarray) -> np.ndarray:
     """ASCII decimal digits of non-negative integers, right-aligned and NUL-padded, a row each."""
     v = np.array(values, np.uint64)
@@ -92,11 +85,6 @@ def _decimal(values: np.ndarray) -> np.ndarray:
         out[j] = digit * ((v > 0) | (j == len(out) - 1))
         v //= 10
     return out.T
-
-
-def _read(source, size: int) -> bytes:
-    data = source.read(size)
-    return data.encode() if isinstance(data, str) else data
 
 
 class RecordReader:
@@ -114,7 +102,7 @@ class RecordReader:
     def __init__(self, source, n_trials: int | None = None):
         self._source, self._errors, self._end, self.records = source, {}, 0, 0
         self.version, self.n_trials, self.mode, self.seed = 1, None, None, None
-        data = _read(source, max(_BLOCK, _HEADER.size))
+        data = source.read(max(_BLOCK, _HEADER.size))
         self._blocks = (self._binary if data[:4] in (MAGIC, b"PDR1") else self._csv)(data)
         self._single, self._split = (self.mode is m for m in _MODES)   # records of each mode seen
         if n_trials is not None and self.n_trials not in (None, n_trials):
@@ -135,7 +123,7 @@ class RecordReader:
     def _binary(self, data: bytes):
         """Parse the header and check the file's size, which needs a seekable source."""
         header, start = _HEADER if data[:4] == MAGIC else _HEADER_V1, self._source.tell() - len(data)
-        data += _read(self._source, max(header.size - len(data), 0))
+        data += self._source.read(max(header.size - len(data), 0))
         if len(data) < header.size:
             raise RecordFormatError("truncated header", len(data))
         _, version, *fields, count = header.unpack_from(data)
@@ -156,7 +144,7 @@ class RecordReader:
     def _binary_blocks(self, at: int, count: int):
         size, per_block = _RECORD_DTYPE.itemsize, max(_BLOCK // _RECORD_DTYPE.itemsize, 1)
         for first in range(0, count, per_block):
-            records = np.frombuffer(_read(self._source, min(count - first, per_block) * size),
+            records = np.frombuffer(self._source.read(min(count - first, per_block) * size),
                                     _RECORD_DTYPE)
             yield (records["trial_index"].astype(np.uint64), records["detector_id"].copy(),
                    records["offset_ns"].astype(np.uint32),
@@ -164,7 +152,7 @@ class RecordReader:
 
     def _csv(self, data: bytes):
         """Parse the header lines, which the first block holds: it ends at an LF after two."""
-        while data.count(b"\n") < 2 and (more := _read(self._source, _BLOCK)):
+        while data.count(b"\n") < 2 and (more := self._source.read(_BLOCK)):
             data += more
         cut = data.rfind(b"\n") + 1 if data.count(b"\n") >= 2 else len(data)
         text = _utf8(data[:cut], 0)
@@ -188,7 +176,7 @@ class RecordReader:
                 except RecordFormatError as exc:
                     self._errors[2] = exc
             at += len(block)
-            while (more := _read(self._source, _BLOCK)) and b"\n" not in more:
+            while (more := self._source.read(_BLOCK)) and b"\n" not in more:
                 pending += more
             pending += more
             cut = pending.rfind(b"\n") + 1 if more else len(pending)
@@ -221,14 +209,6 @@ def _utf8(data: bytes, at: int) -> str:
 def _line(text: str, start: int) -> str:
     """The line of text at `start`, with its end, as `str.splitlines` splits."""
     return (text[start:text.find("\n", start) + 1 or len(text)].splitlines(keepends=True) or [""])[0]
-
-
-def read_records(source, n_trials: int | None = None) -> RecordStream:
-    """Read a whole record file: the blocks of a `RecordReader`, joined once all are read, when
-    its mode and n_trials are known.  Raises RecordFormatError on corruption."""
-    reader = RecordReader(source, n_trials)
-    blocks = list(reader)
-    return RecordStream.join(reader.mode, reader.n_trials, blocks, reader.seed or 0)
 
 
 def _csv_rows(data: bytes, base: int, start: int):

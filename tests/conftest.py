@@ -1,10 +1,14 @@
+import io
+
 import numpy as np
 import pytest
 
 from dlczsim import DetectionConfig, DetectionMode, ModelParams
 from dlczsim.correlator import CountTable, table_from_counts
+from dlczsim.event_sim import session_chunks
 from dlczsim.params import DETECTORS
 from dlczsim.photon_model import click_pattern_distribution
+from dlczsim.records_io import write_chunks
 
 
 def random_params(rng: np.random.Generator, chi_max: float = 0.9) -> ModelParams:
@@ -43,6 +47,21 @@ def table_from_multinomial(params: ModelParams, mode: DetectionMode, n_trials: i
     counts = np.zeros(len(dist), np.int64)
     counts[order] = rng.multinomial(n_trials, probs / probs.sum())
     return table_from_counts(mode, counts, n_trials)
+
+
+def joined(blocks):
+    """The columns (trial_index, detector_id, offset_ns) of record blocks, each concatenated."""
+    parts = list(zip(*blocks)) or [(), (), ()]
+    return tuple(np.concatenate([np.empty(0, dtype), *part])
+                 for dtype, part in zip((np.uint64, np.uint8, np.uint32), parts))
+
+
+def session_bytes(spec, fmt="bin", chunk_size=1 << 16) -> bytes:
+    """The record file of a session, written chunk by chunk as `simulate` writes it."""
+    sink = io.BytesIO()
+    write_chunks(session_chunks(spec, chunk_size), sink, fmt, spec.n_trials, spec.config.mode,
+                 spec.seed)
+    return sink.getvalue()
 
 
 @pytest.fixture

@@ -10,12 +10,12 @@ modes, trial count) record by record.  The differential test in
 
 import numpy as np
 
-from dlczsim.event_sim import RecordStream
 from dlczsim.params import DetectionMode, Detector
 from dlczsim.records_io import RecordFormatError
 
 
 def read_csv(data: bytes, n_trials=None):
+    """The columns (trial_index, detector_id, offset_ns), n_trials and mode of a CSV v1 file."""
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -52,10 +52,8 @@ def read_csv(data: bytes, n_trials=None):
         if trial >= n_trials:
             raise RecordFormatError(f"trial index >= n_trials = {n_trials}",
                                     _line_offset(text, lineno))
-    return RecordStream(mode=DetectionMode.SPLIT if False in modes else DetectionMode.SINGLE,
-                        n_trials=n_trials,
-                        trial_index=np.array(trials, np.uint64),
-                        detector_id=np.array(dets, np.uint8), offset_ns=np.array(offs, np.uint32))
+    columns = (np.array(trials, np.uint64), np.array(dets, np.uint8), np.array(offs, np.uint32))
+    return columns, n_trials, DetectionMode.SPLIT if False in modes else DetectionMode.SINGLE
 
 
 def _csv_records(lines):

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavier criteria
 few minutes combined.
 """
 
-import io
 import math
 import time
 
@@ -14,14 +13,14 @@ import pytest
 
 from dlczsim import (CountTable, DataPoint, Dataset, DetectionConfig,
                      DetectionMode, Detector, ModelParams, SessionSpec,
-                     accumulate, accumulate_clicks, brute_force_statistics,
+                     accumulate_clicks, brute_force_statistics,
                      click_statistics, derived_metrics, estimate_metrics, fit,
-                     full_metrics, merge, predict_curves, run_session,
-                     simulate_clicks)
+                     full_metrics, merge, predict_curves, simulate_clicks)
+from dlczsim.correlator import count_patterns, table_from_counts
 from dlczsim.model_fit import objective
 from dlczsim.photon_model import p1_of_chi
 
-from conftest import random_params, table_from_multinomial
+from conftest import random_params, session_bytes, table_from_multinomial
 
 SINGLE = DetectionConfig(DetectionMode.SINGLE)
 SPLIT = DetectionConfig(DetectionMode.SPLIT)
@@ -178,14 +177,10 @@ def test_criterion_7_classicality_baseline():
 
 
 def test_criterion_8_estimator_correctness():
-    from dlczsim.event_sim import RecordStream
     trials = np.array([1, 1, 2, 3], np.uint64)
     dets = np.array([int(Detector.D1), int(Detector.D2), int(Detector.D1),
                      int(Detector.D2)], np.uint8)
-    stream = RecordStream(mode=DetectionMode.SINGLE,
-                          n_trials=10, trial_index=trials, detector_id=dets,
-                          offset_ns=np.zeros(4, np.uint32))
-    t = accumulate(CountTable(mode=DetectionMode.SINGLE), stream)
+    t = table_from_counts(DetectionMode.SINGLE, count_patterns([(trials, dets)]), 10)
     hand_ok = (t.n1, t.n2, t.n12) == (2, 2, 1) and estimate_metrics(t).g12 == 2.5
 
     p = ModelParams(chi=0.05, bg1_incoherent=1e-3, bg2_incoherent=1e-3)
@@ -268,11 +263,6 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     spec = SessionSpec(params=ModelParams(chi=0.02, bg1_incoherent=1e-4,
                                           bg2_incoherent=1e-4),
                        n_trials=100_000, seed=5)
-    from dlczsim.records_io import write_records
-    blobs = []
-    for chunk in (100_000, 7919):
-        buf = io.BytesIO()
-        write_records(run_session(spec, chunk_size=chunk), buf)
-        blobs.append(buf.getvalue())
+    blobs = [session_bytes(spec, chunk_size=chunk) for chunk in (100_000, 7919)]
     report(10, outputs[0] == outputs[1] and blobs[0] == blobs[1],
            "simulate->analyze->fit byte-identical across reruns and chunkings")

@@ -16,6 +16,8 @@ from dlczsim.cli import main
 from dlczsim.correlator import report_text
 from dlczsim.params import params_to_text, parse_keyvalues
 
+from conftest import joined
+
 PARAMS_TEXT = params_to_text(ModelParams(
     chi=0.02, bg1_coherent=2e-3, bg2_coherent=5e-3,
     bg1_incoherent=1e-4, bg2_incoherent=1e-4, chi_ref=0.01, retrieval_eff=0.5))
@@ -215,6 +217,14 @@ def version_1(path: Path, out: Path) -> None:
         out.write_bytes(data.partition(b"\n")[2])
 
 
+def count_reader_passes(monkeypatch) -> list:
+    """The names of the files that `analyze` opens a `RecordReader` on, a name per pass."""
+    passes = []
+    monkeypatch.setattr(cli, "RecordReader", lambda source, *a: passes.append(source.name)
+                        or records_io.RecordReader(source, *a))
+    return passes
+
+
 def analyze_manifest(tmp_path, *args):
     report = tmp_path / "report.txt"
     assert main(["analyze", *map(str, args), "--out", str(report)]) == 0
@@ -241,7 +251,7 @@ class TestTrialCount:
         assert main(["simulate", "--params", params_file, "--trials", "3000", "--seed", "2",
                      "--format", fmt, "--out", str(new)]) == 0
         with open(new, "rb") as source:
-            last = int(records_io.read_records(source).trial_index.max())
+            last = int(joined(records_io.RecordReader(source))[0].max())
         assert last + 1 < 3000     # inference would lose trials
         old = tmp_path / f"old.{fmt}"
         version_1(new, old)
@@ -300,24 +310,47 @@ class TestTrialCount:
         assert main(["simulate", "--params", params_file, "--trials", "5000", "--seed", "1",
                      "--mode", "split", "--format", fmt, "--out", str(new)]) == 0
         with open(new, "rb") as source:
-            stream = records_io.read_records(source)
-        order = np.random.default_rng(0).permutation(len(stream))
-        for name in ("trial_index", "detector_id", "offset_ns"):
-            setattr(stream, name, getattr(stream, name)[order])
+            reader = records_io.RecordReader(source)
+            columns = joined(reader)
+        order = np.random.default_rng(0).permutation(len(columns[0]))
         shuffled = tmp_path / f"shuffled.{fmt}"
         with open(shuffled, "wb") as sink:
-            records_io.write_records(stream, sink, records_io.BINARY if fmt == "bin" else records_io.CSV)
+            records_io.write_chunks([tuple(c[order] for c in columns)], sink, fmt, reader.n_trials,
+                                    reader.mode, reader.seed)
         old = tmp_path / f"old.{fmt}"
         version_1(shuffled, old)
-        whole = []
-        monkeypatch.setattr(cli, "read_records",
-                            lambda *a, **k: whole.append(1) or records_io.read_records(*a, **k))
+        passes = count_reader_passes(monkeypatch)
         for path in (new, old, shuffled):
             assert main(["analyze", str(path), "--trials", "5000",
                          "--out", str(tmp_path / f"{path.name}.txt")]) == 0
-        assert len(whole) == 2
+        assert passes == [str(new), str(old), str(old), str(shuffled), str(shuffled)]
         reports = [(tmp_path / f"{p}.{fmt}.txt").read_text() for p in ("new", "old", "shuffled")]
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("fmt, block", [("bin", 4 * 13), ("csv", 8)])
+    def test_decrease_across_sorted_blocks_is_counted_whole(self, tmp_path, monkeypatch, fmt,
+                                                            block):
+        # blocks of 4 binary records or 1 CSV row: each block is sorted by trial, but the
+        # fifth record starts below the fourth one's trial
+        columns = (np.array([4, 4, 5, 7, 0, 1, 1, 3], np.uint64),
+                   np.array([0, 1, 0, 1, 1, 0, 1, 0], np.uint8), np.zeros(8, np.uint32))
+        monkeypatch.setattr(records_io, "_BLOCK", block)
+        paths = {}
+        for name, order in (("sorted", np.argsort(columns[0], kind="stable")),
+                            ("blocks", slice(None))):
+            paths[name] = tmp_path / f"{name}.{fmt}"
+            with open(paths[name], "wb") as sink:
+                records_io.write_chunks([tuple(c[order] for c in columns)], sink, fmt, 10,
+                                        DetectionMode.SINGLE, 0)
+        with open(paths["blocks"], "rb") as source:
+            trials = [trial for trial, _, _ in records_io.RecordReader(source) if len(trial)]
+        assert len(trials) > 1 and all(np.all(t[1:] >= t[:-1]) for t in trials)
+        assert any(b[0] < a[-1] for a, b in zip(trials, trials[1:]))
+        passes = count_reader_passes(monkeypatch)
+        reports = [analyze_manifest(tmp_path, paths[name])[0] for name in ("sorted", "blocks")]
+        assert passes == [str(paths["sorted"]), str(paths["blocks"]), str(paths["blocks"])]
+        assert reports[0] == reports[1]
+        assert (reports[1]["n_trials"], reports[1]["p1"], reports[1]["p12"]) == ("10", "0.4", "0.2")
 
 
 class TestSweep:
@@ -460,6 +493,13 @@ class TestFitCmd:
         f.write_text(f"p1,g12,g12_se\n0.02,20,1\n{row}\n")
         assert main(["fit", str(f), "--starts", "1", "--out", str(tmp_path / "fit.txt")]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_repeated_column_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "twice.csv"
+        f.write_text("p1,g12,g12_se,g12\n0.01,10,1,99\n0.02,5,1,98\n")
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(f), "--starts", "1", "--out", str(out)]) == 1
+        assert "g12" in capsys.readouterr().err and not out.exists()
 
     def test_under_determined_warns_exit_zero(self, tmp_path, capsys):
         from dlczsim.model_fit import DataPoint, Dataset, dataset_to_csv

@@ -5,68 +5,52 @@ import numpy as np
 import pytest
 
 from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector,
-                     ModelParams, SessionSpec, accumulate,
+                     ModelParams, SessionSpec,
                      accumulate_clicks, click_statistics, estimate_metrics, merge,
                      simulate_clicks)
-from dlczsim.correlator import report_text
-from dlczsim.event_sim import RecordStream
+from dlczsim.correlator import count_patterns, report_text, table_from_counts
 from dlczsim.photon_model import zeta
 
 from conftest import table_from_multinomial
 
 
-def stream_from_clicks(click_map, mode=DetectionMode.SINGLE, n_trials=10):
-    """click_map: detector -> iterable of trial indices."""
+def table_from_clicks(click_map, mode=DetectionMode.SINGLE, n_trials=10):
+    """click_map: detector -> iterable of trial indices; counted as one block sorted by trial."""
     trials, dets = [], []
     for det, ts in click_map.items():
         for t in ts:
             trials.append(t)
             dets.append(int(det))
     order = np.lexsort((dets, trials))
-    return RecordStream(
-        mode=mode, n_trials=n_trials,
-        trial_index=np.array(trials, np.uint64)[order],
-        detector_id=np.array(dets, np.uint8)[order],
-        offset_ns=np.zeros(len(trials), np.uint32),
-    )
+    block = (np.array(trials, np.uint64)[order], np.array(dets, np.uint8)[order])
+    return table_from_counts(mode, count_patterns([block]), n_trials)
 
 
 class TestAccumulate:
     def test_direct_count(self):
-        s = stream_from_clicks({Detector.D1: [1, 2], Detector.D2: [1, 3]})
-        t = accumulate(CountTable(mode=DetectionMode.SINGLE), s)
+        t = table_from_clicks({Detector.D1: [1, 2], Detector.D2: [1, 3]})
         assert (t.n1, t.n2, t.n12, t.n_trials) == (2, 2, 1, 10)
 
     def test_empty_stream_is_identity_up_to_trials(self):
-        s = stream_from_clicks({}, n_trials=0)
         t0 = CountTable(mode=DetectionMode.SINGLE, n_trials=5, n1=3, n2=2, n12=1)
-        t = accumulate(t0, s)
+        t = merge(t0, table_from_clicks({}, n_trials=0))
         assert t == t0
 
     def test_triple_counts_once(self):
-        s = stream_from_clicks({Detector.D1: [4], Detector.D2A: [4], Detector.D2B: [4]},
-                               mode=DetectionMode.SPLIT)
-        t = accumulate(CountTable(mode=DetectionMode.SPLIT), s)
+        t = table_from_clicks({Detector.D1: [4], Detector.D2A: [4], Detector.D2B: [4]},
+                              mode=DetectionMode.SPLIT)
         assert t.n1_2a_2b == 1
         assert t.n2a_2b == 1
 
     def test_duplicate_clicks_collapse(self):
-        s = stream_from_clicks({Detector.D1: [2, 2, 2], Detector.D2: [2]})
-        t = accumulate(CountTable(mode=DetectionMode.SINGLE), s)
+        t = table_from_clicks({Detector.D1: [2, 2, 2], Detector.D2: [2]})
         assert t.n1 == 1 and t.n12 == 1
 
-    def test_mode_mismatch_is_hard_error(self):
-        s = stream_from_clicks({Detector.D2: [1]})
-        with pytest.raises(ValueError):
-            accumulate(CountTable(mode=DetectionMode.SPLIT), s)
-        s2 = stream_from_clicks({Detector.D2A: [1]}, mode=DetectionMode.SPLIT)
-        with pytest.raises(ValueError):
-            accumulate(CountTable(mode=DetectionMode.SINGLE), s2)
-
-
     def test_foreign_detectors_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate(CountTable(mode=DetectionMode.SINGLE), stream_from_clicks({9: [1]}))
+        # D2b's channel bit is beyond single mode's; ids that are no detector at all are
+        # rejected where records are read (test_records_io, "unknown-detector" cases)
+        with pytest.raises(ValueError, match="single-mode"):
+            table_from_clicks({Detector.D1: [1], Detector.D2B: [1, 2]})
         with pytest.raises(ValueError):
             accumulate_clicks(CountTable(mode=DetectionMode.SPLIT),
                               np.array([0b001, 0b1000, 0b111], np.uint8))

@@ -1,21 +1,20 @@
 import dataclasses
 import hashlib
-import io
 import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_params
+from conftest import joined, random_params, session_bytes
 
 from dlczsim import (DetectionConfig, DetectionMode, Detector, ModelParams,
-                     SessionSpec, TrialSchedule, click_statistics, run_session,
+                     SessionSpec, TrialSchedule, click_statistics,
                      sample_trial, simulate_clicks)
 from dlczsim.correlator import CountTable, accumulate_clicks
 from dlczsim import event_sim
-from dlczsim.event_sim import _limits, _word_limit
-from dlczsim.records_io import CSV, write_records
+from dlczsim.event_sim import _limits, _word_limit, session_chunks
+from dlczsim.records_io import CSV
 
 
 def empirical_vs_analytic(params, mode, n_trials, seed):
@@ -37,24 +36,24 @@ def empirical_vs_analytic(params, mode, n_trials, seed):
 
 def test_vacuum_never_clicks():
     spec = SessionSpec(params=ModelParams(chi=0.0), n_trials=5000, seed=3)
-    stream = run_session(spec)
-    assert len(stream) == 0
+    assert all(len(trial) == 0 for trial, _, _ in session_chunks(spec))
+    assert len(session_bytes(spec)) == 49   # the header alone
 
 
 def test_empty_session():
     spec = SessionSpec(params=ModelParams(), n_trials=0, seed=0)
-    stream = run_session(spec)
-    assert len(stream) == 0
-    assert stream.n_trials == 0
+    assert list(session_chunks(spec)) == []
+    data = session_bytes(spec)
+    assert len(data) == 49 and data[8:24] == bytes(16)   # the header alone, of 0 trials
 
 
 def test_sample_trial_matches_stream():
     p = ModelParams(chi=0.2, bg1_incoherent=0.05, bg2_incoherent=0.05)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
                        n_trials=200, seed=11)
-    stream = run_session(spec)
+    trials, dets, _ = joined(session_chunks(spec))
     by_trial = {}
-    for trial, det, _ in stream:
+    for trial, det in zip(trials.tolist(), dets.tolist()):
         by_trial.setdefault(trial, set()).add(Detector(det))
     for t in range(200):
         assert sample_trial(spec, t) == by_trial.get(t, set())
@@ -93,12 +92,7 @@ def test_chunking_never_changes_output():
     p = ModelParams(chi=0.05, bg1_incoherent=1e-3, bg2_incoherent=1e-3)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
                        n_trials=30_000, seed=9)
-    streams = [run_session(spec, chunk_size=c) for c in (30_000, 4096, 997, 1)]
-    buffers = []
-    for s in streams:
-        buf = io.BytesIO()
-        write_records(s, buf)
-        buffers.append(buf.getvalue())
+    buffers = [session_bytes(spec, chunk_size=c) for c in (30_000, 4096, 997, 1)]
     assert buffers[0] == buffers[1] == buffers[2] == buffers[3]
 
 
@@ -158,9 +152,7 @@ def test_records_pinned(mode):
     for i, (p, digest) in enumerate(zip(pin_params(), RECORD_DIGESTS[mode], strict=True)):
         spec = SessionSpec(params=p, config=DetectionConfig(mode), n_trials=20_000,
                            seed=100 + i)
-        buf = io.BytesIO()
-        write_records(run_session(spec), buf)
-        data = buf.getvalue()
+        data = session_bytes(spec)
         count = (len(data) - 49) // 13
         assert data[:49] == (b"PDR2" + (2).to_bytes(4, "little") + (20_000).to_bytes(16, "little")
                              + bytes([mode is DetectionMode.SPLIT])
@@ -214,9 +206,7 @@ def test_csv_records_pinned(mode):
     for i, (p, digest) in enumerate(zip(pin_params(), CSV_DIGESTS[mode], strict=True)):
         spec = SessionSpec(params=p, config=DetectionConfig(mode), n_trials=20_000,
                            seed=100 + i)
-        buf = io.BytesIO()
-        write_records(run_session(spec), buf, CSV)
-        first, _, rest = buf.getvalue().partition(b"\n")
+        first, _, rest = session_bytes(spec, CSV).partition(b"\n")
         assert first == f"# dlczsim records v2 n_trials=20000 mode={mode.value} seed={100 + i}".encode()
         # the column header and the rows, as pinned without the first line
         assert hashlib.sha256(rest).hexdigest() == digest, p
@@ -278,25 +268,19 @@ WORKER_SPEC = SessionSpec(params=ModelParams(chi=0.3, bg1_incoherent=1e-2, bg2_i
                           n_trials=2 ** 16 + 5, seed=21)
 
 
-def records_bytes(spec, chunk_size):
-    buf = io.BytesIO()
-    write_records(run_session(spec, chunk_size=chunk_size), buf)
-    return buf.getvalue()
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_worker_count_never_changes_output(monkeypatch, cpus):
     spec = WORKER_SPEC
     # the reference: every word of the session drawn at once, no units, no threads
     reference = event_sim._sample_clicks(spec, _limits(spec), 0, spec.n_trials)
-    records = records_bytes(spec, spec.n_trials)
+    records = session_bytes(spec, chunk_size=spec.n_trials)
     set_cpus(monkeypatch, cpus)
     assert event_sim.sampler_workers(spec.n_trials) == cpus
     for chunk in (1, 997, 2 ** 14, 2 ** 16 + 3, 2 ** 21):
         chunks = list(simulate_clicks(spec, chunk_size=chunk))
         assert [s for s, _ in chunks] == list(range(0, spec.n_trials, chunk))
         assert np.array_equal(np.concatenate([c for _, c in chunks]), reference), chunk
-        assert records_bytes(spec, chunk) == records, chunk
+        assert session_bytes(spec, chunk_size=chunk) == records, chunk
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -350,9 +334,9 @@ def test_yielded_chunks_are_not_overwritten():
 
 def test_seed_changes_output():
     p = ModelParams(chi=0.05)
-    a = run_session(SessionSpec(params=p, n_trials=50_000, seed=1))
-    b = run_session(SessionSpec(params=p, n_trials=50_000, seed=2))
-    assert not np.array_equal(a.trial_index, b.trial_index)
+    a, b = (joined(session_chunks(SessionSpec(params=p, n_trials=50_000, seed=seed)))[0]
+            for seed in (1, 2))
+    assert not np.array_equal(a, b)
 
 
 def test_schedule_spans_one_second():
@@ -367,9 +351,9 @@ def test_schedule_spans_one_second():
 def test_records_fall_inside_active_window():
     p = ModelParams(chi=0.1, bg1_incoherent=0.01)
     spec = SessionSpec(params=p, n_trials=5000, seed=4)
-    stream = run_session(spec)
+    trial_index, _, offset_ns = joined(session_chunks(spec))
     sched = spec.schedule
-    abs_ns = sched.trial_start_ns(stream.trial_index.astype(np.int64)) + stream.offset_ns
+    abs_ns = sched.trial_start_ns(trial_index.astype(np.int64)) + offset_ns
     window_period = 1e9 / sched.mot_rate_hz
     within = abs_ns % window_period
     assert np.all(within < sched.window_ms * 1e6)
@@ -378,10 +362,10 @@ def test_records_fall_inside_active_window():
 def test_click_timestamps():
     p = ModelParams(chi=0.3, bg1_incoherent=0.1, bg2_incoherent=0.1)
     spec = SessionSpec(params=p, n_trials=2000, seed=8)
-    stream = run_session(spec)
-    d1 = stream.detector_id == int(Detector.D1)
-    assert np.all(stream.offset_ns[d1] == spec.schedule.write_offset_ns)
-    assert np.all(stream.offset_ns[~d1]
+    _, detector_id, offset_ns = joined(session_chunks(spec))
+    d1 = detector_id == int(Detector.D1)
+    assert np.all(offset_ns[d1] == spec.schedule.write_offset_ns)
+    assert np.all(offset_ns[~d1]
                   == spec.schedule.write_offset_ns + spec.schedule.read_delay_ns)
 
 

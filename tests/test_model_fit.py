@@ -169,6 +169,14 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="line 2"):
             dataset_from_csv("p1,g12,g12_se\n0.01,10,1,7\n")
 
+    @pytest.mark.parametrize("header, col", [("p1,g12,g12_se,g12", "g12"),
+                                             ("p1,g12,g12_se, g12 ", "g12"),
+                                             ("p1,p1,g12,g12_se", "p1")])
+    def test_repeated_column_rejected(self, header, col):
+        # not the last of the two cells (g12 = 99) read silently
+        with pytest.raises(ValueError, match=f"column '{col}' is repeated"):
+            dataset_from_csv(f"{header}\n0.01,10,1,99\n")
+
 class TestFit:
     def test_noiseless_recovery(self):
         ds = exact_dataset(PAPER_REGIME, np.geomspace(3e-4, 0.3, 10).tolist())

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 
 import numpy as np
@@ -9,95 +8,92 @@ from hypothesis import strategies as st
 from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector, ModelParams, SessionSpec,
                      accumulate_clicks, simulate_clicks)
 from dlczsim.correlator import count_patterns, table_from_counts
-from dlczsim.event_sim import RecordStream, session_chunks
+from dlczsim.event_sim import session_chunks
 from dlczsim import records_io
-from dlczsim.records_io import (BINARY, CSV, RecordFormatError, RecordReader,
-                                read_records, write_chunks, write_records)
+from dlczsim.records_io import BINARY, CSV, RecordFormatError, RecordReader, write_chunks
 
 import csv_reference
+from conftest import joined
 
 
-def make_stream(n_records, rng, mode=DetectionMode.SINGLE):
+def make_columns(n_records, rng, mode=DetectionMode.SINGLE):
+    """Random columns (trial_index, detector_id, offset_ns) of a session of 10**6 trials."""
     dets = ([int(Detector.D1), int(Detector.D2)] if mode is DetectionMode.SINGLE
             else [int(Detector.D1), int(Detector.D2A), int(Detector.D2B)])
     trials = np.sort(rng.integers(0, 10 ** 6, n_records).astype(np.uint64))
-    return RecordStream(
-        mode=mode, n_trials=10 ** 6,
-        trial_index=trials,
-        detector_id=rng.choice(dets, n_records).astype(np.uint8),
-        offset_ns=rng.integers(0, 2000, n_records).astype(np.uint32),
-    )
+    return (trials, rng.choice(dets, n_records).astype(np.uint8),
+            rng.integers(0, 2000, n_records).astype(np.uint32))
+
+
+def write(columns, fmt, mode=DetectionMode.SINGLE, n_trials=10 ** 6, seed=0) -> bytes:
+    """The record file of one block of columns."""
+    sink = io.BytesIO()
+    write_chunks([columns], sink, fmt, n_trials, mode, seed)
+    return sink.getvalue()
+
+
+def read(data, n_trials=None):
+    """A whole record file: its columns, n_trials and mode, as `csv_reference.read_csv`."""
+    reader = RecordReader(io.BytesIO(data), n_trials)
+    columns = joined(reader)
+    return columns, reader.n_trials, reader.mode
+
+
+def assert_columns_equal(got, expected):
+    for name, a, b in zip(("trial_index", "detector_id", "offset_ns"), got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_empty_binary_is_header_only():
-    stream = RecordStream(mode=DetectionMode.SINGLE, n_trials=0)
     buf = io.BytesIO()
-    n = write_records(stream, buf, BINARY)
-    assert n == 49
+    assert write_chunks([], buf, BINARY, 0, DetectionMode.SINGLE) == (0, 49)
     assert buf.getvalue() == (b"PDR2" + (2).to_bytes(4, "little") + bytes(16) + b"\0"
                               + bytes(16) + bytes(8))
 
 
 def test_csv_line_format():
-    stream = RecordStream(mode=DetectionMode.SPLIT, n_trials=10,
-                          trial_index=np.array([5], np.uint64),
-                          detector_id=np.array([int(Detector.D2A)], np.uint8),
-                          offset_ns=np.array([300], np.uint32))
-    buf = io.BytesIO()
-    write_records(stream, buf, CSV)
-    assert buf.getvalue().decode().splitlines() == [
+    columns = (np.array([5], np.uint64), np.array([int(Detector.D2A)], np.uint8),
+               np.array([300], np.uint32))
+    assert write(columns, CSV, DetectionMode.SPLIT, n_trials=10).decode().splitlines() == [
         "# dlczsim records v2 n_trials=10 mode=split seed=0", "trial_index,detector,offset_ns",
         "5,D2a,300"]
 
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
 def test_round_trip(fmt, rng):
-    stream = make_stream(100_000, rng, DetectionMode.SPLIT)
-    buf = io.BytesIO()
-    write_records(stream, buf, fmt)
-    buf.seek(0)
-    back = read_records(buf, n_trials=stream.n_trials)
-    assert np.array_equal(back.trial_index, stream.trial_index)
-    assert np.array_equal(back.detector_id, stream.detector_id)
-    assert np.array_equal(back.offset_ns, stream.offset_ns)
-    assert back.mode is DetectionMode.SPLIT
+    columns = make_columns(100_000, rng, DetectionMode.SPLIT)
+    back, _, mode = read(write(columns, fmt, DetectionMode.SPLIT), n_trials=10 ** 6)
+    assert_columns_equal(back, columns)
+    assert mode is DetectionMode.SPLIT
 
 
 def test_binary_record_is_13_bytes(rng):
-    stream = make_stream(7, rng)
     buf = io.BytesIO()
-    n = write_records(stream, buf, BINARY)
-    assert n == 49 + 7 * 13
+    assert write_chunks([make_columns(7, rng)], buf, BINARY, 10 ** 6, DetectionMode.SINGLE) == (
+        7, 49 + 7 * 13)
 
 
 def test_truncated_binary_reports_offset(rng):
-    stream = make_stream(10, rng)
-    buf = io.BytesIO()
-    write_records(stream, buf, BINARY)
-    data = buf.getvalue()[:-5]
+    data = write(make_columns(10, rng), BINARY)[:-5]
     with pytest.raises(RecordFormatError) as exc:
-        read_records(io.BytesIO(data))
+        read(data)
     assert exc.value.offset == len(data)
 
 
 def test_bad_magic_falls_back_to_csv_and_fails():
     with pytest.raises(RecordFormatError) as exc:
-        read_records(io.BytesIO(b"XXXX garbage bytes"))
+        read(b"XXXX garbage bytes")
     assert exc.value.offset == 0
 
 
 def test_bad_csv_record():
     text = "trial_index,detector,offset_ns\n5,D9,300\n"
     with pytest.raises(RecordFormatError):
-        read_records(io.BytesIO(text.encode()))
+        read(text.encode())
 
 
 def test_mode_detected_from_ids(rng):
-    stream = make_stream(50, rng, DetectionMode.SINGLE)
-    buf = io.BytesIO()
-    write_records(stream, buf, BINARY)
-    buf.seek(0)
-    assert read_records(buf).mode is DetectionMode.SINGLE
+    assert read(write(make_columns(50, rng), BINARY))[2] is DetectionMode.SINGLE
 
 
 def _binary(records, v2=None, count=None):
@@ -141,7 +137,7 @@ MALFORMED = [
     "bin-v2-unfinished", "csv-v2-unfinished"])
 def test_malformed_input_raises_format_error(data, offset):
     with pytest.raises(RecordFormatError) as exc:
-        read_records(io.BytesIO(data))
+        read(data)
     assert exc.value.offset == offset
 
 
@@ -157,7 +153,7 @@ NBSP_RECORD = "0,D1\u00a0,0\n".encode()   # a valid record: the label is strippe
 ], ids=["crlf-bad-record", "crlf-mixed-modes", "non-ascii-bad-record", "non-ascii-mixed-modes"])
 def test_csv_error_offset_counts_bytes(data, offset):
     with pytest.raises(RecordFormatError) as exc:
-        read_records(io.BytesIO(data))
+        read(data)
     assert exc.value.offset == offset
 
 
@@ -166,9 +162,9 @@ def test_csv_error_offset_counts_bytes(data, offset):
     (_binary([(0, 0, 0), (5, 1, 300)]), 16 + 13),
 ], ids=["csv", "bin"])
 def test_trial_beyond_declared_count_rejected(data, offset):
-    assert read_records(io.BytesIO(data), n_trials=6).n_trials == 6
+    assert read(data, n_trials=6)[1] == 6
     with pytest.raises(RecordFormatError) as exc:
-        read_records(io.BytesIO(data), n_trials=5)
+        read(data, n_trials=5)
     assert exc.value.offset == offset
 
 
@@ -183,45 +179,41 @@ def _framed(body):
        frame=st.sampled_from([bytes, lambda b: b"PDR1" + b, _framed, lambda b: HEADER + b]))
 def test_any_bytes_give_stream_or_format_error(body, frame):
     try:
-        stream = read_records(io.BytesIO(frame(body)))
+        columns, n_trials, mode = read(frame(body))
     except RecordFormatError:
         return
-    assert isinstance(stream, RecordStream)
+    assert [c.dtype for c in columns] == [np.uint64, np.uint8, np.uint32]
+    assert len({len(c) for c in columns}) == 1
+    assert (len(columns[0]) == 0 or n_trials > int(columns[0].max())) and mode in DetectionMode
 
 
 def test_empty_csv_is_header_only():
-    stream = RecordStream(mode=DetectionMode.SINGLE, n_trials=0)
     buf = io.BytesIO()
     first = b"# dlczsim records v2 n_trials=0 mode=single seed=0\n"
-    assert write_records(stream, buf, CSV) == len(first + HEADER)
+    assert write_chunks([], buf, CSV, 0, DetectionMode.SINGLE) == (0, len(first + HEADER))
     assert buf.getvalue() == first + HEADER
-    assert len(read_records(io.BytesIO(buf.getvalue()))) == 0
+    assert len(read(buf.getvalue())[0][0]) == 0
 
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
 def test_edge_values_round_trip(fmt):
-    stream = RecordStream(mode=DetectionMode.SPLIT, n_trials=2 ** 64,
-                          trial_index=np.array([0, 0, 9, 10, 2 ** 64 - 1], np.uint64),
-                          detector_id=np.array([0, 2, 3, 0, 2], np.uint8),
-                          offset_ns=np.array([2 ** 32 - 1, 0, 10, 99, 2 ** 32 - 1], np.uint32))
-    buf = io.BytesIO()
-    write_records(stream, buf, fmt)
+    columns = (np.array([0, 0, 9, 10, 2 ** 64 - 1], np.uint64), np.array([0, 2, 3, 0, 2], np.uint8),
+               np.array([2 ** 32 - 1, 0, 10, 99, 2 ** 32 - 1], np.uint32))
+    data = write(columns, fmt, DetectionMode.SPLIT, n_trials=2 ** 64)
     if fmt == CSV:
-        assert buf.getvalue().decode().splitlines()[2:] == [
-            f"{t},{Detector(d).label},{o}" for t, d, o in stream]
-    back = read_records(io.BytesIO(buf.getvalue()))
-    assert back.n_trials == 2 ** 64
-    for column in ("trial_index", "detector_id", "offset_ns"):
-        assert np.array_equal(getattr(back, column), getattr(stream, column)), column
+        assert data.decode().splitlines()[2:] == [
+            f"{t},{Detector(d).label},{o}" for t, d, o in zip(*(c.tolist() for c in columns))]
+    back, n_trials, _ = read(data)
+    assert n_trials == 2 ** 64
+    assert_columns_equal(back, columns)
 
 
 def _outcome(read, data):
     try:
-        stream = read(data)
+        columns, n_trials, mode = read(data)
     except RecordFormatError as exc:
         return "error", str(exc), exc.offset
-    columns = (stream.trial_index, stream.detector_id, stream.offset_ns)
-    return "stream", [(c.dtype, c.tolist()) for c in columns], stream.n_trials, stream.mode
+    return "stream", [(c.dtype, c.tolist()) for c in columns], n_trials, mode
 
 
 # the alphabet of the differential test: digits, separators, labels, signs, whitespace,
@@ -249,8 +241,7 @@ def test_csv_reader_matches_line_by_line_reference(head, rows, noise):
         text = text[:at] + "".join(tokens) + text[at:]
     text = head + text
     data = text.encode()
-    assert (_outcome(lambda b: read_records(io.BytesIO(b)), data)
-            == _outcome(csv_reference.read_csv, data))
+    assert _outcome(read, data) == _outcome(csv_reference.read_csv, data)
 
 
 # blocks of 1 byte (a line or a record each) and of 7 bytes (reads that cut rows) for the
@@ -272,7 +263,7 @@ def test_block_size_changes_nothing(monkeypatch, block, rng):
 def _outcome_at(block, data):
     saved, records_io._BLOCK = records_io._BLOCK, block
     try:
-        return _outcome(lambda b: read_records(io.BytesIO(b)), data)
+        return _outcome(read, data)
     finally:
         records_io._BLOCK = saved
 
@@ -296,7 +287,7 @@ def test_parse_error_in_later_block_beats_earlier_mixed_record(monkeypatch):
     for block in (8, 1 << 18):
         monkeypatch.setattr(records_io, "_BLOCK", block)
         with pytest.raises(RecordFormatError) as exc:
-            read_records(io.BytesIO(data))
+            read(data)
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == f"bad CSV record 'x,D1,0' (byte offset {len(data) - 7})"
 
@@ -306,23 +297,20 @@ def test_parse_error_in_later_block_beats_earlier_mixed_record(monkeypatch):
 @pytest.mark.parametrize("mode", list(DetectionMode))
 def test_header_round_trip(fmt, mode, n_records, rng):
     # a session without clicks keeps its mode and trial count too
-    stream = make_stream(n_records, rng, mode)
-    stream.seed = 2 ** 100 + 3
-    buf = io.BytesIO()
-    write_records(stream, buf, fmt)
-    reader = RecordReader(io.BytesIO(buf.getvalue()))
-    assert (reader.version, reader.n_trials, reader.mode, reader.seed) == (2, 10 ** 6, mode, stream.seed)
-    back = read_records(io.BytesIO(buf.getvalue()), n_trials=10 ** 6)
-    assert (back.n_trials, back.mode, back.seed, len(back)) == (10 ** 6, mode, stream.seed, n_records)
+    seed = 2 ** 100 + 3
+    data = write(make_columns(n_records, rng, mode), fmt, mode, seed=seed)
+    reader = RecordReader(io.BytesIO(data))
+    assert (reader.version, reader.n_trials, reader.mode, reader.seed) == (2, 10 ** 6, mode, seed)
+    back = RecordReader(io.BytesIO(data), n_trials=10 ** 6)
+    n_read = len(joined(back)[0])
+    assert (back.n_trials, back.mode, back.seed, n_read) == (10 ** 6, mode, seed, n_records)
     with pytest.raises(ValueError, match="header says 1000000"):
-        read_records(io.BytesIO(buf.getvalue()), n_trials=10 ** 6 + 1)
+        read(data, n_trials=10 ** 6 + 1)
 
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
 def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
-    stream = make_stream(1000, rng)
-
-    columns = (stream.trial_index, stream.detector_id, stream.offset_ns)
+    columns = make_columns(1000, rng)
 
     def chunks():
         yield columns
@@ -330,17 +318,15 @@ def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
 
     buf = io.BytesIO()
     with pytest.raises(RuntimeError):
-        write_chunks(chunks(), buf, fmt, stream.n_trials, stream.mode, seed=4)
+        write_chunks(chunks(), buf, fmt, 10 ** 6, DetectionMode.SINGLE, seed=4)
     with pytest.raises(RecordFormatError):
-        read_records(io.BytesIO(buf.getvalue()))
+        read(buf.getvalue())
     halves = [tuple(column[part] for column in columns)
               for part in (slice(0, 400), slice(400, None))]
     buf = io.BytesIO()
-    assert write_chunks(halves, buf, fmt, stream.n_trials, stream.mode, seed=4) == (
+    assert write_chunks(halves, buf, fmt, 10 ** 6, DetectionMode.SINGLE, seed=4) == (
         1000, len(buf.getvalue()))
-    whole = io.BytesIO()
-    write_records(dataclasses.replace(stream, seed=4), whole, fmt)
-    assert buf.getvalue() == whole.getvalue()
+    assert buf.getvalue() == write(columns, fmt, seed=4)
 
 
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
