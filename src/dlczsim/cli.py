@@ -1,4 +1,5 @@
-"""Command-line pipeline: simulate record files, analyze them, sweep curves, fit datasets."""
+"""Command-line pipeline: simulate record files, analyze them, sweep curves, fit datasets.
+Each command imports the modules it runs when it runs, so that it compiles no other."""
 
 from __future__ import annotations
 
@@ -13,13 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlator import count_patterns, estimate_metrics, report_text, table_from_counts
-from .event_sim import sampler_workers, session_chunks
-from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv,
-                        fit, fit_result_text, predict_curves)
 from .params import (DetectionConfig, DetectionMode, ModelParams, SessionSpec,
                      TrialSchedule, params_from_text, parse_keyvalues, schedule_from_text)
-from .records_io import BINARY, CSV, RecordFormatError, RecordReader, write_chunks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,6 +80,8 @@ def _curves_csv(curves) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .event_sim import sampler_workers, session_chunks
+    from .records_io import BINARY, CSV, write_chunks
     started = time.monotonic()
     params, schedule = _load_params(args.params)
     mode = DetectionMode(args.mode)
@@ -116,6 +114,8 @@ def _manifest_trials(records: str) -> int | None:
 
 
 def cmd_analyze(args) -> int:
+    from .correlator import count_patterns, estimate_metrics, report_text, table_from_counts
+    from .records_io import RecordReader
     started = time.monotonic()
     if args.trials is not None and args.trials < 0:
         raise UsageError("--trials must be >= 0")
@@ -128,11 +128,15 @@ def cmd_analyze(args) -> int:
             if origin is None:
                 reader.n_trials = _manifest_trials(args.records)
                 origin = "inferred" if reader.n_trials is None else "manifest"
-            counts = count_patterns(_timed(read, reader))
+            blocks, kept = _timed(read, reader), []   # kept: a pipe's blocks, read only once
+            counts = count_patterns(blocks if source.seekable()
+                                    else (kept.append(b[:2]) or b for b in blocks))
             if counts is None:   # trial indices decrease somewhere: count the whole file, sorted
-                source.seek(0)
-                reader = RecordReader(source, reader.n_trials)
-                trial, det = (np.concatenate(c) for c in zip(*(b[:2] for b in _timed(read, reader))))
+                if source.seekable():   # read the file again; a pipe's rest follows what it kept
+                    source.seek(0)
+                    reader = RecordReader(source, reader.n_trials)
+                    blocks = _timed(read, reader)
+                trial, det = (np.concatenate(c) for c in zip(*(b[:2] for b in [*kept, *blocks])))
                 order = np.argsort(trial, kind="stable")
                 counts = count_patterns([(trial[order], det[order])])
             table = table_from_counts(reader.mode, counts, reader.n_trials)
@@ -158,6 +162,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .model_fit import predict_curves
     started = time.monotonic()
     params, _ = _load_params(args.params)
     if not 0.0 < args.chi_min < args.chi_max < 1.0:
@@ -175,6 +180,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv, fit,
+                            fit_result_text, predict_curves)
     started = time.monotonic()
     stages = []
     with _stage(stages, "read") as stage:
@@ -288,12 +295,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (RecordFormatError, IOError, OSError) as exc:   # RecordFormatError is a ValueError
+    except (IOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a malformed record file is an I/O error; only a command that loaded records_io has one
+        malformed = getattr(sys.modules.get(f"{__package__}.records_io"), "RecordFormatError", ())
+        return EXIT_IO if isinstance(exc, malformed) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,6 +53,8 @@ def count_patterns(blocks) -> np.ndarray | None:
             continue
         if trial[0] < last or np.any(trial[1:] < trial[:-1]):
             return None
+        if det.max() >= len(_CHANNEL_BIT) or det.min() < 0:
+            raise ValueError(f"unknown detector id {det[(det < 0) | (det >= len(_CHANNEL_BIT))][0]}")
         starts = np.concatenate(([0], np.flatnonzero(np.diff(trial)) + 1))
         codes = np.bitwise_or.reduceat(_CHANNEL_BIT[det], starts)
         if trial[0] == last:
@@ -72,9 +74,8 @@ def table_from_counts(mode: DetectionMode, counts: np.ndarray, n_trials: int) ->
     k = len(DETECTORS[mode])
     if np.any(counts[1 << k:]):
         raise ValueError(f"codes >= {1 << k} fed to a {mode.value}-mode count table")
-    patterns = counts[:1 << k].copy()
-    patterns[0] = n_trials - counts[1:].sum()
-    return CountTable(mode, tuple((patterns @ zeta(k)).tolist()))
+    patterns = [n_trials - int(counts[1:].sum()), *counts[1:1 << k].tolist()]   # Python ints
+    return CountTable(mode, tuple((np.array(patterns, object) @ zeta(k)).tolist()))
 
 
 def accumulate_clicks(table: CountTable, codes: np.ndarray) -> CountTable:
@@ -118,6 +119,8 @@ def _bootstrap_errors(counts: np.ndarray, mode: DetectionMode, eta2: float,
     k = len(DETECTORS[mode])
     order = _DRAW_ORDER[mode]
     n = counts[0]
+    if n >= 2 ** 63:
+        raise ValueError(f"the bootstrap draws at most 2**63 - 1 trials, not {n}")
     patterns = counts.astype(np.int64) @ mobius(k)
     if np.any(patterns < 0):
         raise ValueError("inconsistent count table")

@@ -53,7 +53,7 @@ def _sample_clicks(spec: SessionSpec, limits, start: int, count: int) -> np.ndar
     rows = np.flatnonzero(words[:, 0] >= cut)
     if len(rows) == 0:
         return codes
-    u0, u1, u3 = np.right_shift(words[rows[:, None], (0, 1, 3)], 11).T * 2.0 ** -53
+    u0, u1, u3 = np.right_shift(words.take(rows, 0)[:, (0, 1, 3)], 11).T * 2.0 ** -53
     del words   # a work unit's 1 MiB, freed before the pair arithmetic
     n = np.floor(np.log1p(-u0) / np.log(p.chi)).astype(np.int64)
 

@@ -152,8 +152,12 @@ class TrialSchedule:
                              f"{1e3 / self.mot_rate_hz} ms")
         if self.trials_per_window * self.trial_period_ns > self.window_ms * 1e6:
             raise ValueError("trial burst does not fit in the window")
-        if not 0 <= self.write_offset_ns + self.read_delay_ns < self.trial_period_ns:
+        read_offset = self.write_offset_ns + self.read_delay_ns
+        if not 0 <= read_offset < self.trial_period_ns:
             raise ValueError("read delay falls outside the trial period")
+        if not (0 <= self.write_offset_ns < 2 ** 32 and read_offset < 2 ** 32):   # uint32 fields
+            raise ValueError("record offsets write_offset_ns and write_offset_ns + read_delay_ns "
+                             "must lie in [0, 2**32)")
 
     @property
     def trials_per_second(self) -> float:

@@ -20,6 +20,8 @@ _MODES = (DetectionMode.SINGLE, DetectionMode.SPLIT)   # by PDR2 mode byte
 _RECORD_DTYPE = np.dtype([("trial_index", "<u8"), ("detector_id", "u1"), ("offset_ns", "<u4")])
 assert _RECORD_DTYPE.itemsize == 13
 _BLOCK = 1 << 18            # bytes per read block
+# by mode and detector id (a byte): whether it is a field-2 detector of that mode
+_FIELD2 = np.array([np.isin(np.arange(256), DETECTORS[m][1:]) for m in _MODES])
 
 BINARY = "bin"
 CSV = "csv"
@@ -78,12 +80,13 @@ def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
 
 def _decimal(values: np.ndarray) -> np.ndarray:
     """ASCII decimal digits of non-negative integers, right-aligned and NUL-padded, a row each."""
-    v = np.array(values, np.uint64)
+    v = np.asarray(values, np.uint64)
     out = np.zeros((len(str(int(v.max(initial=0)))), len(v)), np.uint8)   # a row per place
     for j in range(len(out) - 1, -1, -1):   # the units digit, then zeros only inside
-        digit = (v % 10).astype(np.uint8) + np.uint8(ord("0"))
+        q = v // 10   # the digit v - 10 q, in uint8 arithmetic, which wraps mod 256
+        digit = v.astype(np.uint8) - q.astype(np.uint8) * np.uint8(10) + np.uint8(ord("0"))
         out[j] = digit * ((v > 0) | (j == len(out) - 1))
-        v //= 10
+        v = q
     return out.T
 
 
@@ -185,7 +188,7 @@ class RecordReader:
 
     def _check(self, trial, det, offset_of) -> None:
         """Note a block's first unknown id, record of the other mode and trial >= n_trials."""
-        single, split = (np.isin(det, DETECTORS[m][1:]) for m in _MODES)   # field-2 detectors
+        single, split = _FIELD2.take(det, 1)
         other = ((split & (self._single | np.logical_or.accumulate(single)))
                  | (single & (self._split | np.logical_or.accumulate(split))))
         self._single, self._split = self._single or bool(single.any()), self._split or bool(split.any())

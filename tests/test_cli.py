@@ -11,7 +11,7 @@ import pytest
 from dlczsim import (CountTable, DetectionConfig, DetectionMode, ModelParams, SessionSpec,
                      accumulate_clicks, click_statistics, estimate_metrics, full_metrics,
                      simulate_clicks)
-from dlczsim import cli, records_io
+from dlczsim import records_io
 from dlczsim.cli import main
 from dlczsim.correlator import report_text
 from dlczsim.params import params_to_text, parse_keyvalues
@@ -90,6 +90,20 @@ class TestSimulate:
         rc = main(["simulate", "--params", str(pf), "--out", str(tmp_path / "x.pdr")])
         assert rc == 1
         assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "write_offset_ns = -100\nread_delay_ns = 300\n",
+        "mot_rate_hz = 0.05\nwindow_ms = 20000\ntrials_per_window = 1\n"
+        "trial_period_ns = 17179869184\nread_delay_ns = 8589934592\n"],
+        ids=["negative-write-offset", "read-offset-2**33"])
+    def test_schedule_offsets_outside_uint32_rejected(self, tmp_path, capsys, text):
+        pf = tmp_path / "bad.txt"
+        pf.write_text("chi = 0.1\n" + text)
+        out = tmp_path / "x.pdr"
+        assert main(["simulate", "--params", str(pf), "--trials", "10", "--out", str(out)]) == 1
+        assert "write_offset_ns" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_matches_analytic(self, tmp_path, params_file):
@@ -219,9 +233,9 @@ def version_1(path: Path, out: Path) -> None:
 
 def count_reader_passes(monkeypatch) -> list:
     """The names of the files that `analyze` opens a `RecordReader` on, a name per pass."""
-    passes = []
-    monkeypatch.setattr(cli, "RecordReader", lambda source, *a: passes.append(source.name)
-                        or records_io.RecordReader(source, *a))
+    passes, reader = [], records_io.RecordReader
+    monkeypatch.setattr(records_io, "RecordReader", lambda source, *a: passes.append(source.name)
+                        or reader(source, *a))
     return passes
 
 
@@ -284,6 +298,43 @@ class TestTrialCount:
         assert main(["simulate", "--params", params_file, "--trials", "100",
                      "--out", str(records)]) == 0
         assert main(["analyze", str(records), "--trials", trials]) == 1
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_trial_counts_beyond_int64(self, tmp_path, capsys, params_file, fmt):
+        # a version-2 header of 2**64 trials, and --trials 10**19 on the version-1 file
+        records = tmp_path / f"r.{fmt}"
+        assert main(["simulate", "--params", params_file, "--trials", "1000", "--seed", "3",
+                     "--format", fmt, "--out", str(records)]) == 0
+        with open(records, "rb") as source:
+            reader = records_io.RecordReader(source)
+            columns = joined(reader)
+        huge = tmp_path / f"huge.{fmt}"
+        with open(huge, "wb") as sink:
+            records_io.write_chunks([columns], sink, fmt, 2 ** 64, reader.mode, reader.seed)
+        old = tmp_path / f"old.{fmt}"
+        version_1(records, old)
+        for path, args, n_trials in ((huge, [], 2 ** 64),
+                                     (old, ["--trials", str(10 ** 19)], 10 ** 19)):
+            kv, manifest = analyze_manifest(tmp_path, path, *args)
+            assert kv["n_trials"] == str(n_trials) and manifest["n_trials"] == n_trials
+            capsys.readouterr()
+            assert main(["analyze", str(path), *args, "--error-method", "bootstrap"]) == 1
+            assert capsys.readouterr().err.startswith("error: the bootstrap draws at most")
+
+    def test_unsorted_csv_on_a_pipe(self, tmp_path, params_file):
+        import dlczsim
+        records = tmp_path / "r.csv"
+        assert main(["simulate", "--params", params_file, "--trials", "20000", "--seed", "5",
+                     "--mode", "split", "--format", "csv", "--out", str(records)]) == 0
+        expected = analyze_manifest(tmp_path, records)[0]
+        _, columns, *rows = records.read_bytes().splitlines(keepends=True)
+        reversed_v1 = columns + b"".join(rows[::-1])
+        src = str(Path(dlczsim.__file__).resolve().parents[1])
+        out = tmp_path / "piped.txt"
+        subprocess.run([sys.executable, "-m", "dlczsim.cli", "analyze", "/dev/stdin", "--trials",
+                        "20000", "--out", str(out)], input=reversed_v1, capture_output=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        assert read_report(out) == expected
 
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_count_table_does_not_depend_on_block_size(self, tmp_path, monkeypatch, fmt):
@@ -545,11 +596,12 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules loaded after running `code` in a fresh interpreter."""
+def modules_after(code: str, package: str) -> list[str]:
+    """The modules of `package` loaded after running `code` in a fresh interpreter."""
     import dlczsim
     src = str(Path(dlczsim.__file__).resolve().parents[1])
-    code += "; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    code += (f"; print(json.dumps(sorted(m for m in sys.modules"
+             f" if m.split('.')[0] == {package!r})))")
     out = subprocess.run([sys.executable, "-c", "import json, sys; " + code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
@@ -563,13 +615,51 @@ def scipy_modules_after(code: str) -> list[str]:
                  id="brute_force_statistics")])
 def test_import_leaves_scipy_unloaded(code):
     # the package needs numpy alone, oracle included
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_fit_loads_no_scipy(tmp_path):
     # the starts are a numpy Latin hypercube and the solver is numpy's
     f, _ = TestFitCmd()._dataset_csv(tmp_path)
     out = tmp_path / "fit.txt"
-    loaded = scipy_modules_after("from dlczsim.cli import main; main(['fit', "
-                                 f"{str(f)!r}, '--starts', '1', '--out', {str(out)!r}])")
+    loaded = modules_after("from dlczsim.cli import main; main(['fit', "
+                           f"{str(f)!r}, '--starts', '1', '--out', {str(out)!r}])", "scipy")
     assert loaded == []
+
+
+def test_public_names_load_on_first_use():
+    import dlczsim
+    assert modules_after("import dlczsim", "dlczsim") == ["dlczsim"]
+    assert modules_after("from dlczsim import CountTable", "dlczsim") == [
+        "dlczsim", "dlczsim.correlator", "dlczsim.params", "dlczsim.photon_model"]
+    star = {}
+    exec("from dlczsim import *", star)
+    assert set(star) - {"__builtins__"} == set(dlczsim.__all__) <= set(dir(dlczsim))
+    for name in dlczsim.__all__:
+        value = getattr(dlczsim, name)
+        assert value is star[name] is getattr(sys.modules[value.__module__], name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dlczsim.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dlczsim import no_such_name", {})
+
+
+COMMON = ["dlczsim", "dlczsim.cli", "dlczsim.params"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("simulate", ["dlczsim.event_sim", "dlczsim.records_io"]),
+    ("analyze", ["dlczsim.correlator", "dlczsim.photon_model", "dlczsim.records_io"]),
+    ("sweep", ["dlczsim.model_fit", "dlczsim.photon_model"]),
+    ("fit", ["dlczsim.model_fit", "dlczsim.photon_model"])])
+def test_command_loads_only_its_modules(tmp_path, params_file, command, loaded):
+    records, out = tmp_path / "records.csv", str(tmp_path / "out.txt")
+    assert main(["simulate", "--params", params_file, "--trials", "1000", "--format", "csv",
+                 "--out", str(records)]) == 0
+    argv = {"simulate": ["simulate", "--params", params_file, "--trials", "1000", "--out", out],
+            "analyze": ["analyze", str(records), "--out", out],
+            "sweep": ["sweep", "--params", params_file, "--points", "2", "--out", out],
+            "fit": ["fit", str(TestFitCmd()._dataset_csv(tmp_path)[0]), "--starts", "1",
+                    "--out", out]}[command]
+    code = f"from dlczsim.cli import main; assert main({argv!r}) == 0"
+    assert modules_after(code, "dlczsim") == sorted(COMMON + loaded)

@@ -55,6 +55,10 @@ class TestAccumulate:
             accumulate_clicks(CountTable(mode=DetectionMode.SPLIT),
                               np.array([0b001, 0b1000, 0b111], np.uint8))
 
+    def test_unknown_detector_id_named(self):
+        with pytest.raises(ValueError, match="unknown detector id 9"):
+            count_patterns([(np.array([1, 2, 3], np.uint64), np.array([0, 9, 1], np.uint8))])
+
     def test_subset_outside_the_mode_rejected(self):
         with pytest.raises(AttributeError, match="n2a"):
             CountTable(mode=DetectionMode.SINGLE, n2a=5)

@@ -34,6 +34,18 @@ def test_window_must_fit_in_the_mot_cycle():
     assert schedule_from_text("mot_rate_hz = 40\nwindow_ms = 25\n").window_ms == 25
 
 
+@pytest.mark.parametrize("text", [
+    "write_offset_ns = -100\nread_delay_ns = 300\n",
+    "write_offset_ns = 4294967296\nread_delay_ns = -4294967000\n",
+    "mot_rate_hz = 0.05\nwindow_ms = 20000\ntrials_per_window = 1\n"
+    "trial_period_ns = 17179869184\nread_delay_ns = 4294967296\n"],
+    ids=["negative-write-offset", "write-offset-2**32", "read-offset-2**32"])
+def test_record_offsets_must_fit_uint32(text):
+    with pytest.raises(ValueError, match="write_offset_ns"):
+        schedule_from_text(text)
+    schedule_from_text(text.replace("4294967296", "4294967295").replace("-100", "0"))
+
+
 @pytest.mark.parametrize("mode", list(DetectionMode))
 def test_channels_follow_the_detector_table(mode):
     p = ModelParams(bg1_incoherent=1e-3, bg2_incoherent=1e-3)
