@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -305,5 +306,17 @@ def main(argv=None) -> int:
         return EXIT_IO if isinstance(exc, malformed) else EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry: `main`, then the standard streams flushed and the process ended
+    without the interpreter's teardown.  Every file a command writes is closed by then."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:   # the interpreter reports it at exit, as it would without `run`
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -188,18 +188,24 @@ class RecordReader:
 
     def _check(self, trial, det, offset_of) -> None:
         """Note a block's first unknown id, record of the other mode and trial >= n_trials."""
-        single, split = _FIELD2.take(det, 1)
-        other = ((split & (self._single | np.logical_or.accumulate(single)))
-                 | (single & (self._split | np.logical_or.accumulate(split))))
-        self._single, self._split = self._single or bool(single.any()), self._split or bool(split.any())
+        single, split = (_first(mask) for mask in _FIELD2.take(det, 1))
+        # a mode that an earlier block had is first at -1; once both modes have a record, the later
+        # first one is the first record of the other mode (a block that had both has noted it)
+        other = max(-1 if self._single else single, -1 if self._split else split)
+        self._single, self._split = self._single or single < len(det), self._split or split < len(det)
         mixed = (f"record of the other mode in a {self.mode.value}-mode file" if self.version == 2
                  else "stream mixes D2 with D2a/D2b records")
         ends = np.inf if self.n_trials is None else self.n_trials
-        for kind, bad, message in ((3, det > max(Detector), "unknown detector id"), (4, other, mixed),
-                                   (5, trial >= ends, f"trial index >= n_trials = {ends}")):
-            if kind not in self._errors and bad.any():
-                self._errors[kind] = RecordFormatError(message, offset_of(int(np.argmax(bad))))
+        for kind, at, message in ((3, _first(det > max(Detector)), "unknown detector id"), (4, other, mixed),
+                                  (5, _first(trial >= ends), f"trial index >= n_trials = {ends}")):
+            if kind not in self._errors and at < len(det):
+                self._errors[kind] = RecordFormatError(message, offset_of(at))
         self._end = max(self._end, int(trial.max()) + 1 if len(trial) else 0)
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True of a boolean array, or its length if it has none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
 def _utf8(data: bytes, at: int) -> str:

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from dlczsim import (CountTable, DetectionConfig, DetectionMode, ModelParams, SessionSpec,
-                     accumulate_clicks, click_statistics, estimate_metrics, full_metrics,
-                     simulate_clicks)
+                     TrialSchedule, accumulate_clicks, click_statistics, estimate_metrics,
+                     full_metrics, simulate_clicks)
 from dlczsim import records_io
 from dlczsim.cli import main
 from dlczsim.correlator import report_text
@@ -663,3 +668,204 @@ def test_command_loads_only_its_modules(tmp_path, params_file, command, loaded):
                     "--out", out]}[command]
     code = f"from dlczsim.cli import main; assert main({argv!r}) == 0"
     assert modules_after(code, "dlczsim") == sorted(COMMON + loaded)
+
+
+# Inputs at the edges of what each command reads, run through `main` in process: integers
+# at the int64, uint64 and uint32 limits, non-finite and huge floats, empty cells and bytes
+# that are not UTF-8.  Every outcome is an exit code with one `error:` line, never an
+# exception.  Trial, point and start counts stay small, so that no example runs long.
+EDGE = [b"-1", b"0", b"2", b"0.5", b"4294967296", b"9223372036854775808",
+        b"18446744073709551616", str(2 ** 128).encode(), b"nan", b"inf", b"1e308", b"", b"\xff\xfe"]
+edge = st.sampled_from(EDGE)
+edge_arg = st.sampled_from([v.decode(errors="surrogateescape") for v in EDGE])   # as in argv
+
+
+def count_arg(most):
+    """A count argument whose work grows with it: at most `most`, or not an integer."""
+    return st.integers(-1, most).map(str) | st.sampled_from(["nan", "0.5", ""])
+
+
+def key_values(keys):
+    """A key-value file of edge values under the given keys, a key possibly repeated."""
+    return st.lists(st.tuples(st.sampled_from(keys), edge), max_size=4).map(
+        lambda kv: b"".join(k.encode() + b" = " + v + b"\n" for k, v in kv))
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """The valid dataset of `TestFitCmd`."""
+    return TestFitCmd()._dataset_csv(tmp_path_factory.mktemp("dataset"))[0].read_bytes()
+
+
+def dataset_text(dataset, edits):
+    """A dataset with (row, column, edge value) cells replaced."""
+    lines = [line.split(b",") for line in dataset.splitlines()]
+    for row, column, value in edits:
+        lines[row % len(lines)][column % len(lines[0])] = value
+    return b"\n".join(b",".join(line) for line in lines) + b"\n"
+
+
+def record_file(v2, mode, n_trials, seed, rows, cut):
+    """A CSV record file (v2 header or v1) of edge-valued rows, cut to `cut` bytes."""
+    head = b"# dlczsim records v2 n_trials=%s mode=%s seed=%s\n" % (n_trials, mode, seed)
+    head = head if v2 else b""
+    body = b"".join(b"%s,%s,%s\n" % row for row in rows)
+    return (head + b"trial_index,detector,offset_ns\n" + body)[:cut]
+
+
+def pdr2_file(n_trials, mode, records, cut):
+    """PDR2 bytes of (trial, detector id, offset) records under a header of `n_trials` and
+    mode byte `mode`, cut to `cut` bytes."""
+    sink = io.BytesIO()
+    columns = [np.array(c, dtype) for c, dtype in
+               zip(zip(*records) if records else ((), (), ()), (np.uint64, np.uint8, np.uint32))]
+    records_io.write_chunks([columns], sink, records_io.BINARY, n_trials,
+                            [DetectionMode.SINGLE, DetectionMode.SPLIT][mode], 7)
+    return sink.getvalue()[:cut]
+
+
+cut = st.one_of(st.none(), st.integers(0, 120))
+records_bytes = st.one_of(
+    st.builds(record_file, st.booleans(), st.sampled_from([b"single", b"split"]), edge, edge,
+              st.lists(st.tuples(edge, st.sampled_from([b"D1", b"D2", b"D2a", b"D2b", b"D9", b""]),
+                                 edge), max_size=5), cut),
+    st.builds(pdr2_file, st.sampled_from([0, 2, 2 ** 32, 2 ** 63, 2 ** 64, 2 ** 128 - 1]),
+              st.integers(0, 1),
+              st.lists(st.tuples(st.sampled_from([0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]),
+                                 st.integers(0, 5), st.sampled_from([0, 300, 2 ** 32 - 1])),
+                       max_size=5), cut))
+PARAM_KEYS = [*ModelParams.__dataclass_fields__, *TrialSchedule.__dataclass_fields__, "bogus"]
+BOUND_KEYS = [f"{name}_{end}" for name in ("bg1_coherent", "retrieval_eff", "chi")
+              for end in ("min", "max")]
+
+
+def run_edge_case(files: dict, argv: list[str]):
+    """Write the files into a fresh directory and run `main`: it returns 0, 1 or 2, and
+    writes one `error:` line to stderr exactly when it returns 1 or 2."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in files.items():
+            Path(work, name).write_bytes(data)
+        argv = [str(Path(work, a)) if a in files else a for a in argv]
+        argv += ["--out", str(Path(work, "out"))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (code != 0), (argv, err.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@example(params=b"write_offset_ns = -100\nread_delay_ns = 300\n", trials="10", seed="0",
+         mode="single", fmt="bin")
+@given(params=key_values(PARAM_KEYS), trials=count_arg(3000),
+       seed=edge_arg, mode=st.sampled_from(["single", "split"]),
+       fmt=st.sampled_from(["bin", "csv"]))
+def test_simulate_edge_inputs(params, trials, seed, mode, fmt):
+    run_edge_case({"params.txt": params}, ["simulate", "--params", "params.txt", "--trials",
+                                           trials, "--seed", seed, "--mode", mode, "--format", fmt])
+
+
+@settings(max_examples=200, deadline=None)
+@example(records=record_file(False, b"", b"", b"", [(b"0", b"D2a", b"0")], None),
+         flags=[("--trials", "10000000000000000000")], method="delta")
+@example(records=pdr2_file(2 ** 64, 1, [(0, 2, 0)], None), flags=[], method="bootstrap")
+@given(records=records_bytes, flags=st.lists(st.tuples(
+           st.sampled_from(["--trials", "--eta2", "--seed"]), edge_arg), max_size=3),
+       method=st.sampled_from(["delta", "bootstrap"]))
+def test_analyze_edge_inputs(records, flags, method):
+    run_edge_case({"records": records}, ["analyze", "records", "--error-method", method,
+                                         *(a for flag in flags for a in flag)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=key_values(PARAM_KEYS), chi_min=edge_arg | st.just("1e-3"),
+       chi_max=edge_arg | st.just("0.3"), points=count_arg(200))
+def test_sweep_edge_inputs(params, chi_min, chi_max, points):
+    run_edge_case({"params.txt": params}, ["sweep", "--params", "params.txt", "--chi-min",
+                                           chi_min, "--chi-max", chi_max, "--points", points])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
+       params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),
+       starts=count_arg(2), seed=edge_arg)
+def test_fit_edge_inputs(dataset, edits, params, bounds, starts, seed):
+    files = {"dataset.csv": dataset_text(dataset, edits)}
+    argv = ["fit", "dataset.csv", "--starts", starts, "--seed", seed]
+    for name, flag, data in (("params.txt", "--params", params), ("bounds.txt", "--bounds", bounds)):
+        if data is not None:
+            files[name] = data
+            argv += [flag, name]
+    run_edge_case(files, argv)
+
+
+def cli_process(argv, cwd, buffered=True, **kwargs):
+    """Run `python -m dlczsim.cli` in a fresh interpreter.  Buffered, its stdout is a pipe's
+    default block buffer, so what `main` leaves there reaches the pipe only when flushed."""
+    import dlczsim
+    env = {**os.environ, "PYTHONPATH": str(Path(dlczsim.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "dlczsim.cli", *argv], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+def test_process_writes_its_report_to_stdout(tmp_path, params_file):
+    assert main(["simulate", "--params", params_file, "--trials", "20000", "--out",
+                 str(tmp_path / "r.pdr")]) == 0
+    done = cli_process(["analyze", "r.pdr", "--out", "report.txt"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (tmp_path / "report.txt").read_bytes() != b""
+
+
+@pytest.mark.parametrize("argv, code, stdout, error", [
+    (["--version"], 0, b"0.2.0\n", None),
+    (["frobnicate"], 1, b"", b"dlczsim: error: argument command: invalid choice"),
+    (["fit", "missing.csv", "--out", "x"], 2, b"", b"error: cannot read dataset missing.csv"),
+], ids=["version", "usage-error", "io-error"])
+def test_process_exit_status_and_streams(tmp_path, argv, code, stdout, error):
+    done = cli_process(argv, tmp_path)
+    assert (done.returncode, done.stdout) == (code, stdout)
+    errors = [line for line in done.stderr.splitlines() if b"error:" in line]
+    assert len(errors) == (error is not None)
+    assert error is None or errors[0].startswith(error)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_process_stdout_pipe_closed(tmp_path, params_file, command, buffered):
+    # unbuffered, the write fails inside the command (an I/O error); buffered, the flush at
+    # exit fails, and the interpreter reports it with its own exit status, 120
+    assert main(["simulate", "--params", params_file, "--trials", "1000", "--out",
+                 str(tmp_path / "r.pdr")]) == 0
+    argv = {"simulate": ["simulate", "--params", params_file, "--trials", "1000", "--out", "s.pdr"],
+            "analyze": ["analyze", "r.pdr"]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = cli_process(argv, tmp_path, buffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    if buffered:
+        assert done.returncode == 120
+        assert done.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert done.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    else:
+        assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_simulate_error_shuts_the_sampler_pool(tmp_path, params_file, monkeypatch, capsys):
+    # the output fails mid-session with sampling threads at work; they are joined before
+    # `main` returns, on this path as on success
+    import threading
+    from dlczsim import event_sim
+    monkeypatch.setattr(event_sim, "sampler_workers", lambda n_trials: 2)
+    threads = threading.active_count()
+    assert main(["simulate", "--params", params_file, "--trials", "200000", "--mode", "split",
+                 "--out", "/dev/full"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert threading.active_count() == threads

@@ -292,6 +292,46 @@ def test_parse_error_in_later_block_beats_earlier_mixed_record(monkeypatch):
     assert errors[0] == errors[1] == f"bad CSV record 'x,D1,0' (byte offset {len(data) - 7})"
 
 
+# The first record of the other mode, by its index: a version 1 file takes the mode of its
+# first field-2 record, a version 2 file its header's.  Blocks of 52 bytes hold 4 binary
+# records, so the pair of case "both-in-a-later-block" shares the 8th block.
+OTHER_MODE = [   # detector ids; the index reported in v1, v2 single-mode and v2 split-mode files
+    ([1, 0, 2, 0], 2, 2, 0),
+    ([0, 0, 1, 2, 1], 3, 3, 2),
+    ([0, 0, 2, 1, 2], 3, 2, 3),
+    ([0] * 28 + [1, 2], 29, 29, 28),
+    ([0] * 28 + [3, 1], 29, 28, 29),
+    ([1] * 20 + [0] * 10 + [3], 30, 30, 0),
+    ([2] * 20 + [1], 20, 0, 20),
+]
+
+
+@pytest.mark.parametrize("block", [1 << 18, 52])
+@pytest.mark.parametrize("fmt", [BINARY, CSV])
+@pytest.mark.parametrize("ids, v1, single, split", OTHER_MODE, ids=[
+    "in-first-block", "both-first-d2", "both-first-d2a", "both-in-a-later-block-d2",
+    "both-in-a-later-block-d2b", "after-a-block-boundary", "after-a-block-boundary-split"])
+def test_first_record_of_the_other_mode(monkeypatch, block, fmt, ids, v1, single, split):
+    monkeypatch.setattr(records_io, "_BLOCK", block)
+    columns = (np.arange(len(ids), dtype=np.uint64), np.array(ids, np.uint8),
+               np.zeros(len(ids), np.uint32))
+    for mode, at in ((None, v1), (DetectionMode.SINGLE, single), (DetectionMode.SPLIT, split)):
+        data = write(columns, fmt, mode or DetectionMode.SINGLE, n_trials=len(ids))
+        if mode is None and fmt == BINARY:   # the same records under a PDR1 header
+            data = _binary(list(zip(*(c.tolist() for c in columns))))
+        elif mode is None:
+            data = data[data.index(b"\n") + 1:]
+        if fmt == BINARY:
+            offset = len(data) - 13 * (len(ids) - at)
+        else:
+            offset = sum(map(len, data.splitlines(keepends=True)[:(2 if mode else 1) + at]))
+        message = (f"record of the other mode in a {mode.value}-mode file" if mode
+                   else "stream mixes D2 with D2a/D2b records")
+        with pytest.raises(RecordFormatError) as exc:
+            read(data)
+        assert str(exc.value) == f"{message} (byte offset {offset})", mode
+
+
 @pytest.mark.parametrize("n_records", [0, 100])
 @pytest.mark.parametrize("fmt", [BINARY, CSV])
 @pytest.mark.parametrize("mode", list(DetectionMode))
