@@ -23,19 +23,20 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 
 
-class UsageError(Exception):
-    pass
+def _parsed(path: str, what: str, parse):
+    """`parse` of a text file's contents.  An unreadable file is an OSError (exit 2), and a
+    malformed one, not UTF-8 included, a ValueError (exit 1); each message names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"invalid {what} {path}: {exc}") from exc
 
 
 def _load_params(path: str) -> tuple[ModelParams, TrialSchedule]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IOError(f"cannot read params file {path}: {exc}") from exc
-    try:
-        return params_from_text(text), schedule_from_text(text)
-    except ValueError as exc:
-        raise UsageError(f"invalid params file {path}: {exc}") from exc
+    return _parsed(path, "params file", lambda text: (params_from_text(text),
+                                                      schedule_from_text(text)))
 
 
 @contextmanager
@@ -119,7 +120,7 @@ def cmd_analyze(args) -> int:
     from .records_io import RecordReader
     started = time.monotonic()
     if args.trials is not None and args.trials < 0:
-        raise UsageError("--trials must be >= 0")
+        raise ValueError("--trials must be >= 0")
     read = {"name": "read", "s": 0.0, "items": 0}   # timed within accumulate
     stages = [read]
     try:
@@ -143,8 +144,8 @@ def cmd_analyze(args) -> int:
             table = table_from_counts(reader.mode, counts, reader.n_trials)
             count["items"] = read["items"] = reader.records
         count["s"] -= read["s"]
-    except OSError as exc:
-        raise IOError(f"cannot read {args.records}: {exc}") from exc
+    except OSError as exc:   # a malformed record file included
+        raise OSError(f"cannot read {args.records}: {exc}") from exc
     with _stage(stages, "estimate") as stage:
         metrics = estimate_metrics(table, eta2=args.eta2, method=args.error_method,
                                    seed=args.seed)
@@ -167,9 +168,9 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     params, _ = _load_params(args.params)
     if not 0.0 < args.chi_min < args.chi_max < 1.0:
-        raise UsageError("need 0 < chi-min < chi-max < 1")
+        raise ValueError("need 0 < chi-min < chi-max < 1")
     if args.points < 1:
-        raise UsageError("points must be >= 1")
+        raise ValueError("points must be >= 1")
     curves = predict_curves(params, np.geomspace(args.chi_min, args.chi_max, args.points))
     Path(args.out).write_text(_curves_csv(curves))
     _write_manifest(args.out, "sweep",
@@ -186,30 +187,20 @@ def cmd_fit(args) -> int:
     started = time.monotonic()
     stages = []
     with _stage(stages, "read") as stage:
-        try:
-            text = Path(args.dataset).read_text()
-        except OSError as exc:
-            raise IOError(f"cannot read dataset {args.dataset}: {exc}") from exc
-        try:
-            dataset = dataset_from_csv(text)
-        except ValueError as exc:
-            raise UsageError(f"invalid dataset: {exc}") from exc
+        dataset = _parsed(args.dataset, "dataset", dataset_from_csv)
         stage["items"] = len(dataset)
 
-    bounds = None
-    if args.bounds:
-        try:
-            kv = parse_keyvalues(Path(args.bounds).read_text())
-        except OSError as exc:
-            raise IOError(f"cannot read bounds file {args.bounds}: {exc}") from exc
+    def parse_bounds(text: str) -> dict[str, tuple[float, float]]:
         bounds = {}
-        for key, value in kv.items():
+        for key, value in parse_keyvalues(text).items():
             name, _, which = key.rpartition("_")
             if which not in ("min", "max") or name not in DEFAULT_BOUNDS:
-                raise UsageError(f"bad bounds key {key!r} (expect <param>_min / <param>_max)")
+                raise ValueError(f"bad key {key!r} (expect <param>_min / <param>_max)")
             lo, hi = bounds.get(name, DEFAULT_BOUNDS[name])
             bounds[name] = (float(value), hi) if which == "min" else (lo, float(value))
+        return bounds
 
+    bounds = _parsed(args.bounds, "bounds file", parse_bounds) if args.bounds else None
     base = _load_params(args.params)[0] if args.params else ModelParams()
     with _stage(stages, "fit") as stage:
         result = fit(dataset, base=base, bounds=bounds, seed=args.seed,
@@ -296,14 +287,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (IOError, OSError) as exc:
+    except OSError as exc:   # I/O, a malformed record file included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a malformed record file is an I/O error; only a command that loaded records_io has one
-        malformed = getattr(sys.modules.get(f"{__package__}.records_io"), "RecordFormatError", ())
-        return EXIT_IO if isinstance(exc, malformed) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 def run() -> None:

@@ -196,12 +196,13 @@ class _Problem:
                             dtype=float).reshape(-1, len(names)) for suffix in ("", "_se"))
         self.p1 = np.array([pt.p1 for pt in pts], dtype=float)
         self.flagged = np.array([ALT_BG_FLAG in pt.flags for pt in pts], dtype=bool)
-        self.use = np.isfinite(obs) & np.isfinite(se) & (se > 0)
         self.log = np.array([in_log for _, in_log in _OBSERVABLES])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # residual = (pred, or log pred in log space, - ref) / scale
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
+        # an observable without an SE > 0, or whose scale over- or underflows, weighs nothing
+        self.use = np.isfinite(obs) & (se > 0) & np.isfinite(self.scale) & (self.scale != 0)
         self.base, self.free_names = base, tuple(free_names)
         self._chi_of = {}   # each start's free values at the last inversion -> its chi
 
@@ -429,6 +430,12 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
         if not (in_domain and math.isfinite(b_lo) and math.isfinite(b_hi) and b_lo < b_hi):
             raise ValueError(f"bounds of {name} must be finite with lo < hi, and lo > 0 for a "
                              f"log-scaled parameter or in [0, 1]; got ({b_lo}, {b_hi})")
+    for i in (1, 2):   # the largest background means, finite as ModelParams requires
+        top = [bounds[n][1] if n in free_names else getattr(base, n, 0.0)
+               for n in (f"bg{i}_coherent", f"bg{i}_incoherent", f"bg{i}_incoherent_alt")]
+        if not math.isfinite(top[0] / base.chi_ref + max(top[1:])):
+            raise ValueError(f"upper bounds of bg{i}_coherent / chi_ref + bg{i}_incoherent must "
+                             f"be finite; got {top[0]} / {base.chi_ref} + {max(top[1:])}")
     lo = _to_internal(free_names, [bounds[n][0] for n in free_names])
     hi = _to_internal(free_names, [bounds[n][1] for n in free_names])
 

@@ -64,12 +64,13 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.chi < 1.0:
             raise ValueError(f"chi must be in [0, 1), got {self.chi}")
-        if not 0.0 < self.chi_ref < 1.0:
-            raise ValueError(f"chi_ref must be in (0, 1), got {self.chi_ref}")
-        for name in ("bg1_coherent", "bg2_coherent", "bg1_incoherent", "bg2_incoherent"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (0.0 < self.chi_ref < 1.0 and math.isfinite(1.0 / self.chi_ref)):
+            raise ValueError(f"chi_ref must be in (0, 1), 1 / chi_ref finite; got {self.chi_ref}")
+        for i in (1, 2):   # coherent / chi_ref + incoherent bounds field i's mean as chi -> 1
+            coh, inc = getattr(self, f"bg{i}_coherent"), getattr(self, f"bg{i}_incoherent")
+            if not (coh >= 0.0 and inc >= 0.0 and math.isfinite(coh / self.chi_ref + inc)):
+                raise ValueError(f"bg{i}_coherent = {coh} and bg{i}_incoherent = {inc} must be "
+                                 f">= 0, with bg{i}_coherent / chi_ref + bg{i}_incoherent finite")
         for name in ("retrieval_eff", "eta1", "eta2_path", "eta_apd", "bs_transmission", "bs_ratio"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -63,8 +63,9 @@ def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[
     out = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(
         complex if np.iscomplexobj(values) else float)
     vals = dict(zip(names, np.moveaxis(out, -1, 0)))
-    if "pc" in vals:
-        vals["qc"] = vals["pc"] / eta2
+    if "pc" in vals:   # qc, like any metric, is NaN where its denominator, eta2, is 0
+        known = np.not_equal(eta2, 0)
+        vals["qc"] = np.where(known, vals["pc"] / np.where(known, eta2, 1), UNDEFINED)
     return vals
 
 

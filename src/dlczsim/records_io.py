@@ -34,8 +34,8 @@ _LABEL_FIELDS = np.array([list(f",{d.label},".encode().rjust(5, b"\0")) for d in
 _LABEL_KEYS = np.array([int.from_bytes(f",{d.label}".encode()[-3:], "big") for d in Detector])
 
 
-class RecordFormatError(ValueError):
-    """Malformed record file; `offset` is the byte position of the problem."""
+class RecordFormatError(ValueError, OSError):
+    """Malformed record file, an OSError like a failed read; `offset` is its byte position."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")

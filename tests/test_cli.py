@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,9 @@ from conftest import joined
 PARAMS_TEXT = params_to_text(ModelParams(
     chi=0.02, bg1_coherent=2e-3, bg2_coherent=5e-3,
     bg1_incoherent=1e-4, bg2_incoherent=1e-4, chi_ref=0.01, retrieval_eff=0.5))
+# params whose background mean overflows as chi -> 1: 1 / chi_ref, and bg1_coherent / chi_ref
+OVERFLOWING_PARAMS = [b"chi = 0.9\nchi_ref = 5e-324\nbg2_coherent = 1\n",
+                      b"chi = 0.5\nbg1_coherent = 1e308\n"]
 
 
 @pytest.fixture
@@ -532,7 +537,8 @@ class TestFitCmd:
 
     @pytest.mark.parametrize("line, name", [("retrieval_eff_max = 2", "retrieval_eff"),
                                             ("bg1_coherent_min = 0", "bg1_coherent"),
-                                            ("bg2_incoherent_min = nan", "bg2_incoherent")])
+                                            ("bg2_incoherent_min = nan", "bg2_incoherent"),
+                                            ("bg1_coherent_max = 1e308", "bg1_coherent")])
     def test_bad_bounds_are_usage_errors(self, tmp_path, capsys, line, name):
         f, _ = self._dataset_csv(tmp_path)
         bounds = tmp_path / "bounds.txt"
@@ -578,6 +584,44 @@ class TestFitCmd:
         assert "no observable" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, cell", [(7, "1e308"), (2, "1e-310")], ids=["p12_se", "g12"])
+    def test_observable_whose_scale_overflows_is_dropped(self, tmp_path, capsys, column, cell):
+        # its SE against its value overflows: the fit weighs it as it would a blank SE
+        f, _ = self._dataset_csv(tmp_path)
+        rows = [line.split(",") for line in f.read_text().splitlines()]
+        rows[1][column] = cell
+        f.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "fit.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit", str(f), "--seed", "1", "--starts", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert parse_keyvalues(out.read_text())["n_residuals"] == str(8 * 4 - 1)
+
+    def test_notrap_rows_fit_an_alternate_background(self, tmp_path):
+        # the default free names gain bg1_incoherent_alt when a row is flagged `notrap`
+        from dlczsim.model_fit import DEFAULT_FREE, DataPoint, Dataset, dataset_to_csv
+        from dlczsim.photon_model import p1_of_chi
+        true = ModelParams(bg1_coherent=2e-3, bg2_coherent=5e-3, bg1_incoherent=1e-5,
+                           bg2_incoherent=1e-5, chi_ref=0.01, retrieval_eff=0.5)
+        alt = 3e-4
+        pts = []
+        for i, chi in enumerate(np.geomspace(1e-3, 0.2, 8)):
+            p = true.with_chi(float(chi))
+            p = dataclasses.replace(p, bg1_incoherent=alt) if i in (1, 4) else p
+            m = full_metrics(p)
+            pts.append(DataPoint(p1=float(p1_of_chi(p, p.chi)), g12=m.g12, g12_se=0.02 * m.g12,
+                                 qc=m.qc, qc_se=0.01, p12=m.p12, p12_se=0.02 * m.p12,
+                                 w=m.w, w_se=0.01, flags="notrap" if i in (1, 4) else ""))
+        f, out = tmp_path / "notrap.csv", tmp_path / "fit.txt"
+        f.write_text(dataset_to_csv(Dataset(pts)))
+        assert main(["fit", str(f), "--seed", "1", "--starts", "2", "--out", str(out)]) == 0
+        kv = parse_keyvalues(out.read_text())
+        assert abs(float(kv["bg1_incoherent_alt"]) - alt) < 3 * float(kv["bg1_incoherent_alt_se"])
+        cov = (tmp_path / "fit.txt.cov.csv").read_text().splitlines()
+        assert cov[0].split(",")[1:] == [*DEFAULT_FREE, "bg1_incoherent_alt"]
+        assert [len(row.split(",")) for row in cov[1:]] == [7] * 6
+
     def test_manifest_degrees_of_freedom(self, tmp_path):
         from dlczsim.model_fit import dataset_to_csv
         from test_model_fit import PAPER_REGIME, benchmark_style_dataset, exact_dataset
@@ -599,6 +643,46 @@ class TestFitCmd:
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("params", OVERFLOWING_PARAMS, ids=["chi_ref", "bg1_coherent"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_background_is_usage_error(tmp_path, capsys, command, params):
+    pf, out = tmp_path / "p.txt", tmp_path / "out"
+    pf.write_bytes(params)
+    assert main([command, "--params", str(pf), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid params file {pf}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, files, error", [
+    (["fit", "dataset.csv", "--bounds", "bb.txt"], {"bb.txt": "bogus_max = 1\n"},
+     "error: invalid bounds file bb.txt: bad key 'bogus_max' (expect <param>_min / <param>_max)"),
+    (["fit", "dataset.csv", "--bounds", "bc.txt"], {"bc.txt": "bg1_coherent_max = abc\n"},
+     "error: invalid bounds file bc.txt: could not convert string to float: 'abc'"),
+    (["analyze", "bad.csv"], {"bad.csv": "trial_index,detector,offset_ns\n0,D9,0\n"},
+     "error: cannot read bad.csv: bad CSV record '0,D9,0' (byte offset 31)"),
+    (["fit", "bad.csv"], {"bad.csv": "trial_index,detector,offset_ns\n0,D9,0\n"},
+     "error: invalid dataset bad.csv: unknown dataset column 'trial_index'"),
+], ids=["bounds-key", "bounds-value", "record-file", "dataset"])
+def test_input_errors_name_their_file(tmp_path, capsys, monkeypatch, command, files, error):
+    # each input error names its file; a malformed record file is an I/O error (exit 2)
+    monkeypatch.chdir(tmp_path)
+    TestFitCmd()._dataset_csv(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert main([*command, "--out", "out"]) == (2 if command[0] == "analyze" else 1)
+    assert capsys.readouterr().err == error + "\n"
+
+
+@pytest.mark.parametrize("argv", [["fit", "records.csv", "--starts", "1"],
+                                  ["sweep", "--params", "records.csv"]])
+def test_failed_fit_and_sweep_load_no_records_io(tmp_path, argv):
+    # a record file given to them is invalid input (exit 1), judged without the record reader
+    (tmp_path / "records.csv").write_text("trial_index,detector,offset_ns\n0,D1,0\n")
+    argv = [str(tmp_path / a) if a == "records.csv" else a for a in argv]
+    code = f"from dlczsim.cli import main; assert main({[*argv, '--out', str(tmp_path / 'o')]!r}) == 1"
+    assert "dlczsim.records_io" not in modules_after(code, "dlczsim")
 
 
 def modules_after(code: str, package: str) -> list[str]:
@@ -740,15 +824,17 @@ BOUND_KEYS = [f"{name}_{end}" for name in ("bg1_coherent", "retrieval_eff", "chi
 
 
 def run_edge_case(files: dict, argv: list[str]):
-    """Write the files into a fresh directory and run `main`: it returns 0, 1 or 2, and
-    writes one `error:` line to stderr exactly when it returns 1 or 2."""
+    """Write the files into a fresh directory and run `main`: it returns 0, 1 or 2, warns
+    nothing, and writes one `error:` line to stderr exactly when it returns 1 or 2."""
     with tempfile.TemporaryDirectory() as work:
         for name, data in files.items():
             Path(work, name).write_bytes(data)
         argv = [str(Path(work, a)) if a in files else a for a in argv]
         argv += ["--out", str(Path(work, "out"))]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)   # numpy's overflow, say
             code = main(argv)
     event(f"exit {code}")
     assert code in (0, 1, 2)
@@ -759,6 +845,7 @@ def run_edge_case(files: dict, argv: list[str]):
 @settings(max_examples=200, deadline=None)
 @example(params=b"write_offset_ns = -100\nread_delay_ns = 300\n", trials="10", seed="0",
          mode="single", fmt="bin")
+@example(params=OVERFLOWING_PARAMS[0], trials="10", seed="0", mode="single", fmt="bin")
 @given(params=key_values(PARAM_KEYS), trials=count_arg(3000),
        seed=edge_arg, mode=st.sampled_from(["single", "split"]),
        fmt=st.sampled_from(["bin", "csv"]))
@@ -780,6 +867,9 @@ def test_analyze_edge_inputs(records, flags, method):
 
 
 @settings(max_examples=200, deadline=None)
+@example(params=OVERFLOWING_PARAMS[0], chi_min="1e-3", chi_max="0.3", points="5")
+@example(params=OVERFLOWING_PARAMS[1], chi_min="1e-3", chi_max="0.3", points="5")
+@example(params=b"eta2_path = 0\n", chi_min="1e-3", chi_max="0.3", points="1")   # qc is NaN
 @given(params=key_values(PARAM_KEYS), chi_min=edge_arg | st.just("1e-3"),
        chi_max=edge_arg | st.just("0.3"), points=count_arg(200))
 def test_sweep_edge_inputs(params, chi_min, chi_max, points):
@@ -788,6 +878,9 @@ def test_sweep_edge_inputs(params, chi_min, chi_max, points):
 
 
 @settings(max_examples=200, deadline=None)
+@example(edits=[(1, 7, b"1e308")], params=None, bounds=None, starts="2", seed="0")   # p12_se
+@example(edits=[(1, 2, b"1e-310")], params=None, bounds=None, starts="2", seed="0")  # g12
+@example(edits=[], params=None, bounds=b"bg1_coherent_max = 1e308\n", starts="2", seed="0")
 @given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
        params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),
        starts=count_arg(2), seed=edge_arg)

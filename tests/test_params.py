@@ -20,6 +20,17 @@ def test_background_means_must_be_finite_and_nonnegative(key, value):
         params_from_text(f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("chi_ref = 5e-324\n", "chi_ref"),
+    ("bg1_coherent = 1e308\n", "bg1_coherent / chi_ref"),
+    ("chi_ref = 0.99\nbg2_coherent = 1e308\nbg2_incoherent = 1e308\n", "bg2_coherent / chi_ref")])
+def test_background_means_stay_finite_up_to_chi_one(text, match):
+    # chi / chi_ref scales the coherent means; their sum with the incoherent one bounds a mean
+    with pytest.raises(ValueError, match=match):
+        params_from_text(text)
+    params_from_text("chi_ref = 1e-300\nbg1_coherent = 1e-10\nbg1_incoherent = 1e300\n")   # finite
+
+
 @pytest.mark.parametrize("key", ["mot_rate_hz", "window_ms"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_schedule_times_must_be_finite(key, value):
