@@ -2,13 +2,14 @@
 
 Each trial owns a fixed-size block of the Philox counter space derived from
 (seed, trial_index), so the generated stream is a pure function of the session
-spec: chunk sizes and worker counts cannot change it.
+spec: work-unit sizes and worker counts cannot change it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .params import DETECTORS, DetectionMode, Detector, SessionSpec
 # raw 64-bit Philox words drawn per trial; a Philox counter unit is a block of 4 words
 _DRAWS_PER_TRIAL = 8
 _UNIT = 1 << 14   # trials per work unit: 1 MiB of words (numpy asks huge pages for 4 MiB)
+_CHUNK_UNITS = 4  # work units per yielded chunk: 2**16 trials
 
 
 def _word_limit(t: float) -> int:
@@ -82,7 +84,7 @@ def sample_trial(spec: SessionSpec, trial_index: int) -> set[Detector]:
     return {det for i, det in enumerate(DETECTORS[spec.config.mode]) if code >> i & 1}
 
 
-def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
+def session_chunks(spec: SessionSpec):
     """Yield the session's records a chunk of trials at a time, as column blocks
     (trial_index, detector_id, offset_ns), the blocks that `RecordReader` yields."""
     det_ids = np.array(DETECTORS[spec.config.mode], dtype=np.uint8)
@@ -90,7 +92,7 @@ def session_chunks(spec: SessionSpec, chunk_size: int = 1 << 16):
     offset_of = np.full(len(Detector), read_off, dtype=np.uint32)
     offset_of[Detector.D1] = spec.schedule.write_offset_ns
 
-    for start, codes in simulate_clicks(spec, chunk_size):
+    for start, codes in simulate_clicks(spec):
         # one record per set bit of each trial with a click, row-major: trial, then detector
         clicked = np.flatnonzero(codes)
         bits = np.unpackbits(codes[clicked, None], axis=1, count=len(det_ids), bitorder="little")
@@ -124,20 +126,13 @@ def _unit_codes(spec: SessionSpec):
         yield from (future.result() for future in window)
 
 
-def simulate_clicks(spec: SessionSpec, chunk_size: int = 1 << 16):
+def simulate_clicks(spec: SessionSpec):
     """Yield (start, click-pattern codes) per chunk without materializing records.
 
     Fast path for statistics-only consumers (the correlator counts the codes
-    instead of round-tripping through a record file).  Whatever the chunk size,
-    trials are sampled in work units (`_unit_codes`), so memory stays bounded;
-    each chunk's codes are copied into a new array.
+    instead of round-tripping through a record file).  A chunk joins _CHUNK_UNITS
+    work units (`_unit_codes`) into a new array; the last one may be shorter.
     """
-    units, rest = _unit_codes(spec), np.empty(0, np.uint8)   # rest: sampled, not yet yielded
-    for start in range(0, spec.n_trials, chunk_size):
-        codes, filled = np.empty(min(chunk_size, spec.n_trials - start), np.uint8), 0
-        while filled < len(codes):
-            rest = rest if len(rest) else next(units)
-            take = min(len(codes) - filled, len(rest))
-            codes[filled:filled + take], rest = rest[:take], rest[take:]
-            filled += take
-        yield start, codes
+    units = _unit_codes(spec)
+    for start in range(0, spec.n_trials, _CHUNK_UNITS * _UNIT):
+        yield start, np.concatenate(list(islice(units, _CHUNK_UNITS)))

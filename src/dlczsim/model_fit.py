@@ -76,12 +76,14 @@ def dataset_to_csv(ds: Dataset) -> str:
     for pt in ds.points:
         values = {col: getattr(pt, col) for col in CSV_COLUMNS[:-1]}   # all but the last, flags
         for col, v in list(values.items()):
-            # the reader rejects an SE that is not finite and > 0; the fit drops an
-            # observable without one, so its value goes too (p1, the abscissa, stays)
-            if col.endswith("_se") and not (math.isfinite(v) and v > 0):
-                values[col] = math.nan
-                if col != "p1_se":
-                    values[col[:-3]] = math.nan
+            # the reader rejects an SE that is not finite and > 0, and a log-space value <= 0;
+            # the fit drops an observable without both, so both go (p1, the abscissa, stays)
+            name = col.removesuffix("_se")
+            if (col != name and not (math.isfinite(v) and v > 0)
+                    or dict(_OBSERVABLES).get(col) and v <= 0):
+                values[name + "_se"] = math.nan
+                if name != "p1":
+                    values[name] = math.nan
         writer.writerow([repr(v) if math.isfinite(v) else "" for v in values.values()]
                         + [pt.flags])
     return buf.getvalue()
@@ -101,6 +103,7 @@ def dataset_from_csv(text: str) -> Dataset:
             raise ValueError(f"dataset column {col!r} is repeated")
     if "p1" not in header:
         raise ValueError("dataset is missing required column 'p1'")
+    positive = {col for col in header if col.endswith("_se") or dict(_OBSERVABLES).get(col)}
     points = []
     for row in reader:
         if not any(cell.strip() for cell in row):
@@ -117,9 +120,9 @@ def dataset_from_csv(text: str) -> Dataset:
                     kwargs[col] = value = float(cell)
                 except ValueError:
                     value = math.nan
-                if not (math.isfinite(value) and (value > 0 or not col.endswith("_se"))):
+                if not (math.isfinite(value) and (value > 0 or col not in positive)):
                     raise ValueError(f"dataset line {reader.line_num}, column {col}: {cell!r} is "
-                                     f"not a finite number{' > 0' if col.endswith('_se') else ''}")
+                                     f"not a finite number{' > 0' if col in positive else ''}")
         if not 0.0 < kwargs.get("p1", math.nan) < 1.0:
             raise ValueError(f"dataset line {reader.line_num}: p1 must be in (0, 1), "
                              f"got {kwargs.get('p1')}")

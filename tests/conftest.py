@@ -1,11 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dlczsim import DetectionConfig, DetectionMode, ModelParams
 from dlczsim.correlator import CountTable, table_from_counts
-from dlczsim.event_sim import session_chunks
+from dlczsim import event_sim
 from dlczsim.params import DETECTORS
 from dlczsim.photon_model import click_pattern_distribution
 from dlczsim.records_io import write_chunks
@@ -56,11 +57,13 @@ def joined(blocks):
                  for dtype, part in zip((np.uint64, np.uint8, np.uint32), parts))
 
 
-def session_bytes(spec, fmt="bin", chunk_size=1 << 16) -> bytes:
-    """The record file of a session, written chunk by chunk as `simulate` writes it."""
+def session_bytes(spec, fmt="bin", unit=None) -> bytes:
+    """The record file of a session, written chunk by chunk as `simulate` writes it, from
+    work units of `unit` trials (by default the sampler's own `_UNIT`)."""
     sink = io.BytesIO()
-    write_chunks(session_chunks(spec, chunk_size), sink, fmt, spec.n_trials, spec.config.mode,
-                 spec.seed)
+    with mock.patch.object(event_sim, "_UNIT", unit or event_sim._UNIT):
+        write_chunks(event_sim.session_chunks(spec), sink, fmt, spec.n_trials,
+                     spec.config.mode, spec.seed)
     return sink.getvalue()
 
 

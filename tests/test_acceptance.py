@@ -37,11 +37,11 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def counts_table(params, mode, n_trials, seed, chunk=1 << 21):
+def counts_table(params, mode, n_trials, seed):
     spec = SessionSpec(params=params, config=DetectionConfig(mode),
                        n_trials=n_trials, seed=seed)
     table = CountTable(mode=mode)
-    for _, clicks in simulate_clicks(spec, chunk_size=chunk):
+    for _, clicks in simulate_clicks(spec):
         table = accumulate_clicks(table, clicks)
     return table
 
@@ -187,7 +187,7 @@ def test_criterion_8_estimator_correctness():
     spec = SessionSpec(params=p, config=SPLIT, n_trials=500_000, seed=88)
     single_pass = CountTable(mode=DetectionMode.SPLIT)
     shards = []
-    for _, clicks in simulate_clicks(spec, chunk_size=123_457):
+    for _, clicks in simulate_clicks(spec):   # 8 chunks
         single_pass = accumulate_clicks(single_pass, clicks)
         shards.append(accumulate_clicks(CountTable(mode=DetectionMode.SPLIT), clicks))
     merged = shards[-1]
@@ -259,10 +259,10 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
                      "--out", str(fitout)]) == 0
         outputs.append((rec.read_bytes(), rep.read_bytes(), fitout.read_bytes()))
 
-    # chunking (stand-in for worker count) must not change the record bytes either
+    # the work-unit size (stand-in for worker count) must not change the record bytes either
     spec = SessionSpec(params=ModelParams(chi=0.02, bg1_incoherent=1e-4,
                                           bg2_incoherent=1e-4),
                        n_trials=100_000, seed=5)
-    blobs = [session_bytes(spec, chunk_size=chunk) for chunk in (100_000, 7919)]
+    blobs = [session_bytes(spec, unit=unit) for unit in (100_000, 7919)]
     report(10, outputs[0] == outputs[1] and blobs[0] == blobs[1],
-           "simulate->analyze->fit byte-identical across reruns and chunkings")
+           "simulate->analyze->fit byte-identical across reruns and work-unit sizes")

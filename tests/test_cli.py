@@ -114,6 +114,12 @@ class TestSimulate:
         assert "write_offset_ns" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_trials_is_usage_error(self, tmp_path, capsys, params_file):
+        out = tmp_path / "x.pdr"
+        assert main(["simulate", "--params", params_file, "--trials", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_trials must be >= 0\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_matches_analytic(self, tmp_path, params_file):
@@ -450,6 +456,14 @@ class TestSweep:
         assert all(b < a for a, b in zip(g12, g12[1:]))
         assert all(b > a for a, b in zip(w, w[1:]))
 
+    def test_params_comments_and_blank_lines_are_skipped(self, tmp_path, params_file):
+        commented = tmp_path / "commented.txt"
+        commented.write_text("# model\n\n" + PARAMS_TEXT.replace("\n", "  # a value\n\n"))
+        for pf, out in ((params_file, "plain.csv"), (commented, "commented.csv")):
+            assert main(["sweep", "--params", str(pf), "--points", "5",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "commented.csv").read_bytes()
+
     def test_grid_validation(self, tmp_path, params_file):
         assert main(["sweep", "--params", params_file, "--chi-min", "0.5",
                      "--chi-max", "0.1", "--out", str(tmp_path / "x.csv")]) == 1
@@ -521,6 +535,30 @@ class TestFitCmd:
         out = tmp_path / "fit.txt"
         assert main(["fit", str(f), "--seed", "1", "--starts", "2",
                      "--out", str(out)]) == 0
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        f, _ = self._dataset_csv(tmp_path)
+        lines = f.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join([lines[0], "\n", *lines[1:4], ",,,,,,,,,,\n", *lines[4:]]))
+        for dataset, out in ((f, "fit.txt"), (blank, "blank.txt")):
+            assert main(["fit", str(dataset), "--seed", "1", "--starts", "2",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "fit.txt").read_bytes() == (tmp_path / "blank.txt").read_bytes()
+
+    def test_non_convergence_is_flagged(self, tmp_path, monkeypatch):
+        # one trial step per start: the best start stops without converging, exit 0
+        from dlczsim import model_fit
+        solve = model_fit._least_squares
+        monkeypatch.setattr(model_fit, "_least_squares",
+                            lambda *args, max_iter=200: solve(*args, max_iter=1))
+        f, _ = self._dataset_csv(tmp_path)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(f), "--seed", "1", "--starts", "2", "--out", str(out)]) == 0
+        kv = parse_keyvalues(out.read_text())
+        assert (kv["converged"], kv["flags"]) == ("False", "non-convergence")
+        manifest = json.loads((tmp_path / "fit.txt.manifest.json").read_text())
+        assert "non-convergence" in manifest["warnings"]
 
     def test_malformed_header(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
@@ -664,15 +702,27 @@ def test_overflowing_background_is_usage_error(tmp_path, capsys, command, params
      "error: cannot read bad.csv: bad CSV record '0,D9,0' (byte offset 31)"),
     (["fit", "bad.csv"], {"bad.csv": "trial_index,detector,offset_ns\n0,D9,0\n"},
      "error: invalid dataset bad.csv: unknown dataset column 'trial_index'"),
-], ids=["bounds-key", "bounds-value", "record-file", "dataset"])
+    (["fit", "empty.csv"], {"empty.csv": ""},
+     "error: invalid dataset empty.csv: empty dataset file"),
+    (["fit", "neg.csv"], {"neg.csv": "p1,g12,g12_se\n0.01,-1,1\n"},
+     "error: invalid dataset neg.csv: dataset line 2, column g12: '-1' is not a finite number > 0"),
+    (["sweep", "--params", "noeq.txt"], {"noeq.txt": "chi 0.1\n"},
+     "error: invalid params file noeq.txt: line 1: expected 'key = value', got 'chi 0.1'"),
+    (["simulate", "--params", "zero.txt", "--trials", "10"],
+     {"zero.txt": "trials_per_window = 0\n"},
+     "error: invalid params file zero.txt: schedule values must be positive"),
+], ids=["bounds-key", "bounds-value", "record-file", "dataset", "empty-dataset", "negative-g12",
+        "params-line", "params-schedule"])
 def test_input_errors_name_their_file(tmp_path, capsys, monkeypatch, command, files, error):
-    # each input error names its file; a malformed record file is an I/O error (exit 2)
+    # each input error names its file and leaves no output; a malformed record file is an I/O
+    # error (exit 2)
     monkeypatch.chdir(tmp_path)
     TestFitCmd()._dataset_csv(tmp_path)
     for name, text in files.items():
         Path(name).write_text(text)
     assert main([*command, "--out", "out"]) == (2 if command[0] == "analyze" else 1)
     assert capsys.readouterr().err == error + "\n"
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("argv", [["fit", "records.csv", "--starts", "1"],

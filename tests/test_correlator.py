@@ -84,7 +84,7 @@ class TestMerge:
                            n_trials=1_000_000, seed=77)
         whole = CountTable(mode=DetectionMode.SPLIT)
         shards = []
-        for _, clicks in simulate_clicks(spec, chunk_size=250_000):
+        for _, clicks in simulate_clicks(spec):   # 16 chunks
             whole = accumulate_clicks(whole, clicks)
             shards.append(accumulate_clicks(CountTable(mode=DetectionMode.SPLIT), clicks))
         merged = shards[0]

@@ -92,7 +92,7 @@ def test_chunking_never_changes_output():
     p = ModelParams(chi=0.05, bg1_incoherent=1e-3, bg2_incoherent=1e-3)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
                        n_trials=30_000, seed=9)
-    buffers = [session_bytes(spec, chunk_size=c) for c in (30_000, 4096, 997, 1)]
+    buffers = [session_bytes(spec, unit=u) for u in (30_000, 4096, 997, 1)]
     assert buffers[0] == buffers[1] == buffers[2] == buffers[3]
 
 
@@ -270,17 +270,19 @@ WORKER_SPEC = SessionSpec(params=ModelParams(chi=0.3, bg1_incoherent=1e-2, bg2_i
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_worker_count_never_changes_output(monkeypatch, cpus):
-    spec = WORKER_SPEC
-    # the reference: every word of the session drawn at once, no units, no threads
-    reference = event_sim._sample_clicks(spec, _limits(spec), 0, spec.n_trials)
-    records = session_bytes(spec, chunk_size=spec.n_trials)
     set_cpus(monkeypatch, cpus)
-    assert event_sim.sampler_workers(spec.n_trials) == cpus
-    for chunk in (1, 997, 2 ** 14, 2 ** 16 + 3, 2 ** 21):
-        chunks = list(simulate_clicks(spec, chunk_size=chunk))
-        assert [s for s, _ in chunks] == list(range(0, spec.n_trials, chunk))
-        assert np.array_equal(np.concatenate([c for _, c in chunks]), reference), chunk
-        assert session_bytes(spec, chunk_size=chunk) == records, chunk
+    assert event_sim.sampler_workers(WORKER_SPEC.n_trials) == cpus
+    for unit in (1, 997, 2 ** 12, 2 ** 14 + 3, 2 ** 19):
+        # a unit of one trial draws a Philox stream per trial: it samples a shorter session
+        spec = dataclasses.replace(WORKER_SPEC, n_trials=2 ** 12 + 5) if unit == 1 else WORKER_SPEC
+        # the reference: every word of the session drawn at once, as one unit, inline
+        reference = event_sim._sample_clicks(spec, _limits(spec), 0, spec.n_trials)
+        records = session_bytes(spec, unit=spec.n_trials)
+        monkeypatch.setattr(event_sim, "_UNIT", unit)
+        chunks = list(simulate_clicks(spec))
+        assert [s for s, _ in chunks] == list(range(0, spec.n_trials, 4 * unit))
+        assert np.array_equal(np.concatenate([c for _, c in chunks]), reference), unit
+        assert session_bytes(spec) == records, unit
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -294,7 +296,7 @@ def test_no_more_threads_than_cpus(monkeypatch, cpus):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     set_cpus(monkeypatch, cpus)
     spec = dataclasses.replace(WORKER_SPEC, n_trials=4 * event_sim._UNIT)   # 4 work units
-    alive = [threading.active_count() for _ in simulate_clicks(spec, chunk_size=5000)]
+    alive = [threading.active_count() for _ in simulate_clicks(spec)]
     if cpus == 1:   # inline: no thread at all
         assert not started and set(alive) == {before}
     else:
@@ -304,13 +306,15 @@ def test_no_more_threads_than_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_large_chunk_memory_is_bounded(monkeypatch, cpus):
-    # one 2**21-trial chunk: its 2 MiB of codes, plus at most twice a unit's words (1 MiB)
-    # for each unit in flight, its words and their temporaries
+    # one chunk of four 2**19-trial units: its 2 MiB of codes, plus at most twice a unit's
+    # words (32 MiB) for each unit in flight, its words and their temporaries (the units'
+    # codes, 2 MiB while the chunk joins them, fit in that margin)
     set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(event_sim, "_UNIT", 2 ** 19)
     spec = dataclasses.replace(WORKER_SPEC, n_trials=2 ** 21)
     tracemalloc.start()
     try:
-        (start, codes), = simulate_clicks(spec, chunk_size=2 ** 21)
+        (start, codes), = simulate_clicks(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,12 +322,13 @@ def test_large_chunk_memory_is_bounded(monkeypatch, cpus):
     assert peak < 2 ** 21 + (cpus + 1) * 2 * event_sim._UNIT * event_sim._DRAWS_PER_TRIAL * 8, peak
 
 
-def test_yielded_chunks_are_not_overwritten():
+def test_yielded_chunks_are_not_overwritten(monkeypatch):
+    monkeypatch.setattr(event_sim, "_UNIT", 250)   # chunks of 1000 trials
     p = ModelParams(chi=0.3, bg1_incoherent=1e-2, bg2_incoherent=1e-2)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT),
                        n_trials=10_000, seed=12)
-    kept = list(simulate_clicks(spec, chunk_size=1000))
-    fresh = [(start, codes.copy()) for start, codes in simulate_clicks(spec, chunk_size=1000)]
+    kept = list(simulate_clicks(spec))
+    fresh = [(start, codes.copy()) for start, codes in simulate_clicks(spec)]
     assert len(kept) == len(fresh) == 10
     for (s1, c1), (s2, c2) in zip(kept, fresh):
         assert s1 == s2

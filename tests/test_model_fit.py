@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim import (CountTable, DataPoint, Dataset, DetectionConfig, DetectionMode, ModelParams,
                      chi_from_p1, click_statistics, dataset_from_csv, dataset_to_csv,
@@ -72,6 +74,10 @@ class TestPredictCurves:
     def test_empty_grid_gives_no_points(self):
         assert predict_curves(PAPER_REGIME, []) == []
         assert predict_curves(PAPER_REGIME, np.empty(0)) == []
+
+    def test_chi_of_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^chi must be in \[0, 1\)$"):
+            predict_curves(PAPER_REGIME, [1.0])
 
 
 class TestChiInversion:
@@ -164,6 +170,39 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=f"line 3, column {col}"):
             dataset_from_csv(f"p1,g12,g12_se\n0.02,5,1\n{row}\n")
         assert math.isnan(dataset_from_csv("p1,g12,g12_se\n0.01,,\n").points[0].g12_se)
+
+    @pytest.mark.parametrize("col, positive", [("g12", True), ("p12", True), ("qc", False),
+                                               ("w", False)])
+    def test_log_space_observables_must_be_positive(self, col, positive):
+        # the fit takes the log of g12 and p12, so a value <= 0 there could never be matched
+        for cell in ("-1", "0", "-0.0"):
+            text = f"p1,{col},{col}_se\n0.01,{cell},1\n"
+            if positive:
+                with pytest.raises(ValueError, match=f"line 2, column {col}: '{cell}' is not a "
+                                                     "finite number > 0"):
+                    dataset_from_csv(text)
+            else:
+                assert getattr(dataset_from_csv(text).points[0], col) == float(cell)
+
+    def test_written_values_that_the_reader_rejects_are_blank(self):
+        # a value <= 0 where the fit takes the log goes with its SE; p1 keeps its value
+        ds = Dataset([DataPoint(p1=0.01, p1_se=0.0, g12=-1.0, g12_se=0.5, qc=-0.1, qc_se=0.1,
+                                p12=0.0, p12_se=1e-4, w=0.2, w_se=math.inf)])
+        assert dataset_to_csv(ds).splitlines()[1] == "0.01,,,,-0.1,0.1,,,,,"
+        back = dataset_from_csv(dataset_to_csv(ds)).points[0]
+        assert (back.p1, back.qc, back.qc_se) == (0.01, -0.1, 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p1=st.floats(1e-12, 0.99), values=st.lists(
+        st.sampled_from([-1.0, -0.0, 0.0, 1e-310, 2.5, 1e308, math.inf, -math.inf, math.nan]),
+        min_size=9, max_size=9))
+    def test_every_written_dataset_reads_back(self, p1, values):
+        pt = DataPoint(p1, *values)
+        back = dataset_from_csv(dataset_to_csv(Dataset([pt]))).points[0]
+        for col in ("g12", "qc", "p12", "w"):   # each observable reads as written, or blank
+            v, se = getattr(back, col), getattr(back, col + "_se")
+            assert math.isnan(v) or v == getattr(pt, col), col
+            assert math.isnan(se) or se == getattr(pt, col + "_se"), col
 
     def test_extra_cells_rejected(self):
         with pytest.raises(ValueError, match="line 2"):

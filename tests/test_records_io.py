@@ -9,7 +9,7 @@ from dlczsim import (CountTable, DetectionConfig, DetectionMode, Detector, Model
                      accumulate_clicks, simulate_clicks)
 from dlczsim.correlator import count_patterns, table_from_counts
 from dlczsim.event_sim import session_chunks
-from dlczsim import records_io
+from dlczsim import event_sim, records_io
 from dlczsim.records_io import BINARY, CSV, RecordFormatError, RecordReader, write_chunks
 
 import csv_reference
@@ -373,14 +373,14 @@ def test_writer_that_dies_leaves_a_rejected_file(fmt, rng):
 def test_sampler_chunks_and_reader_blocks_count_alike(fmt, monkeypatch):
     # a dense split session: several sampler chunks and many read blocks
     monkeypatch.setattr(records_io, "_BLOCK", 1 << 14)
+    monkeypatch.setattr(event_sim, "_UNIT", 1 << 12)   # chunks of 2**14 trials
     p = ModelParams(chi=0.3, bg1_coherent=2e-3, bg2_coherent=1.3e-2, bg1_incoherent=1e-5,
                     bg2_incoherent=1e-5)
     spec = SessionSpec(params=p, config=DetectionConfig(DetectionMode.SPLIT), n_trials=200_000,
                        seed=12)
     buf = io.BytesIO()
-    write_chunks(session_chunks(spec, 1 << 14), buf, fmt, spec.n_trials, DetectionMode.SPLIT,
-                 spec.seed)
-    from_chunks = count_patterns(session_chunks(spec, 1 << 14))
+    write_chunks(session_chunks(spec), buf, fmt, spec.n_trials, DetectionMode.SPLIT, spec.seed)
+    from_chunks = count_patterns(session_chunks(spec))
     blocks = list(RecordReader(io.BytesIO(buf.getvalue())))
     from_file = count_patterns(blocks)
     assert len(blocks) > 10
