@@ -271,6 +271,26 @@ class TestFit:
         assert np.isfinite(res.errors[0]) and res.errors[0] > 0
         assert res.flags == ()
 
+    def test_covariance_is_the_inverse_of_jtj_in_natural_units(self):
+        # J by central differences of the public residuals over each natural value: independent
+        # of the solver's complex-step Jacobian and of its log10 scale, for the four log-scaled
+        # backgrounds and the linear retrieval_eff
+        ds = exact_dataset(PAPER_REGIME, np.geomspace(1e-3, 0.2, 8).tolist())
+        res = fit(ds, base=PAPER_REGIME, init={n: getattr(PAPER_REGIME, n) for n in DEFAULT_FREE},
+                  n_starts=0)
+        assert res.free_names == DEFAULT_FREE and res.converged
+        columns = []
+        for name in DEFAULT_FREE:
+            v = getattr(res.params, name)
+            up, down = (residuals(dataclasses.replace(res.params, **{name: v + h}), ds)
+                        for h in (1e-5 * v, -1e-5 * v))
+            columns.append((up - down) / (2e-5 * v))
+        jac = np.column_stack(columns)
+        expected = np.linalg.inv(jac.T @ jac)
+        sd = np.sqrt(np.diag(expected))
+        assert res.errors == pytest.approx(sd, rel=1e-6)
+        assert np.abs((res.covariance - expected) / np.outer(sd, sd)).max() <= 1e-6
+
 
 def criterion_9_dataset():
     """The noisy 12-point dataset of acceptance criterion 9."""
