@@ -7,9 +7,11 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -124,21 +126,22 @@ def cmd_analyze(args) -> int:
     read = {"name": "read", "s": 0.0, "items": 0}   # timed within accumulate
     stages = [read]
     try:
-        with open(args.records, "rb") as source, _stage(stages, "accumulate") as count:
+        with ExitStack() as files, _stage(stages, "accumulate") as count:
+            source = files.enter_context(open(args.records, "rb"))
+            if not source.seekable():   # a pipe, say: every pass reads a copy on disk, rewound
+                source, pipe = files.enter_context(tempfile.TemporaryFile()), source
+                shutil.copyfileobj(pipe, source)
+                source.seek(0)
             reader = RecordReader(source, args.trials)
             origin = "header" if reader.version == 2 else "flag" if args.trials is not None else None
             if origin is None:
                 reader.n_trials = _manifest_trials(args.records)
                 origin = "inferred" if reader.n_trials is None else "manifest"
-            blocks, kept = _timed(read, reader), []   # kept: a pipe's blocks, read only once
-            counts = count_patterns(blocks if source.seekable()
-                                    else (kept.append(b[:2]) or b for b in blocks))
+            counts = count_patterns(_timed(read, reader))
             if counts is None:   # trial indices decrease somewhere: count the whole file, sorted
-                if source.seekable():   # read the file again; a pipe's rest follows what it kept
-                    source.seek(0)
-                    reader = RecordReader(source, reader.n_trials)
-                    blocks = _timed(read, reader)
-                trial, det = (np.concatenate(c) for c in zip(*(b[:2] for b in [*kept, *blocks])))
+                source.seek(0)
+                reader = RecordReader(source, reader.n_trials)
+                trial, det = (np.concatenate(c) for c in zip(*(b[:2] for b in _timed(read, reader))))
                 order = np.argsort(trial, kind="stable")
                 counts = count_patterns([(trial[order], det[order])])
             table = table_from_counts(reader.mode, counts, reader.n_trials)

@@ -67,23 +67,44 @@ class Dataset:
 
 
 CSV_COLUMNS = [f.name for f in fields(DataPoint)]
+# fitted observables in residual order, and whether each is compared in log space
+_OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
+_ROOT_MAX = math.sqrt(np.finfo(float).max)   # a number at least this large squares to inf
+
+
+def _rejected(values: dict[str, float]) -> dict[str, str]:
+    """The cells a dataset file may hold, stated once for its reader and writer (README
+    states the rule): of one point's values by column, NaN for a blank cell, those that a
+    file may not hold, each with the rule it breaks.  The fit squares 1 / scale and x / scale,
+    x the value and scale its SE, or in log space the value's log and SE / value."""
+    log = dict(_OBSERVABLES)
+    rejected = {} if 0.0 < values["p1"] < 1.0 else {"p1": "a number in (0, 1)"}
+    for col, v in values.items():   # blank, or finite and > 0 for an SE or a log-space value
+        positive = col.endswith("_se") or log.get(col)
+        if col != "p1" and not (math.isnan(v) or math.isfinite(v) and (v > 0 or not positive)):
+            rejected[col] = "a finite number > 0" if positive else "a finite number"
+    for name, in_log in _OBSERVABLES:   # an SE whose value the fit weighs finitely
+        v, se = values[name], values[name + "_se"]
+        if not (math.isnan(v) or {name, name + "_se"} & rejected.keys()):
+            least = max(1.0, abs(math.log(v) if in_log else v)) / _ROOT_MAX * (v if in_log else 1.0)
+            if se <= least:
+                rejected[name + "_se"] = f"an SE > {least:.3g}, of finite weight"
+    return rejected
 
 
 def dataset_to_csv(ds: Dataset) -> str:
+    """A dataset file of the points, with an observable and its SE left blank where
+    `_rejected` rejects either; a point whose p1 it rejects is a ValueError."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for pt in ds.points:
+    for i, pt in enumerate(ds.points):
         values = {col: getattr(pt, col) for col in CSV_COLUMNS[:-1]}   # all but the last, flags
-        for col, v in list(values.items()):
-            # the reader rejects an SE that is not finite and > 0, and a log-space value <= 0;
-            # the fit drops an observable without both, so both go (p1, the abscissa, stays)
-            name = col.removesuffix("_se")
-            if (col != name and not (math.isfinite(v) and v > 0)
-                    or dict(_OBSERVABLES).get(col) and v <= 0):
-                values[name + "_se"] = math.nan
-                if name != "p1":
-                    values[name] = math.nan
+        for col, rule in _rejected(values).items():
+            if col == "p1":
+                raise ValueError(f"dataset point {i}: p1 = {pt.p1!r} is not {rule}")
+            name = col.removesuffix("_se")   # a value goes with its SE; p1, the abscissa, stays
+            values.update(dict.fromkeys({name, name + "_se"} - {"p1"}, math.nan))
         writer.writerow([repr(v) if math.isfinite(v) else "" for v in values.values()]
                         + [pt.flags])
     return buf.getvalue()
@@ -101,32 +122,23 @@ def dataset_from_csv(text: str) -> Dataset:
             raise ValueError(f"unknown dataset column {col!r}")
         if header.count(col) > 1:
             raise ValueError(f"dataset column {col!r} is repeated")
-    if "p1" not in header:
-        raise ValueError("dataset is missing required column 'p1'")
-    positive = {col for col in header if col.endswith("_se") or dict(_OBSERVABLES).get(col)}
     points = []
     for row in reader:
         if not any(cell.strip() for cell in row):
             continue
         if len(row) > len(header):
             raise ValueError(f"dataset line {reader.line_num} has more cells than the header")
-        kwargs = {}
-        for col, cell in zip(header, row):
-            cell = cell.strip()
-            if col == "flags":
-                kwargs[col] = cell
-            elif cell:
-                try:
-                    kwargs[col] = value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not (math.isfinite(value) and (value > 0 or col not in positive)):
-                    raise ValueError(f"dataset line {reader.line_num}, column {col}: {cell!r} is "
-                                     f"not a finite number{' > 0' if col in positive else ''}")
-        if not 0.0 < kwargs.get("p1", math.nan) < 1.0:
-            raise ValueError(f"dataset line {reader.line_num}: p1 must be in (0, 1), "
-                             f"got {kwargs.get('p1')}")
-        points.append(DataPoint(**kwargs))
+        cells = {col: cell.strip() for col, cell in zip(header, row)}
+        values = dict.fromkeys(CSV_COLUMNS[:-1], math.nan)   # a blank cell's value
+        for col in [c for c in values if cells.get(c)]:
+            try:   # text that is no number, or NaN, reads as inf: a value the rule rejects
+                values[col] = math.inf if math.isnan(v := float(cells[col])) else v
+            except ValueError:
+                values[col] = math.inf
+        for col, rule in _rejected(values).items():   # the first it rejects
+            raise ValueError(f"dataset line {reader.line_num}, column {col}: "
+                             f"{cells.get(col, '')!r} is not {rule}")
+        points.append(DataPoint(**values, flags=cells.get("flags", "")))
     return Dataset(points)
 
 
@@ -180,9 +192,6 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     return np.where(reachable, chi, np.nan)
 
 
-# fitted observables in residual order, and whether each is compared in log space
-_OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
-
 _STEP = 1e-20   # complex step: f(x + ih) = f(x) + ih f'(x) + O(h^2), with no difference taken
 _BLOCK = 64     # starts advanced in lock-step: a pass's memory grows with it, not with n_starts
 
@@ -204,8 +213,9 @@ class _Problem:
             # residual = (pred, or log pred in log space, - ref) / scale
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
-        # an observable without an SE > 0, or whose scale over- or underflows, weighs nothing
-        self.use = np.isfinite(obs) & (se > 0) & np.isfinite(self.scale) & (self.scale != 0)
+        # an observable without an SE > 0, or whose scale overflows, weighs nothing; a file's
+        # scales are of finite weight (`_rejected`)
+        self.use = np.isfinite(obs) & (se > 0) & np.isfinite(self.scale)
         self.base, self.free_names = base, tuple(free_names)
         self._chi_of = {}   # each start's free values at the last inversion -> its chi
 

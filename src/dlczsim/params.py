@@ -189,7 +189,7 @@ class SessionSpec:
 
 _MODEL_KEYS = [f.name for f in fields(ModelParams)]
 _SCHEDULE_KEYS = [f.name for f in fields(TrialSchedule)]
-_INT_SCHEDULE_KEYS = {"trials_per_window", "trial_period_ns", "read_delay_ns", "write_offset_ns"}
+_INT_SCHEDULE_KEYS = {f.name for f in fields(TrialSchedule) if f.type == "int"}   # annotations as text
 
 
 def parse_keyvalues(text: str) -> dict[str, str]:

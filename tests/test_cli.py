@@ -352,6 +352,27 @@ class TestTrialCount:
                        check=True, env={**os.environ, "PYTHONPATH": src})
         assert read_report(out) == expected
 
+    def test_sorted_csv_on_a_pipe_peaks_as_the_named_file(self, tmp_path):
+        # a pipe is read from a copy on disk: keeping its trial and detector columns in
+        # memory instead, 9 bytes a record, would add 9 MB to the peak
+        import dlczsim
+        n = 1_000_000
+        records = tmp_path / "sorted.csv"
+        with open(records, "wb") as sink:
+            records_io.write_chunks([(np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint8) % 2,
+                                      np.zeros(n, np.uint32))], sink, records_io.CSV, n,
+                                    DetectionMode.SINGLE)
+        # the peak resident size of this process image in KiB: ru_maxrss would keep that of
+        # the test process, which it inherits at fork
+        peak = ("import re, sys; from dlczsim.cli import main; main(sys.argv[1:]); "
+                r"print(re.search(r'VmHWM:\s*(\d+)', open('/proc/self/status').read())[1])")
+        env = {**os.environ, "PYTHONPATH": str(Path(dlczsim.__file__).resolve().parents[1])}
+        named, piped = (subprocess.run([sys.executable, "-c", peak, "analyze", path], input=data,
+                                       capture_output=True, check=True, env=env).stdout.splitlines()
+                        for path, data in ((str(records), None), ("/dev/stdin", records.read_bytes())))
+        assert named[:-1] == piped[:-1] and b"n_trials = 1000000" in named
+        assert int(piped[-1]) - int(named[-1]) < 3 * 1024
+
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_count_table_does_not_depend_on_block_size(self, tmp_path, monkeypatch, fmt):
         pf = tmp_path / "p.txt"
@@ -808,8 +829,9 @@ def test_command_loads_only_its_modules(tmp_path, params_file, command, loaded):
 # at the int64, uint64 and uint32 limits, non-finite and huge floats, empty cells and bytes
 # that are not UTF-8.  Every outcome is an exit code with one `error:` line, never an
 # exception.  Trial, point and start counts stay small, so that no example runs long.
-EDGE = [b"-1", b"0", b"2", b"0.5", b"4294967296", b"9223372036854775808",
-        b"18446744073709551616", str(2 ** 128).encode(), b"nan", b"inf", b"1e308", b"", b"\xff\xfe"]
+EDGE = [b"-1", b"0", b"-0.0", b"2", b"0.5", b"4294967296", b"9223372036854775808",
+        b"18446744073709551616", str(2 ** 128).encode(), b"nan", b"inf", b"1e308", b"1e-308",
+        b"5e-324", b"", b"\xff\xfe"]
 edge = st.sampled_from(EDGE)
 edge_arg = st.sampled_from([v.decode(errors="surrogateescape") for v in EDGE])   # as in argv
 
@@ -930,6 +952,7 @@ def test_sweep_edge_inputs(params, chi_min, chi_max, points):
 @settings(max_examples=200, deadline=None)
 @example(edits=[(1, 7, b"1e308")], params=None, bounds=None, starts="2", seed="0")   # p12_se
 @example(edits=[(1, 2, b"1e-310")], params=None, bounds=None, starts="2", seed="0")  # g12
+@example(edits=[(1, 9, b"1e-308")], params=None, bounds=None, starts="2", seed="0")  # w_se
 @example(edits=[], params=None, bounds=b"bg1_coherent_max = 1e308\n", starts="2", seed="0")
 @given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
        params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),

@@ -117,6 +117,14 @@ class TestEstimate:
         assert m.g12 == 0.0
         assert any("low-count" in w for w in m.warnings)
 
+    @pytest.mark.parametrize("table, low", [
+        (CountTable(DetectionMode.SINGLE, n_trials=1000, n1=50, n2=9, n12=3), "n2,n12"),
+        (CountTable(DetectionMode.SPLIT, n_trials=1000, n1=50, n2a=9, n2b=8, n1_2a=10,
+                    n1_2b=10, n2a_2b=0, n1_2a_2b=0), "n2a,n2b,n1_2a_2b")])
+    def test_low_count_lists_field_2_singles(self, table, low):
+        # each single and each count with D1 below LOW_COUNT is named, field 2's singles too
+        assert estimate_metrics(table).warnings == (f"low-count: {low}",)
+
     def test_zero_heralds_flagged_undefined(self):
         t = CountTable(mode=DetectionMode.SINGLE, n_trials=100, n1=0, n2=10, n12=0)
         m = estimate_metrics(t)
@@ -220,6 +228,10 @@ class TestPinnedEstimators:
     def test_eta2_out_of_range_rejected(self, eta2):
         with pytest.raises(ValueError, match="eta2"):
             estimate_metrics(PIN_SINGLE, eta2=eta2)
+
+    def test_eta2_of_one_accepted(self):
+        m = estimate_metrics(PIN_SINGLE, eta2=1.0)
+        assert m.qc == m.pc and m.qc_se == m.pc_se
 
     def test_split_mode_delta_formulas(self):
         t = PIN_SPLIT

@@ -193,12 +193,18 @@ class TestDatasetCsv:
         assert (back.p1, back.qc, back.qc_se) == (0.01, -0.1, 0.1)
 
     @settings(max_examples=300, deadline=None)
-    @given(p1=st.floats(1e-12, 0.99), values=st.lists(
-        st.sampled_from([-1.0, -0.0, 0.0, 1e-310, 2.5, 1e308, math.inf, -math.inf, math.nan]),
-        min_size=9, max_size=9))
+    @given(p1=st.floats(1e-12, 0.99) | st.sampled_from([0.0, 1.0, 1.5, math.nan, math.inf, 5e-324]),
+           values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1e-310, 2.5, 1e308, math.inf,
+                                            -math.inf, math.nan]), min_size=9, max_size=9))
     def test_every_written_dataset_reads_back(self, p1, values):
+        # the writer raises for a p1 that the reader rejects, and else writes what reads back
         pt = DataPoint(p1, *values)
+        if not 0.0 < p1 < 1.0:
+            with pytest.raises(ValueError, match=f"dataset point 0: p1 = {p1!r} is not"):
+                dataset_to_csv(Dataset([pt]))
+            return
         back = dataset_from_csv(dataset_to_csv(Dataset([pt]))).points[0]
+        assert back.p1 == p1
         for col in ("g12", "qc", "p12", "w"):   # each observable reads as written, or blank
             v, se = getattr(back, col), getattr(back, col + "_se")
             assert math.isnan(v) or v == getattr(pt, col), col
