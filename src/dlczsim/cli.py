@@ -74,7 +74,13 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, started: fl
         "outputs": [out_path],
         **extra,
     }
-    Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _beside(out_path, ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+
+def _beside(out: str, suffix: str, text: str) -> None:
+    """Write the side file `<out><suffix>`, only beside a regular file: none beside /dev/null."""
+    if Path(out).is_file():
+        Path(out + suffix).write_text(text)
 
 
 def _curves_csv(curves) -> str:
@@ -209,9 +215,8 @@ def cmd_fit(args) -> int:
         result = fit(dataset, base=base, bounds=bounds, seed=args.seed,
                      n_starts=args.starts)
         stage["items"] = sum(s.nfev for s in result.starts)
-    out = Path(args.out)
-    out.write_text(fit_result_text(result))
-    out.with_suffix(out.suffix + ".cov.csv").write_text(covariance_csv(result))
+    Path(args.out).write_text(fit_result_text(result))
+    _beside(args.out, ".cov.csv", covariance_csv(result))
 
     with _stage(stages, "overlay") as stage:
         p1s = [pt.p1 for pt in dataset.points]
@@ -219,7 +224,7 @@ def cmd_fit(args) -> int:
         chis = chi_from_p1(result.params, grid)
         chis = chis[np.isfinite(chis)]
         curves = predict_curves(result.params, chis)
-        out.with_suffix(out.suffix + ".overlay.csv").write_text(_curves_csv(curves))
+        _beside(args.out, ".overlay.csv", _curves_csv(curves))
         stage["items"] = len(curves)
 
     dof = result.n_residuals - len(result.free_names)

@@ -68,22 +68,22 @@ class Dataset:
 
 CSV_COLUMNS = [f.name for f in fields(DataPoint)]
 # fitted observables in residual order, and whether each is compared in log space
-_OBSERVABLES = (("g12", True), ("p12", True), ("qc", False), ("w", False))
-_ROOT_MAX = math.sqrt(np.finfo(float).max)   # a number at least this large squares to inf
+_OBSERVABLES = {"g12": True, "p12": True, "qc": False, "w": False}
+_ROOT_MAX = np.finfo(float).max ** (1 / 6)   # a larger number's sixth power overflows
 
 
 def _rejected(values: dict[str, float]) -> dict[str, str]:
     """The cells a dataset file may hold, stated once for its reader and writer (README
     states the rule): of one point's values by column, NaN for a blank cell, those that a
-    file may not hold, each with the rule it breaks.  The fit squares 1 / scale and x / scale,
-    x the value and scale its SE, or in log space the value's log and SE / value."""
-    log = dict(_OBSERVABLES)
+    file may not hold, each with the rule it breaks.  The fit's solver raises 1 / scale and
+    x / scale to at most the sixth power (`dl ** 3`, dl about sv^2), x the value and scale its
+    SE, or in log space the value's log and SE / value."""
     rejected = {} if 0.0 < values["p1"] < 1.0 else {"p1": "a number in (0, 1)"}
     for col, v in values.items():   # blank, or finite and > 0 for an SE or a log-space value
-        positive = col.endswith("_se") or log.get(col)
+        positive = col.endswith("_se") or _OBSERVABLES.get(col)
         if col != "p1" and not (math.isnan(v) or math.isfinite(v) and (v > 0 or not positive)):
             rejected[col] = "a finite number > 0" if positive else "a finite number"
-    for name, in_log in _OBSERVABLES:   # an SE whose value the fit weighs finitely
+    for name, in_log in _OBSERVABLES.items():   # an SE whose value the fit weighs finitely
         v, se = values[name], values[name + "_se"]
         if not (math.isnan(v) or {name, name + "_se"} & rejected.keys()):
             least = max(1.0, abs(math.log(v) if in_log else v)) / _ROOT_MAX * (v if in_log else 1.0)
@@ -194,6 +194,7 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
 
 _STEP = 1e-20   # complex step: f(x + ih) = f(x) + ih f'(x) + O(h^2), with no difference taken
 _BLOCK = 64     # starts advanced in lock-step: a pass's memory grows with it, not with n_starts
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class _Problem:
@@ -203,12 +204,11 @@ class _Problem:
 
     def __init__(self, dataset: Dataset, base: ModelParams, free_names=()):
         pts = dataset.points
-        names = [name for name, _ in _OBSERVABLES]
-        obs, se = (np.array([[getattr(pt, k + suffix) for k in names] for pt in pts],
-                            dtype=float).reshape(-1, len(names)) for suffix in ("", "_se"))
+        obs, se = (np.array([[getattr(pt, k + suffix) for k in _OBSERVABLES] for pt in pts],
+                            dtype=float).reshape(-1, len(_OBSERVABLES)) for suffix in ("", "_se"))
         self.p1 = np.array([pt.p1 for pt in pts], dtype=float)
         self.flagged = np.array([ALT_BG_FLAG in pt.flags for pt in pts], dtype=bool)
-        self.log = np.array([in_log for _, in_log in _OBSERVABLES])
+        self.log = np.array(list(_OBSERVABLES.values()))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # residual = (pred, or log pred in log space, - ref) / scale
             self.ref = np.where(self.log, np.log(obs), obs)
@@ -235,20 +235,20 @@ class _Problem:
         points; chi follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
         view = self._view(free)
         starts = list(zip(*(np.ravel(v).tolist() for v in free.values())))
-        shape = np.broadcast_shapes(*map(np.shape, free.values()))[:-1] + self.p1.shape
         if starts and all(s in self._chi_of for s in starts):   # the Jacobian follows residuals
-            chi = np.reshape([self._chi_of[s] for s in starts], shape)
+            lead = np.shape(next(iter(free.values())))[:-1]   # the starts', as of every value
+            chi = np.reshape([self._chi_of[s] for s in starts], lead + self.p1.shape)
         else:
-            chi = np.broadcast_to(chi_from_p1(view, self.p1), shape)
-            self._chi_of = dict(zip(starts, chi.reshape(len(starts) or 1, -1)))
+            chi = chi_from_p1(view, self.p1)   # [start, point], or [point] if no value moves it
+            self._chi_of = dict(zip(starts, chi if chi.ndim > 1 else [chi] * len(starts)))
         # NaN chi (p1 below the model's floor) warns in complex division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if perturbed is not None:
                 dp1 = p1_of_chi(view, chi + 1j * _STEP).imag / _STEP
                 view, chi = self._view(perturbed), chi[..., None, :]
                 chi = chi - 1j * p1_of_chi(view, chi).imag / dp1[..., None, :]
-            curves = metric_curves(view, chi)
-            pred = np.stack([curves[k] for k, _ in _OBSERVABLES], axis=-1)
+            curves = metric_curves(view, chi, _OBSERVABLES)
+            pred = np.stack([curves[k] for k in _OBSERVABLES], axis=-1)
             r = (np.where(self.log, np.log(pred), pred) - self.ref) / self.scale
         # pred or obs <= 0 in log space makes r non-finite, but for a complex pred
         return np.where(~np.isfinite(r) | (self.log & (pred.real <= 0)), PENALTY, r)
@@ -378,7 +378,7 @@ def _least_squares(fun, jac, x0, lo, hi, max_iter=200):
             u, sv, vt = np.linalg.svd(Ja[j][..., cols], full_matrices=False)
             c = -sv * _mv(u.transpose(0, 2, 1), ra[j])   # the step is vt.T @ (c / (d + lam))
             # a zero sv only drops its part; tiny keeps J = 0 (status 1) from dividing 0 by 0
-            d = sv * sv + np.finfo(float).eps * sv[:, :1] ** 2 + np.finfo(float).tiny
+            d = sv * sv + _EPS * sv[:, :1] ** 2 + _TINY
             short[j] = np.sqrt(_dot(c / d, c / d)) <= 1e-10 * (np.sqrt(_dot(xa[j], xa[j])) + 1e-10)
             # lam stays 0 for a full Gauss-Newton step, whose small gain alone may end a run;
             # else Newton on 1 / |step(lam)|, concave, climbs to 1 / radius
@@ -491,7 +491,7 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
 
     point, column = np.nonzero(problem.use)   # each residual's point and observable
     chi2 = {name: _sorted_sum_of_squares(r[column == j])
-            for j, (name, _) in enumerate(_OBSERVABLES)}
+            for j, name in enumerate(_OBSERVABLES)}
     return FitResult(params=fitted, free_names=free_names, values=natural,
                      errors=np.sqrt(np.clip(np.diag(cov), 0.0, None)), covariance=cov,
                      objective=best_run.objective, n_residuals=n_residuals,

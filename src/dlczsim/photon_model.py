@@ -52,20 +52,24 @@ METRICS = {
 }
 
 
-def metric_values(values: np.ndarray, mode: DetectionMode, eta2: float) -> dict[str, np.ndarray]:
-    """Metrics over rows of subset values (last axis S is subset S): click probabilities,
-    or counts as exact Python ints in an object array.  NaN where a denominator is 0."""
-    names, parts = zip(*METRICS[mode].items())
-    values = np.concatenate([values, np.ones_like(values[..., :1])], axis=-1)   # [-1]: a factor 1
-    top, bottom = (np.prod(values[..., [f + (-1,) * (2 - len(f)) for f in side]], axis=-1)
-                   for side in zip(*parts))   # [..., metric]
-    defined = bottom != 0
-    out = np.where(defined, top / np.where(defined, bottom, 1), UNDEFINED).astype(
-        complex if np.iscomplexobj(values) else float)
-    vals = dict(zip(names, np.moveaxis(out, -1, 0)))
-    if "pc" in vals:   # qc, like any metric, is NaN where its denominator, eta2, is 0
-        known = np.not_equal(eta2, 0)
-        vals["qc"] = np.where(known, vals["pc"] / np.where(known, eta2, 1), UNDEFINED)
+def metric_values(values, mode: DetectionMode, eta2: float, names=None) -> dict[str, np.ndarray]:
+    """Metrics by name from subset values by mask S, `values[S]` of a dict or of an array's
+    last axis: click probabilities, or counts as exact Python ints in an object array.
+    Only `names` where given (qc reads pc).  NaN where a denominator is 0; a ratio beyond
+    the largest float is inf."""
+    values = values if isinstance(values, dict) else dict(enumerate(np.moveaxis(values, -1, 0)))
+    kind = complex if any(map(np.iscomplexobj, values.values())) else float
+    vals = {}
+    with np.errstate(over="ignore"):
+        for name, sides in METRICS[mode].items():
+            if names is None or name in names or name == "pc" and "qc" in names:
+                top, bottom = (values[f[0]] * (values[f[1]] if len(f) > 1 else 1) for f in sides)
+                defined = bottom != 0
+                vals[name] = np.where(defined, top / np.where(defined, bottom, 1),
+                                      UNDEFINED).astype(kind, copy=False)
+        if "pc" in vals:   # qc, like any metric, is NaN where its denominator, eta2, is 0
+            known = np.not_equal(eta2, 0)
+            vals["qc"] = np.where(known, vals["pc"] / np.where(known, eta2, 1), UNDEFINED)
     return vals
 
 
@@ -225,21 +229,37 @@ def p1_of_chi(params: ModelParams, chi):
     return -np.expm1(-bg) + np.exp(-bg) * _reach(chi, params.eta1)
 
 
-def metric_curves(params: ModelParams, chi) -> dict[str, np.ndarray]:
-    """p1 and every metric over an array of chi, in one pass per detection mode.
-
-    Single-mode metrics (g12, pc, qc, p12, naive_ratio) and the split-mode w, as
-    `full_metrics` combines them.  chi is validated here, once for the array (its real
-    part: chi and the parameters may be complex, for the fit's complex step).
-    """
+def metric_curves(params: ModelParams, chi, names=None) -> dict[str, np.ndarray]:
+    """p1 and every metric over an array of chi, or only `names` (qc reads pc), in one pass:
+    single-mode g12, pc, qc, p12 and naive_ratio and split-mode w, as `full_metrics` combines
+    them.  chi is validated once for the array (its real part: chi and the parameters may be
+    complex, for the fit's complex step)."""
     chi = np.asarray(chi)
     if np.any((chi.real < 0) | (chi.real >= 1)):
         raise ValueError("chi must be in [0, 1)")
-    vals = {}
-    for mode in DetectionMode:
-        P = _subset_click_probs(DetectionConfig(mode).channels(params, chi), chi)
-        vals.update(metric_values(P, mode, params.eta2))
-    return vals
+    (d1, d2), (_, d2a, d2b) = (DetectionConfig(mode).channels(params, chi) for mode in DetectionMode)
+    x0, x1 = (chi * (1.0 - d1.pair_eff * s) for s in (0.0, 1.0))   # the drives chi, chi (1-e1)
+    f = (1.0 - chi) / (1.0 - x1)
+
+    def field(ch):   # a channel's reach at both drives, and its background factors
+        return _reach(x0, ch.pair_eff), _reach(x1, ch.pair_eff), np.exp(-ch.bg_mean), -np.expm1(-ch.bg_mean)
+
+    def heralded(q0, q1):   # D1 and a field-2 set T, from T's reach at both drives: D1's step
+        return keep1 * (q0 - f * q1) + fire1 * q0
+
+    # `_subset_click_probs` of both modes at only the masks METRICS reads, D1's terms shared:
+    # its zeta steps in order on the same operands (a factor 1.0 is its P[0]), so the same bits
+    (r1, _, keep1, fire1), (r, q, keep, fire) = field(d1), field(d2)
+    (ra, qa, keep_a, fire_a), (rb, qb, keep_b, fire_b) = field(d2a), field(d2b)
+    p1 = keep1 * r1 + fire1 * 1.0
+    single = {0: 1, 1: p1, 2: keep * r + fire * 1.0, 3: keep * heralded(r, q) + fire * p1}
+    both = [u * v * (1.0 + (1.0 - x) / (1.0 - x * (1.0 - d2a.pair_eff - d2b.pair_eff)))
+            for u, v, x in ((ra, rb, x0), (qa, qb, x1))]   # both arms reached, at each drive
+    split = {0: 1, 1: p1, 3: keep_a * heralded(ra, qa) + fire_a * p1,
+             5: keep_b * (hb := heralded(rb, qb)) + fire_b * p1}
+    split[7] = keep_b * (keep_a * heralded(*both) + fire_a * hb) + fire_b * split[3]
+    return {**metric_values(single, DetectionMode.SINGLE, params.eta2, names),
+            **metric_values(split, DetectionMode.SPLIT, params.eta2, names)}
 
 
 def derived_metrics(stats: Statistics, params: ModelParams) -> Metrics:

@@ -700,6 +700,24 @@ class TestFitCmd:
                 assert dof == 4 - 5 and manifest["chi2_per_dof"] is None
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "fit"])
+def test_side_files_only_beside_a_regular_out(tmp_path, params_file, command):
+    # --out names the null device through a link: the report goes there, and no
+    # <out>.manifest.json, .cov.csv or .overlay.csv lands beside the link
+    if command == "analyze":
+        assert main(["simulate", "--params", params_file, "--trials", "2000",
+                     "--out", str(tmp_path / "r.pdr")]) == 0
+        argv = ["analyze", str(tmp_path / "r.pdr")]
+    elif command == "sweep":
+        argv = ["sweep", "--params", params_file, "--points", "3"]
+    else:
+        argv = ["fit", str(TestFitCmd()._dataset_csv(tmp_path)[0]), "--starts", "1"]
+    link = tmp_path / "out"
+    link.symlink_to(os.devnull)
+    assert main(argv + ["--out", str(link)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out")) == ["out"]
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
 
@@ -942,6 +960,7 @@ def test_analyze_edge_inputs(records, flags, method):
 @example(params=OVERFLOWING_PARAMS[0], chi_min="1e-3", chi_max="0.3", points="5")
 @example(params=OVERFLOWING_PARAMS[1], chi_min="1e-3", chi_max="0.3", points="5")
 @example(params=b"eta2_path = 0\n", chi_min="1e-3", chi_max="0.3", points="1")   # qc is NaN
+@example(params=b"bg2_incoherent = 2\n", chi_min="1e-308", chi_max="0.3", points="1")  # p2 / p1
 @given(params=key_values(PARAM_KEYS), chi_min=edge_arg | st.just("1e-3"),
        chi_max=edge_arg | st.just("0.3"), points=count_arg(200))
 def test_sweep_edge_inputs(params, chi_min, chi_max, points):
@@ -953,6 +972,10 @@ def test_sweep_edge_inputs(params, chi_min, chi_max, points):
 @example(edits=[(1, 7, b"1e308")], params=None, bounds=None, starts="2", seed="0")   # p12_se
 @example(edits=[(1, 2, b"1e-310")], params=None, bounds=None, starts="2", seed="0")  # g12
 @example(edits=[(1, 9, b"1e-308")], params=None, bounds=None, starts="2", seed="0")  # w_se
+@example(edits=[(1, 9, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # w_se
+@example(edits=[(1, 5, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # qc_se
+@example(edits=[(1, 3, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # g12_se
+@example(edits=[(1, 7, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # p12_se
 @example(edits=[], params=None, bounds=b"bg1_coherent_max = 1e308\n", starts="2", seed="0")
 @given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
        params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),

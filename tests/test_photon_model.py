@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from dlczsim import (DetectionConfig, DetectionMode, ModelParams,
                      brute_force_statistics, click_statistics, derived_metrics,
                      full_metrics, tmss_pgf)
-from dlczsim.photon_model import SUBSETS, click_pattern_distribution, mobius, zeta
+from dlczsim.photon_model import (SUBSETS, _subset_click_probs, click_pattern_distribution,
+                                  metric_curves, metric_values, mobius, zeta)
 
 import scalar_reference
 from conftest import random_params
@@ -250,3 +252,57 @@ class TestScalarReference:
                 got = list(click_statistics(p, cfg).as_dict().values())
                 for g, v in zip(got, scalar_reference.click_probs(p, cfg)):
                     assert abs(g - v) <= 1e-14 * abs(v), (cfg, p)
+
+
+unit = st.floats(0, 1)
+drawn_params = st.builds(
+    ModelParams, chi=st.just(0.01), bg1_coherent=st.floats(0, 10), bg2_coherent=st.floats(0, 10),
+    bg1_incoherent=st.floats(0, 10), bg2_incoherent=st.floats(0, 10),
+    chi_ref=st.floats(1e-3, 0.5), retrieval_eff=unit, eta1=unit, eta2_path=unit, eta_apd=unit,
+    bs_transmission=unit, bs_ratio=unit)
+
+
+class TestMetricPass:
+    """`metric_curves` evaluates `_subset_click_probs` at only the masks METRICS reads, with
+    D1's terms shared by both modes: every metric has the bits that `metric_values` gives
+    over the full subset vector of each mode."""
+
+    NAMES = ("g12", "p12", "qc", "w")   # the fit's
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def check(self, params, chi):
+        full = {}
+        for mode in DetectionMode:
+            probs = _subset_click_probs(DetectionConfig(mode).channels(params, chi), chi)
+            full.update(metric_values(probs, mode, params.eta2))
+        curves = metric_curves(params, chi)
+        assert curves.keys() == full.keys()
+        assert all(self.same_bits(curves[k], full[k]) for k in full), params
+        named = metric_curves(params, chi, self.NAMES)
+        assert set(self.NAMES) <= named.keys() <= full.keys()
+        assert all(self.same_bits(named[k], full[k]) for k in named), params
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=drawn_params, chi=st.lists(st.floats(0, 0.999), min_size=1, max_size=20))
+    def test_real_chi(self, params, chi):
+        self.check(params, np.array(chi))
+        self.check(params, np.reshape(chi * 3, (3, -1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=drawn_params, starts=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_complex_step_pass(self, params, starts, seed):
+        # shaped like the fit's Jacobian pass: [start, perturbation, point], free value j
+        # perturbed on row j and chi following on every row
+        rng = np.random.default_rng(seed)
+        view = SimpleNamespace(**vars(params), eta2=params.eta2)
+        free = ("bg1_coherent", "bg2_coherent", "bg1_incoherent", "bg2_incoherent", "retrieval_eff")
+        for j, name in enumerate(free):
+            v = getattr(params, name) * rng.uniform(0.5, 1.0, (starts, 1, 1))
+            setattr(view, name, v + 1j * 1e-20 * v * (np.arange(len(free))[:, None] == j))
+        chi = (rng.uniform(0.0, 0.9, (starts, 1, 12))
+               + 1j * 1e-20 * rng.standard_normal((starts, len(free), 12)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # as the fit's
+            self.check(view, chi)
