@@ -191,6 +191,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import numpy.random   # noqa: F401  the starts' generator, loaded outside the timed stages
     from .model_fit import (DEFAULT_BOUNDS, chi_from_p1, covariance_csv, dataset_from_csv, fit,
                             fit_result_text, predict_curves)
     started = time.monotonic()

@@ -70,14 +70,19 @@ CSV_COLUMNS = [f.name for f in fields(DataPoint)]
 # fitted observables in residual order, and whether each is compared in log space
 _OBSERVABLES = {"g12": True, "p12": True, "qc": False, "w": False}
 _ROOT_MAX = np.finfo(float).max ** (1 / 6)   # a larger number's sixth power overflows
+_LN10 = math.log(10)
 
 
 def _rejected(values: dict[str, float]) -> dict[str, str]:
     """The cells a dataset file may hold, stated once for its reader and writer (README
     states the rule): of one point's values by column, NaN for a blank cell, those that a
-    file may not hold, each with the rule it breaks.  The fit's solver raises 1 / scale and
-    x / scale to at most the sixth power (`dl ** 3`, dl about sv^2), x the value and scale its
-    SE, or in log space the value's log and SE / value."""
+    file may not hold, each with the rule it breaks.  The fit's solver raises the Jacobian
+    and x / scale to at most the sixth power (`dl ** 3`, dl about sv^2), x the value and scale
+    its SE, or in log space the value's log and SE / value.  The Jacobian's row is the
+    observable's change per decade of the free values over scale: ln 10 / scale for each unit
+    of relative sensitivity.  The rule asks for scale > 2 ln 10 max(1, |x|) / _ROOT_MAX, which
+    allows a sensitivity of 2.  Near the model's p1 floor the sensitivity grows without bound,
+    and no rule on the file covers that."""
     rejected = {} if 0.0 < values["p1"] < 1.0 else {"p1": "a number in (0, 1)"}
     for col, v in values.items():   # blank, or finite and > 0 for an SE or a log-space value
         positive = col.endswith("_se") or _OBSERVABLES.get(col)
@@ -86,7 +91,8 @@ def _rejected(values: dict[str, float]) -> dict[str, str]:
     for name, in_log in _OBSERVABLES.items():   # an SE whose value the fit weighs finitely
         v, se = values[name], values[name + "_se"]
         if not (math.isnan(v) or {name, name + "_se"} & rejected.keys()):
-            least = max(1.0, abs(math.log(v) if in_log else v)) / _ROOT_MAX * (v if in_log else 1.0)
+            least = (2 * _LN10 * max(1.0, abs(math.log(v) if in_log else v)) / _ROOT_MAX
+                     * (v if in_log else 1.0))
             if se <= least:
                 rejected[name + "_se"] = f"an SE > {least:.3g}, of finite weight"
     return rejected
@@ -255,17 +261,14 @@ class _Problem:
 
     def free(self, x: np.ndarray) -> dict:
         """The free values by name, in natural units, of internal values x (..., d), each (..., 1)."""
-        values = _from_internal(self.free_names, x)
-        return {name: values[..., j, None] for j, name in enumerate(self.free_names)}
+        return {name: v[..., None] for name, v in _from_internal(self.free_names, x).items()}
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.table(self.free(x))[..., self.use]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """d residuals / d x, one complex-step pass with x_j perturbed on row j."""
-        shifted = _from_internal(self.free_names, x[..., None, :] + 1j * _STEP * np.eye(x.shape[-1]))
-        r = self.table(self.free(x), {n: shifted[..., j, None]
-                                      for j, n in enumerate(self.free_names)})
+        r = self.table(self.free(x), self.free(x[..., None, :] + 1j * _STEP * np.eye(x.shape[-1])))
         return np.swapaxes(r.imag[..., self.use], -1, -2) / _STEP
 
 
@@ -335,11 +338,9 @@ def _to_internal(names, values):
     return np.array([math.log10(v) if n in _LOG_PARAMS else v for n, v in zip(names, values)])
 
 
-def _from_internal(names, x):
-    """Natural values of internal values x, free parameter j on the last axis of x."""
-    x = np.asarray(x)
-    return np.stack([10.0 ** x[..., j] if n in _LOG_PARAMS else x[..., j]
-                     for j, n in enumerate(names)], axis=-1)
+def _from_internal(names, x) -> dict:
+    """Natural values by name of internal values x, free parameter j on the last axis of x."""
+    return {n: 10.0 ** x[..., j] if n in _LOG_PARAMS else x[..., j] for j, n in enumerate(names)}
 
 
 def _mv(A, b):   # A @ b per start, by one start's BLAS call: the same bits in any block
@@ -473,13 +474,13 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
         best.append((runs[k + j], xs[j], rs[j], Js[j]))
     best_run, x, r, J = min(best, key=lambda run: run[0].objective)   # first of equals
 
-    natural = _from_internal(free_names, x)
-    updates = dict(zip(free_names, natural.tolist()))
+    updates = {n: float(v) for n, v in _from_internal(free_names, x).items()}
+    natural = np.array(list(updates.values()))
     alt = updates.pop("bg1_incoherent_alt", None)
     fitted = replace(base, **updates)
     flags = ["under-determined"] if n_residuals <= d else []
     # J is at the solution; d x / d v = 1 / (ln 10 v) where x = log10 v
-    jac = J / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
+    jac = J / np.where([n in _LOG_PARAMS for n in free_names], _LN10 * natural, 1.0)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)

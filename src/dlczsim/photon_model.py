@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .params import Channel, DetectionConfig, DetectionMode, ModelParams, bg1_mean
+from .params import DETECTORS, DetectionConfig, DetectionMode, ModelParams, bg1_mean
 
 UNDEFINED = float("nan")
 
@@ -175,65 +175,21 @@ def _reach(chi, eff):
     return chi * eff / (1.0 - chi * (1.0 - eff))
 
 
-def _subset_click_probs(chans: tuple[Channel, ...], chi) -> np.ndarray:
-    """P[..., S] = P(every detector of bitmask S clicks), over an array of chi (S = 0: 1).
+def _click_probs(params: ModelParams, chi) -> dict[DetectionMode, dict[int, np.ndarray]]:
+    """P[mode][S] = P(every detector of bitmask S clicks) for both modes, over an array of chi
+    (S = 0: 1).  chi is validated once for the array (its real part: chi and the parameters
+    may be complex, for the fit's complex step).
 
-    `chans` are the channels at that chi, their values broadcasting against chi; all
-    may be complex (the fit's complex step).  Q[..., U] is the probability that pair
-    photons reach every detector of U.  One channel of pair efficiency e is reached
-    with r = chi e / (1 - chi (1 - e)).  The split arms compete for each photon, so
-    both are reached with r_a r_b (1 + P(neither arm is reached)).  D1 and a field-2
-    set T are both reached with R_T(chi) - (1-chi)/(1-chi (1-e1)) R_T(chi (1-e1)):
-    reach at any pair number less reach with no field-1 photon detected, which loses
-    at most about 1/e1 ulps.  A detector clicks when a pair photon or a background
-    count arrives, so P[S] sums Q[U] over U within S, weighted by exp(-b_i) on U and
-    by 1 - exp(-b_i) on the rest of S.  Every term is non-negative, so every digit
-    survives at any drive and background.
+    Q[U] is the probability that pair photons reach every detector of U.  One channel of
+    pair efficiency e is reached with r = chi e / (1 - chi (1 - e)).  The split arms compete
+    for each photon, so both are reached with r_a r_b (1 + P(neither arm is reached)).  D1
+    and a field-2 set T are both reached with R_T(chi) - (1-chi)/(1-chi (1-e1)) R_T(chi (1-e1)):
+    reach at any pair number less reach with no field-1 photon detected, which loses at most
+    about 1/e1 ulps.  A detector clicks when a pair photon or a background count arrives, so
+    P[S] sums Q[U] over U within S, weighted by exp(-b_i) on U and by 1 - exp(-b_i) on the
+    rest of S: a zeta transform, one channel (bit) at a time, D1 first.  Every term is
+    non-negative, so every digit survives at any drive and background.
     """
-    chi = np.asarray(chi)
-    e = np.stack(np.broadcast_arrays(*(ch.pair_eff for ch in chans)), axis=-1)
-    b = np.stack(np.broadcast_arrays(*(ch.bg_mean for ch in chans)), axis=-1)[..., None, None]
-    x = chi[..., None] * (1.0 - e[..., :1] * [0.0, 1.0])   # the drives chi and chi (1-e1)
-    r = _reach(x[..., None], e[..., None, :])
-    R = np.ones(r.shape[:-1] + (1 << (len(chans) - 1),), np.result_type(r, b))   # [drive, T]
-    R[..., 1:len(chans)] = r[..., 1:]
-    if len(chans) == 3:
-        R[..., 3] = r[..., 1] * r[..., 2] * (
-            1.0 + (1.0 - x) / (1.0 - x * (1.0 - e[..., None, 1] - e[..., None, 2])))
-    P = np.repeat(R[..., 0, :], 2, axis=-1)   # Q, D1 (bit 0) in the odd columns
-    P[..., 1::2] -= ((1.0 - chi) / (1.0 - x[..., 1]))[..., None] * R[..., 1, :]
-    P[..., 1] = r[..., 0, 0]
-    keep, fire = np.exp(-b), -np.expm1(-b)
-    for i in range(len(chans)):   # the background-weighted zeta transform, bit by bit
-        v = P.reshape(*P.shape[:-1], 1 << (len(chans) - 1 - i), 2, 1 << i)
-        v[..., 1, :] = keep[..., i, :, :] * v[..., 1, :] + fire[..., i, :, :] * v[..., 0, :]
-    return P
-
-
-def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> np.ndarray:
-    """Exact distribution of the per-trial click pattern, indexed by code (bit i is
-    channel i, D1 bit 0): the Moebius transform of the subset-click probabilities."""
-    chans = config.channels(params)
-    return np.maximum(_subset_click_probs(chans, params.chi) @ mobius(len(chans)), 0.0)
-
-
-def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:
-    """Exact per-trial singles, coincidence, and triple click probabilities."""
-    P = _subset_click_probs(config.channels(params), params.chi)
-    return Statistics(config.mode, tuple(P.tolist()))
-
-
-def p1_of_chi(params: ModelParams, chi):
-    """Field-1 click probability as a vectorized function of chi (other params fixed)."""
-    bg = bg1_mean(params, chi)
-    return -np.expm1(-bg) + np.exp(-bg) * _reach(chi, params.eta1)
-
-
-def metric_curves(params: ModelParams, chi, names=None) -> dict[str, np.ndarray]:
-    """p1 and every metric over an array of chi, or only `names` (qc reads pc), in one pass:
-    single-mode g12, pc, qc, p12 and naive_ratio and split-mode w, as `full_metrics` combines
-    them.  chi is validated once for the array (its real part: chi and the parameters may be
-    complex, for the fit's complex step)."""
     chi = np.asarray(chi)
     if np.any((chi.real < 0) | (chi.real >= 1)):
         raise ValueError("chi must be in [0, 1)")
@@ -247,19 +203,46 @@ def metric_curves(params: ModelParams, chi, names=None) -> dict[str, np.ndarray]
     def heralded(q0, q1):   # D1 and a field-2 set T, from T's reach at both drives: D1's step
         return keep1 * (q0 - f * q1) + fire1 * q0
 
-    # `_subset_click_probs` of both modes at only the masks METRICS reads, D1's terms shared:
-    # its zeta steps in order on the same operands (a factor 1.0 is its P[0]), so the same bits
+    # each step is keep * P[S] + fire * P[S without the channel]; P[0] stays a factor 1.0, as
+    # a complex product by it can change the sign of a zero imaginary part
     (r1, _, keep1, fire1), (r, q, keep, fire) = field(d1), field(d2)
     (ra, qa, keep_a, fire_a), (rb, qb, keep_b, fire_b) = field(d2a), field(d2b)
     p1 = keep1 * r1 + fire1 * 1.0
     single = {0: 1, 1: p1, 2: keep * r + fire * 1.0, 3: keep * heralded(r, q) + fire * p1}
     both = [u * v * (1.0 + (1.0 - x) / (1.0 - x * (1.0 - d2a.pair_eff - d2b.pair_eff)))
             for u, v, x in ((ra, rb, x0), (qa, qb, x1))]   # both arms reached, at each drive
-    split = {0: 1, 1: p1, 3: keep_a * heralded(ra, qa) + fire_a * p1,
-             5: keep_b * (hb := heralded(rb, qb)) + fire_b * p1}
+    split = {0: 1, 1: p1, 2: keep_a * ra + fire_a * 1.0, 3: keep_a * heralded(ra, qa) + fire_a * p1,
+             4: keep_b * rb + fire_b * 1.0, 5: keep_b * (hb := heralded(rb, qb)) + fire_b * p1}
+    split[6] = keep_b * (keep_a * both[0] + fire_a * rb) + fire_b * split[2]
     split[7] = keep_b * (keep_a * heralded(*both) + fire_a * hb) + fire_b * split[3]
-    return {**metric_values(single, DetectionMode.SINGLE, params.eta2, names),
-            **metric_values(split, DetectionMode.SPLIT, params.eta2, names)}
+    return {DetectionMode.SINGLE: single, DetectionMode.SPLIT: split}
+
+
+def click_pattern_distribution(params: ModelParams, config: DetectionConfig) -> np.ndarray:
+    """Exact distribution of the per-trial click pattern, indexed by code (bit i is
+    channel i, D1 bit 0): the Moebius transform of the subset-click probabilities."""
+    P = np.array(click_statistics(params, config).values)
+    return np.maximum(P @ mobius(len(DETECTORS[config.mode])), 0.0)
+
+
+def click_statistics(params: ModelParams, config: DetectionConfig) -> Statistics:
+    """Exact per-trial singles, coincidence, and triple click probabilities."""
+    P = _click_probs(params, params.chi)[config.mode]
+    return Statistics(config.mode, tuple(float(v) for v in P.values()))
+
+
+def p1_of_chi(params: ModelParams, chi):
+    """Field-1 click probability as a vectorized function of chi (other params fixed)."""
+    bg = bg1_mean(params, chi)
+    return -np.expm1(-bg) + np.exp(-bg) * _reach(chi, params.eta1)
+
+
+def metric_curves(params: ModelParams, chi, names=None) -> dict[str, np.ndarray]:
+    """p1 and every metric over an array of chi, or only `names` (qc reads pc), in one pass:
+    single-mode g12, pc, qc, p12 and naive_ratio and split-mode w, as `full_metrics` combines
+    them.  chi and the parameters may be complex, for the fit's complex step."""
+    return {k: v for mode, probs in _click_probs(params, chi).items()
+            for k, v in metric_values(probs, mode, params.eta2, names).items()}
 
 
 def derived_metrics(stats: Statistics, params: ModelParams) -> Metrics:

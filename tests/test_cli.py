@@ -774,15 +774,19 @@ def test_failed_fit_and_sweep_load_no_records_io(tmp_path, argv):
     assert "dlczsim.records_io" not in modules_after(code, "dlczsim")
 
 
-def modules_after(code: str, package: str) -> list[str]:
-    """The modules of `package` loaded after running `code` in a fresh interpreter."""
+def printed_after(code: str, value: str):
+    """The JSON of the expression `value` after running `code` in a fresh interpreter."""
     import dlczsim
     src = str(Path(dlczsim.__file__).resolve().parents[1])
-    code += (f"; print(json.dumps(sorted(m for m in sys.modules"
-             f" if m.split('.')[0] == {package!r})))")
-    out = subprocess.run([sys.executable, "-c", "import json, sys; " + code], capture_output=True,
+    code = f"import json, sys; {code}; print(json.dumps({value}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def modules_after(code: str, package: str) -> list[str]:
+    """The modules of `package` loaded after running `code` in a fresh interpreter."""
+    return printed_after(code, f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})")
 
 
 @pytest.mark.parametrize("code", [
@@ -803,6 +807,17 @@ def test_fit_loads_no_scipy(tmp_path):
     loaded = modules_after("from dlczsim.cli import main; main(['fit', "
                            f"{str(f)!r}, '--starts', '1', '--out', {str(out)!r}])", "scipy")
     assert loaded == []
+
+
+def test_fit_stage_opens_with_numpy_random_loaded(tmp_path):
+    # the import of the starts' generator is start-up, not the fit's own time
+    f, _ = TestFitCmd()._dataset_csv(tmp_path)
+    code = ("from dlczsim import cli; opened = {}; stage = cli._stage; "
+            "cli._stage = lambda stages, name: (opened.update({name: 'numpy.random' in "
+            "sys.modules}), stage(stages, name))[1]; "
+            f"assert cli.main(['fit', {str(f)!r}, '--starts', '1', "
+            f"'--out', {str(tmp_path / 'fit.txt')!r}]) == 0")
+    assert printed_after(code, "opened") == {"read": True, "fit": True, "overlay": True}
 
 
 def test_public_names_load_on_first_use():
@@ -976,6 +991,7 @@ def test_sweep_edge_inputs(params, chi_min, chi_max, points):
 @example(edits=[(1, 5, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # qc_se
 @example(edits=[(1, 3, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # g12_se
 @example(edits=[(1, 7, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # p12_se
+@example(edits=[(6, 3, b"1.8e-50")], params=None, bounds=None, starts="2", seed="7")  # g12_se
 @example(edits=[], params=None, bounds=b"bg1_coherent_max = 1e308\n", starts="2", seed="0")
 @given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
        params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),

@@ -22,7 +22,7 @@ from conftest import random_params, table_from_multinomial
 
 def params_and_alt(base, names, x):
     """(base with the free values of internal values x, bg1_incoherent_alt or None)."""
-    values = dict(zip(names, _from_internal(names, x).tolist()))
+    values = {n: float(v) for n, v in _from_internal(names, x).items()}
     alt = values.pop("bg1_incoherent_alt", None)
     return dataclasses.replace(base, **values), alt
 

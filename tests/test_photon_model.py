@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dlczsim import (DetectionConfig, DetectionMode, ModelParams,
                      brute_force_statistics, click_statistics, derived_metrics,
                      full_metrics, tmss_pgf)
-from dlczsim.photon_model import (SUBSETS, _subset_click_probs, click_pattern_distribution,
-                                  metric_curves, metric_values, mobius, zeta)
+from dlczsim.photon_model import (METRICS, SUBSETS, click_pattern_distribution, metric_curves,
+                                  mobius, zeta)
 
 import scalar_reference
 from conftest import random_params
@@ -263,27 +263,31 @@ drawn_params = st.builds(
 
 
 class TestMetricPass:
-    """`metric_curves` evaluates `_subset_click_probs` at only the masks METRICS reads, with
-    D1's terms shared by both modes: every metric has the bits that `metric_values` gives
-    over the full subset vector of each mode."""
+    """Every model function reads one kernel: `metric_curves` gives the fit's `names` with
+    the bits of every metric, and `click_statistics` the bits of `full_metrics`."""
 
     NAMES = ("g12", "p12", "qc", "w")   # the fit's
 
     @staticmethod
     def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def check(self, params, chi):
-        full = {}
-        for mode in DetectionMode:
-            probs = _subset_click_probs(DetectionConfig(mode).channels(params, chi), chi)
-            full.update(metric_values(probs, mode, params.eta2))
         curves = metric_curves(params, chi)
-        assert curves.keys() == full.keys()
-        assert all(self.same_bits(curves[k], full[k]) for k in full), params
         named = metric_curves(params, chi, self.NAMES)
-        assert set(self.NAMES) <= named.keys() <= full.keys()
-        assert all(self.same_bits(named[k], full[k]) for k in named), params
+        assert set(self.NAMES) <= named.keys() <= curves.keys()
+        assert all(self.same_bits(named[k], curves[k]) for k in named), params
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=drawn_params, chi=st.floats(0, 0.999))
+    def test_statistics_give_full_metrics(self, params, chi):
+        params = params.with_chi(chi)
+        full = full_metrics(params)
+        for mode in DetectionMode:
+            m = derived_metrics(click_statistics(params, DetectionConfig(mode)), params)
+            names = [*METRICS[mode], *["qc"] * ("pc" in METRICS[mode])]
+            assert all(self.same_bits(getattr(m, k), getattr(full, k)) for k in names), params
 
     @settings(max_examples=200, deadline=None)
     @given(params=drawn_params, chi=st.lists(st.floats(0, 0.999), min_size=1, max_size=20))
