@@ -20,7 +20,7 @@ import numpy as np
 from .params import ModelParams, bg1_mean
 from .photon_model import Metrics, metric_curves, metric_record, p1_of_chi
 
-PENALTY = 1e3  # residual assigned to an observable the model cannot reach
+PENALTY = 1e3  # residual assigned to an observable the model cannot reach, or beyond _R_MAX
 
 DEFAULT_FREE = ("bg1_coherent", "bg2_coherent", "bg1_incoherent", "bg2_incoherent",
                 "retrieval_eff")
@@ -69,32 +69,27 @@ class Dataset:
 CSV_COLUMNS = [f.name for f in fields(DataPoint)]
 # fitted observables in residual order, and whether each is compared in log space
 _OBSERVABLES = {"g12": True, "p12": True, "qc": False, "w": False}
-_ROOT_MAX = np.finfo(float).max ** (1 / 6)   # a larger number's sixth power overflows
-_LN10 = math.log(10)
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_R_MAX = _EPS ** -2   # |residual| beyond it: a prediction 1 / _EPS scales away, resolved by no file
 
 
 def _rejected(values: dict[str, float]) -> dict[str, str]:
     """The cells a dataset file may hold, stated once for its reader and writer (README
     states the rule): of one point's values by column, NaN for a blank cell, those that a
-    file may not hold, each with the rule it breaks.  The fit's solver raises the Jacobian
-    and x / scale to at most the sixth power (`dl ** 3`, dl about sv^2), x the value and scale
-    its SE, or in log space the value's log and SE / value.  The Jacobian's row is the
-    observable's change per decade of the free values over scale: ln 10 / scale for each unit
-    of relative sensitivity.  The rule asks for scale > 2 ln 10 max(1, |x|) / _ROOT_MAX, which
-    allows a sensitivity of 2.  Near the model's p1 floor the sensitivity grows without bound,
-    and no rule on the file covers that."""
+    file may not hold, each with the rule it breaks.  An SE exceeds its value's float
+    resolution: scale > _EPS max(1, |x|), x the value and scale its SE, or in log space the
+    value's log and SE / value."""
     rejected = {} if 0.0 < values["p1"] < 1.0 else {"p1": "a number in (0, 1)"}
     for col, v in values.items():   # blank, or finite and > 0 for an SE or a log-space value
         positive = col.endswith("_se") or _OBSERVABLES.get(col)
         if col != "p1" and not (math.isnan(v) or math.isfinite(v) and (v > 0 or not positive)):
             rejected[col] = "a finite number > 0" if positive else "a finite number"
-    for name, in_log in _OBSERVABLES.items():   # an SE whose value the fit weighs finitely
+    for name, in_log in _OBSERVABLES.items():   # an SE above its value's resolution
         v, se = values[name], values[name + "_se"]
         if not (math.isnan(v) or {name, name + "_se"} & rejected.keys()):
-            least = (2 * _LN10 * max(1.0, abs(math.log(v) if in_log else v)) / _ROOT_MAX
-                     * (v if in_log else 1.0))
+            least = _EPS * max(1.0, abs(math.log(v) if in_log else v)) * (v if in_log else 1.0)
             if se <= least:
-                rejected[name + "_se"] = f"an SE > {least:.3g}, of finite weight"
+                rejected[name + "_se"] = f"an SE > {least:.3g}, above its value's resolution"
     return rejected
 
 
@@ -163,10 +158,12 @@ _NEWTON_ITERS = 100   # bisection fallback alone halves [0, _CHI_MAX] to _CHI_RT
 
 
 def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
-    """Invert the increasing map chi -> p1 on [0, 1 - 1e-12]; NaN at or below p1(0).
+    """Invert the increasing map chi -> p1 on [0, 1 - 1e-12]; NaN at or below p1(0), or
+    everywhere if eta1 = 0, where p1 is p1(0) at every chi.
 
-    Safeguarded Newton: every step stays inside a bracket [lo, hi] that holds the
-    root and shrinks with each evaluation, and bisects where Newton would leave it.
+    Safeguarded Newton: every step stays inside a bracket [lo, hi] that holds the root
+    and shrinks with each evaluation, and bisects where Newton would leave it or is not
+    finite (a tiny eta1).
     Each target stops on its own, so its chi does not depend on the other targets.
     A parameter may be an array over the targets (the fit's per-point background).
     """
@@ -174,39 +171,40 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     eff, bg0 = params.eta1, bg1_mean(params, 0.0)
     slope = bg1_mean(params, 1.0) - bg0   # affine in chi
     floor = p1_of_chi(params, 0.0)
-    active = reachable = targets > floor
+    active = reachable = (targets > floor) & (eff > 0)
     # start from the line through p1(0) with slope dp1/dchi at 0
-    chi = np.clip((targets - floor) / (np.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
-    lo, hi = np.zeros_like(chi), np.full_like(chi, _CHI_MAX)
-    for _ in range(_NEWTON_ITERS):
-        if not active.any():
-            break
-        miss = p1_of_chi(params, chi) - targets
-        lo = np.where(miss < 0, chi, lo)
-        hi = np.where(miss > 0, chi, hi)
-        # p1 = 1 - exp(-bg0 - slope chi) (1 - chi) / (1 - chi (1 - eff))
-        den = 1.0 - chi * (1.0 - eff)
-        dp1 = np.exp(-bg0 - slope * chi) * (slope * (1.0 - chi) / den + eff / (den * den))
-        step = chi - miss / dp1
-        # strictly inside, so that every evaluation shrinks the bracket; a correction below an
-        # ulp leaves chi, which may be a bracket end, and has converged
-        step = np.where((step > lo) & (step < hi) | (step == chi), step, 0.5 * (lo + hi))
-        step = np.where(active & (miss != 0), step, chi)
-        # Newton converges quadratically: a step this small leaves ~_CHI_RTOL**2
-        active = active & (np.abs(step - chi) > _CHI_RTOL * step)
-        chi = step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # inf or NaN bisects
+        chi = np.clip((targets - floor) / (np.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
+        lo, hi = np.zeros_like(chi), np.full_like(chi, _CHI_MAX)
+        for _ in range(_NEWTON_ITERS):
+            if not active.any():
+                break
+            miss = p1_of_chi(params, chi) - targets
+            lo = np.where(miss < 0, chi, lo)
+            hi = np.where(miss > 0, chi, hi)
+            # p1 = 1 - exp(-bg0 - slope chi) (1 - chi) / (1 - chi (1 - eff))
+            den = 1.0 - chi * (1.0 - eff)
+            dp1 = np.exp(-bg0 - slope * chi) * (slope * (1.0 - chi) / den + eff / (den * den))
+            step = chi - miss / dp1
+            # strictly inside, so that every evaluation shrinks the bracket; a correction below
+            # an ulp leaves chi, which may be a bracket end, and has converged
+            step = np.where((step > lo) & (step < hi) | (step == chi), step, 0.5 * (lo + hi))
+            step = np.where(active & (miss != 0), step, chi)
+            # Newton converges quadratically: a step this small leaves ~_CHI_RTOL**2
+            active = active & (np.abs(step - chi) > _CHI_RTOL * step)
+            chi = step
     return np.where(reachable, chi, np.nan)
 
 
 _STEP = 1e-20   # complex step: f(x + ih) = f(x) + ih f'(x) + O(h^2), with no difference taken
 _BLOCK = 64     # starts advanced in lock-step: a pass's memory grows with it, not with n_starts
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class _Problem:
     """A dataset's observation arrays, built once per fit, and the weighted residuals of
     the free parameters' internal values x against them, with their complex-step Jacobian
-    (Squire & Trapp, SIAM Rev. 40, 110 (1998)), in one model pass for starts (S, d) of x."""
+    (Squire & Trapp, SIAM Rev. 40, 110 (1998)), in one model pass for starts (S, d) of x.
+    1 / scale < 1 / _EPS in a file (`_rejected`) and |residual| <= _R_MAX keep the solver finite."""
 
     def __init__(self, dataset: Dataset, base: ModelParams, free_names=()):
         pts = dataset.points
@@ -219,8 +217,7 @@ class _Problem:
             # residual = (pred, or log pred in log space, - ref) / scale
             self.ref = np.where(self.log, np.log(obs), obs)
             self.scale = np.where(self.log, se / obs, se)
-        # an observable without an SE > 0, or whose scale overflows, weighs nothing; a file's
-        # scales are of finite weight (`_rejected`)
+        # an observable without an SE > 0, or whose scale overflows, weighs nothing
         self.use = np.isfinite(obs) & (se > 0) & np.isfinite(self.scale)
         self.base, self.free_names = base, tuple(free_names)
         self._chi_of = {}   # each start's free values at the last inversion -> its chi
@@ -236,7 +233,8 @@ class _Problem:
 
     def table(self, free: dict, perturbed: dict | None = None) -> np.ndarray:
         """Weighted residuals [..., point, observable] (PENALTY where the model cannot reach
-        one) at the free values by name, in natural units: numbers, or arrays [start, 1].
+        one, or where its real part is beyond _R_MAX, which bounds what the solver squares) at
+        the free values by name, in natural units: numbers, or arrays [start, 1].
         `perturbed` maps the same names to complex values with one more axis before the
         points; chi follows by the implicit function theorem, dchi = -dp1 / (dp1/dchi)."""
         view = self._view(free)
@@ -257,7 +255,8 @@ class _Problem:
             pred = np.stack([curves[k] for k in _OBSERVABLES], axis=-1)
             r = (np.where(self.log, np.log(pred), pred) - self.ref) / self.scale
         # pred or obs <= 0 in log space makes r non-finite, but for a complex pred
-        return np.where(~np.isfinite(r) | (self.log & (pred.real <= 0)), PENALTY, r)
+        bad = ~np.isfinite(r) | (np.abs(r.real) > _R_MAX) | (self.log & (pred.real <= 0))
+        return np.where(bad, PENALTY, r)
 
     def free(self, x: np.ndarray) -> dict:
         """The free values by name, in natural units, of internal values x (..., d), each (..., 1)."""
@@ -278,7 +277,7 @@ def residuals(params: ModelParams, dataset: Dataset,
 
     Ordered by point index, then g12, p12, qc, w.  An observable the model cannot
     reach at a point (p1 below the model's floor, or a non-positive value in log
-    space) gets the residual PENALTY.
+    space), or whose residual exceeds 1 / eps^2 in size, gets the residual PENALTY.
     """
     problem = _Problem(dataset, params)
     alt = {} if bg1_incoherent_alt is None else {"bg1_incoherent_alt": bg1_incoherent_alt}
@@ -480,7 +479,7 @@ def fit(dataset: Dataset, base: ModelParams | None = None, free_names=None,
     fitted = replace(base, **updates)
     flags = ["under-determined"] if n_residuals <= d else []
     # J is at the solution; d x / d v = 1 / (ln 10 v) where x = log10 v
-    jac = J / np.where([n in _LOG_PARAMS for n in free_names], _LN10 * natural, 1.0)
+    jac = J / np.where([n in _LOG_PARAMS for n in free_names], math.log(10) * natural, 1.0)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)

@@ -993,6 +993,10 @@ def test_sweep_edge_inputs(params, chi_min, chi_max, points):
 @example(edits=[(1, 7, b"1e-60")], params=None, bounds=None, starts="2", seed="0")  # p12_se
 @example(edits=[(6, 3, b"1.8e-50")], params=None, bounds=None, starts="2", seed="7")  # g12_se
 @example(edits=[], params=None, bounds=b"bg1_coherent_max = 1e308\n", starts="2", seed="0")
+@example(edits=[], params=b"eta1 = 0\n", bounds=None, starts="2", seed="0")   # p1 constant
+@example(edits=[], params=b"eta1 = 5e-324\n", bounds=None, starts="2", seed="0")
+@example(edits=[], params=b"eta2_path = 1e-100\n", bounds=None, starts="2", seed="0")  # qc ~ 1e100
+@example(edits=[], params=b"eta_apd = 1e-300\n", bounds=None, starts="2", seed="0")
 @given(edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), edge), max_size=3),
        params=st.none() | key_values(PARAM_KEYS), bounds=st.none() | key_values(BOUND_KEYS),
        starts=count_arg(2), seed=edge_arg)

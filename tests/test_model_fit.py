@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +126,26 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(PAPER_REGIME, Dataset([]))
 
+    @pytest.mark.parametrize("se, penalised", [(1e-33, True), (1e-31, False)])
+    def test_residual_beyond_its_bound_is_penalty(self, se, penalised):
+        # qc off by 0.1: a residual of 1e32 lies beyond 1 / eps^2 (2e31), a prediction that
+        # nothing in a file resolves; 1e30 stays
+        ds = exact_dataset(PAPER_REGIME, [1e-2])
+        ds.points[0].qc += 0.1
+        ds.points[0].qc_se = se
+        r = residuals(PAPER_REGIME, ds)[2]   # g12, p12, qc, w
+        assert r == PENALTY if penalised else r == pytest.approx(-0.1 / se, rel=1e-9)
+
+    def test_residual_at_its_bound_stays(self):
+        # qc at the model's own prediction plus 2^-30, exactly, with an SE of 2^-134: the
+        # residual is -2^104 = -1 / eps^2 exactly, at the bound and not beyond it
+        ds = exact_dataset(PAPER_REGIME, [1e-2])
+        ds.points[0].qc_se = 1.0
+        ds.points[0].qc += residuals(PAPER_REGIME, ds)[2]
+        ds.points[0].qc += 2.0 ** -30
+        ds.points[0].qc_se = 2.0 ** -134
+        assert residuals(PAPER_REGIME, ds)[2] == -2.0 ** 104
+
 
 class TestDatasetCsv:
     def test_round_trip(self):
@@ -221,6 +243,28 @@ class TestDatasetCsv:
         # not the last of the two cells (g12 = 99) read silently
         with pytest.raises(ValueError, match=f"column '{col}' is repeated"):
             dataset_from_csv(f"{header}\n0.01,10,1,99\n")
+
+    @pytest.mark.parametrize("col, value, floor", [
+        ("w", 0.5, 2.0 ** -52),                                  # linear, |w| <= 1
+        ("qc", 1e3, 2.0 ** -52 * 1e3),                           # linear, |qc| > 1
+        ("g12", 6.18, 2.0 ** -52 * math.log(6.18) * 6.18),       # log space
+        ("p12", 1e-4, 2.0 ** -52 * -math.log(1e-4) * 1e-4)])
+    def test_se_must_exceed_its_values_resolution(self, col, value, floor):
+        # scale > eps max(1, |x|), x and scale the residual's: in log space log(value) and
+        # SE / value
+        text = f"p1,{col},{col}_se\n0.01,{value!r},{{}}\n"
+        with pytest.raises(ValueError, match=re.escape(f"line 2, column {col}_se: '{floor!r}' "
+                                                       f"is not an SE > {floor:.3g}")):
+            dataset_from_csv(text.format(repr(floor)))
+        above = float(np.nextafter(floor, math.inf))
+        assert getattr(dataset_from_csv(text.format(repr(above))).points[0], col + "_se") == above
+
+    @pytest.mark.parametrize("se", ["5.1e-49", "2e-48"])
+    def test_se_below_resolution_of_a_large_g12_rejected(self, se):
+        # once accepted, and the fit's solver then overflowed on it
+        with pytest.raises(ValueError, match="line 2, column g12_se"):
+            dataset_from_csv(f"p1,g12,g12_se\n0.0011182637914992025,63.02122821595107,{se}\n")
+
 
 class TestFit:
     def test_noiseless_recovery(self):
@@ -390,6 +434,15 @@ class TestNewtonInversion:
             back = chi_from_p1(p, p1)
             assert np.all(np.abs(p1_of_chi(p, back) - p1) <= 1e-11 * p1)
 
+    @pytest.mark.parametrize("eta1", [0.0, 5e-324, 1e-320])
+    def test_tiny_eta1_warns_nothing(self, eta1):
+        # with eta1 = 0, p1 is p1(0) at every chi, so no target is reachable; a tiny eta1's
+        # Newton step is not finite and bisects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = chi_from_p1(ModelParams(eta1=eta1), [0.5, 1e-3])
+        assert np.isnan(chi).all() == (eta1 == 0.0)
+
     def test_nan_at_or_below_floor(self):
         p = ModelParams(bg1_incoherent=1e-3)
         floor = float(p1_of_chi(p, 0.0))
@@ -407,6 +460,34 @@ class TestNewtonInversion:
         chi = chi_from_p1(p, [target])
         assert len(calls) <= 8
         assert p1_of_chi(p, chi)[0] == pytest.approx(target, rel=1e-14)
+
+    def test_step_outside_the_bracket_bisects(self, monkeypatch):
+        # just above p1's floor, at p1's resolution, Newton's third step here falls outside
+        # the bracket, by then an ulp wide; bisecting there ends the inversion, where steps
+        # let out of the bracket ran all 100 iterations
+        p = ModelParams(bg1_coherent=0.001032030425134967, bg1_incoherent=0.007231596946306045,
+                        eta1=0.043249719552409714)
+        root, calls = 3.726528312953501e-07, []
+        target = float(p1_of_chi(p, root))
+        monkeypatch.setattr(model_fit, "p1_of_chi",
+                            lambda params, chi: calls.append(1) or p1_of_chi(params, chi))
+        chi = chi_from_p1(p, [target])
+        assert len(calls) <= 8
+        assert chi[0] == pytest.approx(root, rel=1e-9)
+
+    def test_few_evaluations_per_target(self, monkeypatch):
+        # the start, on the tangent at chi = 0, and the exact dp1/dchi keep Newton short:
+        # 4.13 evaluations a target here, p1(0) included, one target at a time
+        calls, n = [], 0
+        monkeypatch.setattr(model_fit, "p1_of_chi",
+                            lambda params, chi: calls.append(1) or p1_of_chi(params, chi))
+        chis = np.concatenate([np.geomspace(1e-9, 0.999, 50), 1 - np.geomspace(1e-3, 1e-11, 20)])
+        for seed in range(20):
+            p = random_params(np.random.default_rng(seed))
+            for target in p1_of_chi(p, chis).tolist():
+                chi_from_p1(p, [target])
+                n += 1
+        assert len(calls) <= 4.3 * n
 
     def test_saturates_at_top_of_bracket(self):
         assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
@@ -551,6 +632,25 @@ def benchmark_style_dataset():
             values[k + "_se"] = se[k]
         pts.append(DataPoint(**values))
     return Dataset([pts[i] for i in np.random.default_rng(1).permutation(len(pts))])
+
+
+@pytest.mark.parametrize("factor", [1.01, 1e3])
+@pytest.mark.parametrize("col", ["g12", "p12", "qc", "w"])
+def test_fit_near_the_se_floor_warns_nothing(col, factor):
+    # one SE a little above its value's resolution, at the lowest p1 that has the observable:
+    # nearest the model's p1 floor, where the model's sensitivity to the backgrounds is largest
+    ds = benchmark_style_dataset()
+    pt = min((pt for pt in ds.points if math.isfinite(getattr(pt, col))), key=lambda pt: pt.p1)
+    v = getattr(pt, col)
+    x, unit = (math.log(v), v) if col in ("g12", "p12") else (v, 1.0)
+    se = factor * 2.0 ** -52 * max(1.0, abs(x)) * unit
+    setattr(pt, col + "_se", se)
+    ds = dataset_from_csv(dataset_to_csv(ds))   # the file's rule keeps it
+    assert se in [getattr(p, col + "_se") for p in ds.points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(ds, base=PAPER_REGIME, n_starts=1, seed=0)
+    assert math.isfinite(res.objective)
 
 
 class TestFitRobustness:
