@@ -106,7 +106,7 @@ def dataset_to_csv(ds: Dataset) -> str:
                 raise ValueError(f"dataset point {i}: p1 = {pt.p1!r} is not {rule}")
             name = col.removesuffix("_se")   # a value goes with its SE; p1, the abscissa, stays
             values.update(dict.fromkeys({name, name + "_se"} - {"p1"}, math.nan))
-        writer.writerow([repr(v) if math.isfinite(v) else "" for v in values.values()]
+        writer.writerow([repr(float(v)) if math.isfinite(v) else "" for v in values.values()]
                         + [pt.flags])
     return buf.getvalue()
 
@@ -158,8 +158,8 @@ _NEWTON_ITERS = 100   # bisection fallback alone halves [0, _CHI_MAX] to _CHI_RT
 
 
 def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
-    """Invert the increasing map chi -> p1 on [0, 1 - 1e-12]; NaN at or below p1(0), or
-    everywhere if eta1 = 0, where p1 is p1(0) at every chi.
+    """Invert the increasing map chi -> p1 on [0, 1 - 1e-12]; NaN outside the model's range,
+    at or below p1(0) or above p1(1 - 1e-12) (everywhere if eta1 = 0, where the two are equal).
 
     Safeguarded Newton: every step stays inside a bracket [lo, hi] that holds the root
     and shrinks with each evaluation, and bisects where Newton would leave it or is not
@@ -170,8 +170,8 @@ def chi_from_p1(params: ModelParams, p1_targets) -> np.ndarray:
     targets = np.atleast_1d(np.asarray(p1_targets, dtype=float))
     eff, bg0 = params.eta1, bg1_mean(params, 0.0)
     slope = bg1_mean(params, 1.0) - bg0   # affine in chi
-    floor = p1_of_chi(params, 0.0)
-    active = reachable = (targets > floor) & (eff > 0)
+    floor, top = p1_of_chi(params, np.reshape([0.0, _CHI_MAX], (2,) + (1,) * np.ndim(bg0)))
+    active = reachable = (targets > floor) & (targets <= top)
     # start from the line through p1(0) with slope dp1/dchi at 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # inf or NaN bisects
         chi = np.clip((targets - floor) / (np.exp(-bg0) * (slope + eff)), 0.0, _CHI_MAX)
@@ -245,7 +245,7 @@ class _Problem:
         else:
             chi = chi_from_p1(view, self.p1)   # [start, point], or [point] if no value moves it
             self._chi_of = dict(zip(starts, chi if chi.ndim > 1 else [chi] * len(starts)))
-        # NaN chi (p1 below the model's floor) warns in complex division
+        # NaN chi (p1 outside the model's range) warns in complex division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if perturbed is not None:
                 dp1 = p1_of_chi(view, chi + 1j * _STEP).imag / _STEP
@@ -276,7 +276,7 @@ def residuals(params: ModelParams, dataset: Dataset,
     """Weighted residual vector: log-space for g12 and p12, linear for qc and w.
 
     Ordered by point index, then g12, p12, qc, w.  An observable the model cannot
-    reach at a point (p1 below the model's floor, or a non-positive value in log
+    reach at a point (p1 outside the model's range, or a non-positive value in log
     space), or whose residual exceeds 1 / eps^2 in size, gets the residual PENALTY.
     """
     problem = _Problem(dataset, params)

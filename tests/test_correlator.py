@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +178,24 @@ class TestEstimate:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             estimate_metrics(CountTable(mode=DetectionMode.SINGLE))
+
+    def test_inconsistent_table_rejected_by_the_bootstrap(self):
+        # n12 > n1 leaves the pattern "D1 alone" a negative count to resample
+        t = CountTable(DetectionMode.SINGLE, n_trials=10, n1=2, n2=2, n12=5)
+        with pytest.raises(ValueError, match="inconsistent count table"):
+            estimate_metrics(t, method="bootstrap")
+
+    def test_unknown_error_method_rejected(self):
+        t = CountTable(DetectionMode.SINGLE, n_trials=10, n1=2, n2=2, n12=1)
+        with pytest.raises(ValueError, match="unknown error method 'jackknife'"):
+            estimate_metrics(t, method="jackknife")
+
+    @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_table_survives_pickle_and_deepcopy(self, clone):
+        # both look up __setstate__ on the copy before its mode and values are set
+        back = clone(PIN_SPLIT)
+        assert back == PIN_SPLIT and back.n1_2a_2b == 150
 
     def test_report_text_roundtrippable(self):
         t = CountTable(mode=DetectionMode.SINGLE, n_trials=1000, n1=100, n2=80, n12=30)

@@ -217,12 +217,16 @@ class TestDatasetCsv:
     @settings(max_examples=300, deadline=None)
     @given(p1=st.floats(1e-12, 0.99) | st.sampled_from([0.0, 1.0, 1.5, math.nan, math.inf, 5e-324]),
            values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1e-310, 2.5, 1e308, math.inf,
-                                            -math.inf, math.nan]), min_size=9, max_size=9))
-    def test_every_written_dataset_reads_back(self, p1, values):
-        # the writer raises for a p1 that the reader rejects, and else writes what reads back
+                                            -math.inf, math.nan]), min_size=9, max_size=9),
+           cast=st.lists(st.sampled_from([float, np.float64]), min_size=10, max_size=10))
+    def test_every_written_dataset_reads_back(self, p1, values, cast):
+        # the writer raises for a p1 that the reader rejects, and else writes what reads back,
+        # from Python floats and numpy scalars alike
+        p1, *values = (f(v) for f, v in zip(cast, [p1, *values]))
         pt = DataPoint(p1, *values)
         if not 0.0 < p1 < 1.0:
-            with pytest.raises(ValueError, match=f"dataset point 0: p1 = {p1!r} is not"):
+            message = re.escape(f"dataset point 0: p1 = {p1!r} is not")
+            with pytest.raises(ValueError, match=message):
                 dataset_to_csv(Dataset([pt]))
             return
         back = dataset_from_csv(dataset_to_csv(Dataset([pt]))).points[0]
@@ -434,14 +438,17 @@ class TestNewtonInversion:
             back = chi_from_p1(p, p1)
             assert np.all(np.abs(p1_of_chi(p, back) - p1) <= 1e-11 * p1)
 
-    @pytest.mark.parametrize("eta1", [0.0, 5e-324, 1e-320])
+    @pytest.mark.parametrize("eta1", [0.0, 5e-324, 1e-320, 1e-20])
     def test_tiny_eta1_warns_nothing(self, eta1):
-        # with eta1 = 0, p1 is p1(0) at every chi, so no target is reachable; a tiny eta1's
-        # Newton step is not finite and bisects
+        # with eta1 = 0, p1 is p1(0) at every chi, so no target is reachable; with a tiny
+        # eta1, 0.5 and 1e-3 are above p1(1 - 1e-12) (1.0e-8 at 1e-20), and a Newton step
+        # towards that top may not be finite, and bisects
+        p = ModelParams(eta1=eta1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chi = chi_from_p1(ModelParams(eta1=eta1), [0.5, 1e-3])
-        assert np.isnan(chi).all() == (eta1 == 0.0)
+            chi = chi_from_p1(p, [0.5, 1e-3, p1_of_chi(p, model_fit._CHI_MAX)])
+        np.testing.assert_array_equal(chi, [np.nan, np.nan,
+                                            np.nan if eta1 == 0.0 else model_fit._CHI_MAX])
 
     def test_nan_at_or_below_floor(self):
         p = ModelParams(bg1_incoherent=1e-3)
@@ -489,8 +496,11 @@ class TestNewtonInversion:
                 n += 1
         assert len(calls) <= 4.3 * n
 
-    def test_saturates_at_top_of_bracket(self):
-        assert chi_from_p1(PAPER_REGIME, [1.0])[0] == pytest.approx(1.0, abs=1e-11)
+    def test_nan_above_top_of_bracket(self):
+        # p1(1 - 1e-12), the top of the model's range, inverts to 1 - 1e-12; above it is NaN
+        top = p1_of_chi(PAPER_REGIME, model_fit._CHI_MAX)
+        np.testing.assert_array_equal(chi_from_p1(PAPER_REGIME, [top, np.nextafter(top, 2), 1.0]),
+                                      [model_fit._CHI_MAX, np.nan, np.nan])
 
     def test_one_inversion_per_parameter_point(self, monkeypatch):
         # the lock-step solver takes a start's Jacobian at the point of its last residuals:
@@ -651,6 +661,15 @@ def test_fit_near_the_se_floor_warns_nothing(col, factor):
         warnings.simplefilter("error")
         res = fit(ds, base=PAPER_REGIME, n_starts=1, seed=0)
     assert math.isfinite(res.objective)
+
+
+def test_fit_above_the_models_range_is_penalty():
+    # with eta1 = 1e-20 no point's p1 is reachable, at any start: PENALTY on all 41 residuals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(benchmark_style_dataset(), base=ModelParams(eta1=1e-20), n_starts=2, seed=1)
+    assert res.n_residuals == 41
+    assert res.objective == 41 * PENALTY ** 2
 
 
 class TestFitRobustness:

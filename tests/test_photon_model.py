@@ -162,6 +162,21 @@ class TestBruteForce:
         for k, v in s60.as_dict().items():
             assert abs(v - getattr(s10, k)) <= tail10 + 1e-12
 
+    def test_nmax_below_one_rejected(self):
+        with pytest.raises(ValueError, match="nmax must be >= 1"):
+            brute_force_statistics(ModelParams(chi=0.01), SINGLE, nmax=0)
+
+    @pytest.mark.parametrize("change", [{"bs_ratio": 0.0}, {"bs_ratio": 1.0},
+                                        {"retrieval_eff": 0.0}], ids=["no-a", "no-b", "neither"])
+    def test_matches_analytic_with_an_unreached_arm(self, change):
+        # the splitter arms that no pair photon reaches: _trinom_pmf's zero-probability arms
+        p = dataclasses.replace(ModelParams(chi=0.3, bg2_coherent=0.01, bg1_incoherent=1e-4,
+                                            bg2_incoherent=1e-4), **change)
+        a = click_statistics(p, SPLIT)
+        b, _ = brute_force_statistics(p, SPLIT, 60)
+        for k, v in a.as_dict().items():
+            assert abs(v - getattr(b, k)) <= 1e-15, k
+
     def test_oracle_equivalence_random(self, rng):
         for _ in range(25):
             p = random_params(rng, chi_max=0.6)

@@ -73,6 +73,11 @@ def test_binary_record_is_13_bytes(rng):
         7, 49 + 7 * 13)
 
 
+def test_unknown_format_rejected():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_chunks([], io.BytesIO(), "xml", 0, DetectionMode.SINGLE)
+
+
 def test_truncated_binary_reports_offset(rng):
     data = write(make_columns(10, rng), BINARY)[:-5]
     with pytest.raises(RecordFormatError) as exc:
