@@ -127,6 +127,12 @@ cmp numpy.txt fit.txt
 dlczsim analyze records.csv --error-method bootstrap --seed 3 --out /dev/null
 test ! -e /dev/null.manifest.json
 
+# a CSV whose line after its first is 128 MB without an LF reads in linear time: exit 2 with
+# one error line in about a second, where a buffer rescanned at each read took ~40 s
+{ printf '# dlczsim records v2 n_trials=10 mode=split seed=1\n'; head -c $((128 << 20)) /dev/zero | tr '\0' x; } > long-line.csv
+fails 2 '^error:.*long-line.csv' timeout 12 dlczsim analyze long-line.csv --out long-line.txt
+rm long-line.csv
+
 # the same records reversed, as CSV v1 (the unsorted-file path), and from a pipe, which
 # that path cannot rewind
 { sed -n 2p records.csv; tail -n +3 records.csv | tac; } > reversed.csv

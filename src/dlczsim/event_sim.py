@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from itertools import islice
 
 import numpy as np
@@ -19,6 +20,7 @@ from .params import DETECTORS, DetectionMode, Detector, SessionSpec
 _DRAWS_PER_TRIAL = 8
 _UNIT = 1 << 14   # trials per work unit: 1 MiB of words (numpy asks huge pages for 4 MiB)
 _CHUNK_UNITS = 4  # work units per yielded chunk: 2**16 trials
+_local = threading.local()   # each thread's one Philox generator
 
 
 def _word_limit(t: float) -> int:
@@ -35,6 +37,20 @@ def _limits(spec: SessionSpec) -> tuple[list[int], int]:
             _word_limit(1.0 - spec.params.chi * (1.0 + 1e-6)))
 
 
+def _words(seed: int, start: int, count: int) -> np.ndarray:
+    """The raw words of trials [start, start + count), a row each: those of
+    `Philox(key=seed, counter=start * _DRAWS_PER_TRIAL // 4)`, drawn by the thread's one
+    generator with its key and counter set (a new Philox draws OS entropy that it ignores)."""
+    if not hasattr(_local, "philox"):
+        _local.philox = np.random.Philox(0)
+    key, counter = (np.array([v >> 64 * i & (1 << 64) - 1 for i in range(size)], np.uint64)
+                    for v, size in ((seed, 2), (start * _DRAWS_PER_TRIAL // 4, 4)))
+    _local.philox.state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+                           "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0,
+                           "uinteger": 0}
+    return _local.philox.random_raw(count * _DRAWS_PER_TRIAL).reshape(count, _DRAWS_PER_TRIAL)
+
+
 def _sample_clicks(spec: SessionSpec, limits, start: int, count: int) -> np.ndarray:
     """Click-pattern codes (uint8; bit i is detector channel i) of trials [start, start + count).
 
@@ -45,13 +61,12 @@ def _sample_clicks(spec: SessionSpec, limits, start: int, count: int) -> np.ndar
     Backgrounds and the pair cut compare words with `limits` (`_limits(spec)`); words 0,
     1 and 3 of the trials above the cut, about a fraction chi, become doubles.
     """
-    philox = np.random.Philox(key=spec.seed, counter=[start * _DRAWS_PER_TRIAL // 4, 0, 0, 0])
-    words = philox.random_raw(count * _DRAWS_PER_TRIAL).reshape(count, _DRAWS_PER_TRIAL)
+    words = _words(spec.seed, start, count)
     p, (bg_limits, cut) = spec.params, limits
-    background_words = (2, 4) if spec.config.mode is DetectionMode.SINGLE else (2, 4, 5)
+    single = spec.config.mode is DetectionMode.SINGLE
     codes = np.zeros(count, np.uint8)
-    for i, (k, limit) in enumerate(zip(background_words, bg_limits)):
-        codes |= (words[:, k] < limit).view(np.uint8) << i
+    for i, (w, limit) in enumerate(zip((2, 4) if single else (2, 4, 5), bg_limits)):
+        codes |= (words[:, w] < limit).view(np.uint8) << i
     rows = np.flatnonzero(words[:, 0] >= cut)
     if len(rows) == 0:
         return codes
@@ -59,19 +74,30 @@ def _sample_clicks(spec: SessionSpec, limits, start: int, count: int) -> np.ndar
     del words   # a work unit's 1 MiB, freed before the pair arithmetic
     n = np.floor(np.log1p(-u0) / np.log(p.chi)).astype(np.int64)
 
+    # the click thresholds are functions of n alone: taken over 0..max(n) and looked up by n
+    # while that table is short against the rows (the same powers of the same operands, so
+    # the same bits), else over n itself, as near chi = 1, where n reaches ~1e7
+    top = int(n.max())
+    table = 4 * top < len(n)
+    k = np.arange(top + 1) if table else n
+
+    def by_trial(threshold):
+        return threshold.take(n) if table else threshold
+
     chans = spec.config.channels(p)
-    pairs = (u1 < 1.0 - (1.0 - chans[0].pair_eff) ** n).view(np.uint8)
-    if spec.config.mode is DetectionMode.SINGLE:
-        pairs |= (u3 < 1.0 - (1.0 - chans[1].pair_eff) ** n).view(np.uint8) << 1
+    pairs = (u1 < by_trial(1.0 - (1.0 - chans[0].pair_eff) ** k)).view(np.uint8)
+    if single:
+        pairs |= (u3 < by_trial(1.0 - (1.0 - chans[1].pair_eff) ** k)).view(np.uint8) << 1
     else:
         ca, cb = chans[1], chans[2]
         # joint pair-arrival indicator for the two arms: routing is exclusive per photon
-        p00 = (1.0 - ca.pair_eff - cb.pair_eff) ** n
-        pa0 = (1.0 - ca.pair_eff) ** n   # no photon at arm a
-        pb0 = (1.0 - cb.pair_eff) ** n
+        p00 = (1.0 - ca.pair_eff - cb.pair_eff) ** k
+        pa0 = (1.0 - ca.pair_eff) ** k   # no photon at arm a
+        pb0 = (1.0 - cb.pair_eff) ** k
         # cell layout on [0,1): neither | a only | b only | both
         edge_a = pb0                      # p00 + P(a only) = p00 + (pb0 - p00)
         edge_b = pb0 + (pa0 - p00)        # + P(b only)
+        p00, edge_a, edge_b = by_trial(p00), by_trial(edge_a), by_trial(edge_b)
         pairs |= (((u3 >= p00) & (u3 < edge_a)) | (u3 >= edge_b)).view(np.uint8) << 1
         pairs |= (u3 >= edge_a).view(np.uint8) << 2
     codes[rows] |= pairs
@@ -88,6 +114,8 @@ def session_chunks(spec: SessionSpec):
     """Yield the session's records a chunk of trials at a time, as column blocks
     (trial_index, detector_id, offset_ns), the blocks that `RecordReader` yields."""
     det_ids = np.array(DETECTORS[spec.config.mode], dtype=np.uint8)
+    k = len(det_ids)
+    bits = np.arange(256)[:, None] >> np.arange(k) & 1 == 1   # by code: whether channel i clicked
     read_off = spec.schedule.write_offset_ns + spec.schedule.read_delay_ns
     offset_of = np.full(len(Detector), read_off, dtype=np.uint32)
     offset_of[Detector.D1] = spec.schedule.write_offset_ns
@@ -95,10 +123,10 @@ def session_chunks(spec: SessionSpec):
     for start, codes in simulate_clicks(spec):
         # one record per set bit of each trial with a click, row-major: trial, then detector
         clicked = np.flatnonzero(codes)
-        bits = np.unpackbits(codes[clicked, None], axis=1, count=len(det_ids), bitorder="little")
-        rows, cols = np.nonzero(bits)
-        detector_id = det_ids[cols]
-        yield clicked[rows].astype(np.uint64) + np.uint64(start), detector_id, offset_of[detector_id]
+        rows, cols = np.divmod(np.flatnonzero(bits.take(codes[clicked], 0)), k)
+        detector_id = det_ids.take(cols)
+        trial = clicked.take(rows).astype(np.uint64) + np.uint64(start)
+        yield trial, detector_id, offset_of.take(detector_id)
 
 
 def sampler_workers(n_trials: int) -> int:

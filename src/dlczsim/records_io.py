@@ -30,8 +30,12 @@ _CSV_V2 = "# dlczsim records v2 n_trials={} mode={} seed={}"
 _CSV_V2_LINE = re.compile(r"# dlczsim records v2 n_trials=([0-9]+) mode=(single|split) seed=([0-9]+)")
 # ",label," right-aligned and NUL-padded in 5 bytes, by detector id
 _LABEL_FIELDS = np.array([list(f",{d.label},".encode().rjust(5, b"\0")) for d in Detector], "u1")
-# the 3 bytes before a label's second comma as a big-endian number: sorted, so in id order
+# the 3 bytes before a label's second comma as a big-endian number, by detector id
 _LABEL_KEYS = np.array([int.from_bytes(f",{d.label}".encode()[-3:], "big") for d in Detector])
+# by the last of those bytes, the id of the only label that ends in it (0 for no label)
+_LABEL_OF = np.zeros(256, np.uint8)
+_LABEL_OF[_LABEL_KEYS & 0xFF] = list(Detector)
+assert len(set(_LABEL_KEYS & 0xFF)) == len(Detector)
 
 
 class RecordFormatError(ValueError, OSError):
@@ -68,8 +72,13 @@ def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
             for name, column in zip(_RECORD_DTYPE.names, (trial, det, off)):
                 data[name] = column
         else:   # one NUL-padded row per record: digits, ",label," and digits; the NULs drop out
-            data = np.hstack([_decimal(trial), _LABEL_FIELDS.take(det, 0), _decimal(off),
-                              np.full((len(trial), 1), ord("\n"), np.uint8)]).ravel()
+            wt, wo = _width(trial), _width(off)
+            data = np.empty((len(trial), wt + 5 + wo + 1), np.uint8)
+            _decimal(trial, data[:, :wt])
+            _LABEL_FIELDS.take(det, 0, out=data[:, wt:wt + 5])
+            _decimal(off, data[:, wt + 5:-1])
+            data[:, -1] = ord("\n")
+            data = data.ravel()
             data = data[data != 0]
         size, records = size + sink.write(data.tobytes()), records + len(trial)
     sink.seek(start)
@@ -78,16 +87,24 @@ def write_chunks(chunks, sink, fmt: str, n_trials: int, mode: DetectionMode,
     return records, size
 
 
-def _decimal(values: np.ndarray) -> np.ndarray:
-    """ASCII decimal digits of non-negative integers, right-aligned and NUL-padded, a row each."""
-    v = np.asarray(values, np.uint64)
-    out = np.zeros((len(str(int(v.max(initial=0)))), len(v)), np.uint8)   # a row per place
-    for j in range(len(out) - 1, -1, -1):   # the units digit, then zeros only inside
-        q = v // 10   # the digit v - 10 q, in uint8 arithmetic, which wraps mod 256
-        digit = v.astype(np.uint8) - q.astype(np.uint8) * np.uint8(10) + np.uint8(ord("0"))
-        out[j] = digit * ((v > 0) | (j == len(out) - 1))
+def _width(values: np.ndarray) -> int:
+    """The number of decimal digits of the largest of non-negative integers (1 for none)."""
+    return len(str(int(np.max(values, initial=0))))
+
+
+def _decimal(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the ASCII decimal digits of non-negative integers into the rows of `out`,
+    right-aligned and NUL-padded, in as many places as `out` has columns (the digits of
+    the largest value), in 32-bit arithmetic where that holds them."""
+    v = np.asarray(values, np.uint32 if out.shape[1] < 10 else np.uint64)
+    last = out.shape[1] - 1
+    for j in range(last, -1, -1):   # the units digit, then zeros only inside
+        q = v // 10
+        digit = (v - q * 10).astype(np.uint8) + np.uint8(ord("0"))
+        if j < last:
+            digit *= v > 0
+        out[:, j] = digit
         v = q
-    return out.T
 
 
 class RecordReader:
@@ -155,8 +172,7 @@ class RecordReader:
 
     def _csv(self, data: bytes):
         """Parse the header lines, which the first block holds: it ends at an LF after two."""
-        while data.count(b"\n") < 2 and (more := self._source.read(_BLOCK)):
-            data += more
+        data = _read_lines(self._source, data, 2 - data.count(b"\n"))
         cut = data.rfind(b"\n") + 1 if data.count(b"\n") >= 2 else len(data)
         text = _utf8(data[:cut], 0)
         head = column = _line(text, 0)
@@ -179,10 +195,8 @@ class RecordReader:
                 except RecordFormatError as exc:
                     self._errors[2] = exc
             at += len(block)
-            while (more := self._source.read(_BLOCK)) and b"\n" not in more:
-                pending += more
-            pending += more
-            cut = pending.rfind(b"\n") + 1 if more else len(pending)
+            pending = _read_lines(self._source, pending, 1)
+            cut = pending.rfind(b"\n") + 1 or len(pending)
             block, pending = pending[:cut], pending[cut:]
             _utf8(block, at)
 
@@ -208,6 +222,16 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
+def _read_lines(source, data: bytes, lines: int) -> bytes:
+    """`data` and the next reads of `source` up to the one that brings it `lines` more LFs, or
+    to the end, joined once: a line of any length reads in linear time."""
+    parts = [data]
+    while lines > 0 and (more := source.read(_BLOCK)):
+        parts.append(more)
+        lines -= more.count(b"\n") if lines > 1 else b"\n" in more   # the last: a search
+    return b"".join(parts)
+
+
 def _utf8(data: bytes, at: int) -> str:
     try:
         return data.decode()
@@ -230,16 +254,26 @@ def _csv_rows(data: bytes, base: int, start: int):
     lf = np.flatnonzero(buf[start:n] == ord("\n")) + start
     starts = np.concatenate(([start], lf + 1))
     ends = np.append(lf, n)
+    if starts[-1] == n:   # the block ends with an LF: no row after it
+        starts, ends = starts[:-1], ends[:-1]
     commas = np.flatnonzero(buf[start:n] == ord(",")) + start
-    first = np.searchsorted(commas, starts)
-    rows = np.flatnonzero(np.diff(first, append=len(commas)) == 2)
-    c1, c2 = commas[first[rows]], commas[first[rows] + 1]
-    trial, ok = _decode_digits(buf, starts[rows], c1, b"18446744073709551616")
-    off, ok_off = _decode_digits(buf, c2 + 1, ends[rows] - (buf[ends[rows] - 1] == ord("\r")),
-                                 b"4294967296")
+    # with twice as many commas as rows, pair them off in order: a row whose pair is not its
+    # two commas (a row with more or fewer shifts the pairs after it) fails to decode, as
+    # it has a comma in a digit field or a field that ends before it starts
+    whole = len(commas) == 2 * len(starts)
+    if whole:
+        rows, lo, hi, c1, c2 = np.arange(len(starts)), starts, ends, commas[0::2], commas[1::2]
+    else:
+        first = np.searchsorted(commas, starts)
+        rows = np.flatnonzero(np.diff(first, append=len(commas)) == 2)
+        lo, hi, c1, c2 = starts[rows], ends[rows], commas[first[rows]], commas[first[rows] + 1]
+    trial, ok = _decode_digits(buf, lo, c1, b"18446744073709551616")
+    off, ok_off = _decode_digits(buf, c2 + 1, hi - (buf[hi - 1] == ord("\r")), b"4294967296")
     label = sliding_window_view(buf, 4)[c2 - 4].view(">u4").ravel() & 0xFFFFFF
-    det = np.minimum(np.searchsorted(_LABEL_KEYS, label), len(_LABEL_KEYS) - 1)
-    ok &= ok_off & (_LABEL_KEYS[det] == label) & (c2 - c1 <= 4)
+    det = _LABEL_OF.take(label & 0xFF)
+    ok &= ok_off & (_LABEL_KEYS.take(det) == label) & (c2 - c1 <= 4)
+    if whole and ok.all():   # every row decodes: the columns are in file order
+        return trial, det, off.astype(np.uint32), lambda i: base + int(starts[i])
     good = np.zeros(len(starts), bool)
     good[rows[ok]] = True
 
@@ -248,8 +282,7 @@ def _csv_rows(data: bytes, base: int, start: int):
     for a, b in np.flatnonzero(np.diff(~good, prepend=False, append=False)).reshape(-1, 2).tolist():
         _parse_lines(data[starts[a]:ends[b - 1]].decode(), base + int(starts[a]), slow)
     at, trial, det, off = (np.concatenate((fast, np.array(more, fast.dtype))) for fast, more in zip(
-        (starts[rows[ok]] + base, trial[ok], det[ok].astype(np.uint8), off[ok].astype(np.uint32)),
-        slow))
+        (starts[rows[ok]] + base, trial[ok], det[ok], off[ok].astype(np.uint32)), slow))
     order = np.argsort(at)
     return trial[order], det[order], off[order], lambda i: int(at[order[i]])
 
@@ -260,10 +293,14 @@ def _decode_digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, limit: bytes
     width = hi - lo
     ok = (width > 0) & (width <= len(limit))
     value = np.zeros(len(lo), np.uint64)
+    always, at = int(width.min(initial=len(limit))), hi - 1   # digits all fields have; k's bytes
     for k in range(int(width.max(initial=0, where=ok))):   # k-th digit from the right
-        digit = np.where(k < width, buf[hi - 1 - k] - np.uint8(ord("0")), np.uint8(0))
+        digit = buf.take(at) - np.uint8(ord("0"))   # before a field: read, then zeroed
+        if k >= always:
+            digit *= k < width
         ok &= digit <= 9
         value += digit * np.uint64(10 ** k)
+        at -= 1
     full = np.flatnonzero(ok & (width == len(limit)))
     ok[full] = buf[lo[full, None] + np.arange(len(limit))].view(f"S{len(limit)}").ravel() < limit
     return value, ok

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sampler_reference
 from conftest import joined, random_params, session_bytes
 
 from dlczsim import (DetectionConfig, DetectionMode, Detector, ModelParams,
@@ -256,6 +257,40 @@ def test_background_limits_at_the_extremes():
     assert _limits(spec)[0] == [2 ** 64, 0]
     codes = np.concatenate([c for _, c in simulate_clicks(spec)])
     assert np.all(codes & 1) and np.any(codes & 2)
+
+
+UNIT_EFFS = dict(eta1=1, eta2_path=1, eta_apd=1, retrieval_eff=1, bs_transmission=1)
+EDGE_PARAMS = {"chi-0.999999": dict(chi=0.999999), "effs-0": dict(chi=0.3, eta1=0, eta2_path=0),
+               "effs-1": dict(chi=0.3, **UNIT_EFFS),   # split: p00's base 1 - 0.5 - 0.5 is 0
+               "effs-1-one-arm": dict(chi=0.95, bs_ratio=1.0, **UNIT_EFFS)}
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+@pytest.mark.parametrize("kw", EDGE_PARAMS.values(), ids=EDGE_PARAMS.keys())
+def test_power_tables_match_direct_powers(mode, kw):
+    # one trial, a unit whose max n is large against its ~100 pair rows (direct powers at
+    # chi = 0.95), and a whole unit (tables, but direct powers at chi = 0.999999)
+    spec = SessionSpec(params=ModelParams(bg1_incoherent=1e-3, bg2_incoherent=2e-3, **kw),
+                       config=DetectionConfig(mode), seed=3)
+    limits = _limits(spec)
+    for start, count in ((0, 1), (5, 100), (1000, event_sim._UNIT)):
+        codes = event_sim._sample_clicks(spec, limits, start, count)
+        assert np.array_equal(codes, sampler_reference.sample_clicks(spec, limits, start, count))
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_power_tables_stay_bounded(mode):
+    # near chi = 1, n reaches ~1e7: a table up to n's max would take tens of MB, where a
+    # unit's words take 1 MiB
+    spec = SessionSpec(params=ModelParams(chi=0.999999), config=DetectionConfig(mode), seed=3)
+    limits = _limits(spec)
+    tracemalloc.start()
+    try:
+        event_sim._sample_clicks(spec, limits, 0, event_sim._UNIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * event_sim._UNIT * event_sim._DRAWS_PER_TRIAL * 8, peak
 
 
 def set_cpus(monkeypatch, n):

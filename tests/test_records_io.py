@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -273,6 +274,43 @@ def _outcome_at(block, data):
         records_io._BLOCK = saved
 
 
+# rows around the whole-block path, taken by a block with twice as many commas as rows and
+# kept when every row decodes: these rows must read as line by line
+WHOLE_BLOCK_ROWS = {
+    "clean": b"".join(f"{t},{d},{t * 7}\n".encode() for t, d in zip(range(20), ["D1", "D2"] * 10)),
+    "3-and-1-commas": b"0,D1,0\n1,D1,0,\n2D1,0\n3,D2,5\n",   # the comma count of 4 rows
+    "1-and-3-commas": b"0,D1,0\n1D1,0\n2,D1,0,\n3,D2,5\n",
+    "blank-line": b"0,D1,0\n\n1,D2,5\n",
+    "crlf": b"0,D1,0\r\n1,D2,5\r\n",
+    "no-final-lf": b"0,D1,0\n1,D2,5",
+    "stripped-labels": b"0,D1,0\n1, D2,5\n2,\tD1,0\n",
+    # unknown labels whose last byte is that of a label
+    **{f"label-{label}": f"0,D1,0\n1,{label},5\n".encode()
+       for label in ("xD1", "D12", "Dxa", "Dab")},
+}
+
+
+def test_writer_rows_decode_as_arrays(monkeypatch, rng):
+    # the writer's rows, of every width, never reach the line-by-line parser
+    monkeypatch.setattr(records_io, "_parse_lines", None)
+    trials = np.sort(np.concatenate([rng.integers(0, 10 ** 6, 3000, np.uint64),
+                                     np.array([0, 9, 10, 2 ** 64 - 1], np.uint64)]))
+    columns = (trials, rng.choice([0, 2, 3], len(trials)).astype(np.uint8),
+               rng.choice([0, 9, 10, 999, 1000, 2 ** 32 - 1], len(trials)).astype(np.uint32))
+    assert_columns_equal(read(write(columns, CSV, DetectionMode.SPLIT, n_trials=2 ** 64))[0],
+                         columns)
+
+
+@pytest.mark.parametrize("rows", WHOLE_BLOCK_ROWS.values(), ids=WHOLE_BLOCK_ROWS.keys())
+def test_whole_block_path_falls_back_exactly(rows):
+    # every block size: the first read holds the header and more; later blocks start at
+    # each row and end at each LF
+    data = HEADER + rows
+    expected = _outcome(csv_reference.read_csv, data)
+    for block in range(1, len(data) + 2):
+        assert _outcome_at(block, data) == expected, block
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(
     st.builds(lambda head, tokens: head + HEADER + "".join(tokens).encode(),
@@ -284,6 +322,25 @@ def _outcome_at(block, data):
               st.sampled_from([0, 10, 41]), st.integers(0, 2), st.integers(40, 200))))
 def test_version_2_outcome_does_not_depend_on_block_size(data):
     assert _outcome_at(1, data) == _outcome_at(6, data) == _outcome_at(1 << 18, data)
+
+
+def _read_seconds(data):
+    """Wall seconds to read a record file through to its format error."""
+    start = time.perf_counter()
+    with pytest.raises(RecordFormatError):
+        read(data)
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("head", [V2_SPLIT, V2_SPLIT + HEADER], ids=["column-header", "row"])
+def test_long_line_reads_in_linear_time(monkeypatch, head):
+    # a line without an LF, read 1 KiB at a time: 4 times as long takes about 4 times as
+    # long to read, where a buffer rescanned or recopied at each read takes 16 times
+    monkeypatch.setattr(records_io, "_BLOCK", 1 << 10)
+    short, long = (head + b"x" * (size << 20) for size in (1, 4))
+    times = [(_read_seconds(short), _read_seconds(long)) for _ in range(5)]
+    short_s, long_s = (min(column) for column in zip(*times))
+    assert long_s < 8 * short_s, times
 
 
 def test_parse_error_in_later_block_beats_earlier_mixed_record(monkeypatch):
