@@ -90,6 +90,7 @@ def _curves_csv(curves) -> str:
 
 
 def cmd_simulate(args) -> int:
+    import numpy.random   # noqa: F401  the sampler's generator, loaded outside the timed stages
     from .event_sim import sampler_workers, session_chunks
     from .records_io import BINARY, CSV, write_chunks
     started = time.monotonic()
@@ -97,6 +98,9 @@ def cmd_simulate(args) -> int:
     mode = DetectionMode(args.mode)
     spec = SessionSpec(params=params, config=DetectionConfig(mode), schedule=schedule,
                        n_trials=args.trials, seed=args.seed)
+    workers = sampler_workers(spec.n_trials)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor   # noqa: F401  the sampler's pool, too
     sample = {"name": "sample", "s": 0.0, "items": spec.n_trials}   # timed within write
     stages = [sample]
     with _stage(stages, "write") as write, open(args.out, "wb") as sink:
@@ -108,7 +112,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(args.out, "simulate",
                     {"params_file": args.params, "mode": args.mode,
                      "trials": args.trials, "format": args.format, "records": records,
-                     "bytes": n_bytes, "workers": sampler_workers(spec.n_trials)},
+                     "bytes": n_bytes, "workers": workers},
                     args.seed, started, stages=stages)
     print(f"wrote {records} records ({n_bytes} bytes) to {args.out}")
     return EXIT_OK
@@ -124,6 +128,8 @@ def _manifest_trials(records: str) -> int | None:
 
 
 def cmd_analyze(args) -> int:
+    if args.error_method == "bootstrap":
+        import numpy.random   # noqa: F401  the resampling generator, loaded outside the stages
     from .correlator import count_patterns, estimate_metrics, report_text, table_from_counts
     from .records_io import RecordReader
     started = time.monotonic()
@@ -152,6 +158,7 @@ def cmd_analyze(args) -> int:
                 counts = count_patterns([(trial[order], det[order])])
             table = table_from_counts(reader.mode, counts, reader.n_trials)
             count["items"] = read["items"] = reader.records
+            n_bytes = source.seek(0, os.SEEK_END)
         count["s"] -= read["s"]
     except OSError as exc:   # a malformed record file included
         raise OSError(f"cannot read {args.records}: {exc}") from exc
@@ -165,7 +172,8 @@ def cmd_analyze(args) -> int:
         warnings = list(metrics.warnings) + (["trials-inferred"] if origin == "inferred" else [])
         _write_manifest(args.out, "analyze",
                         {"records_file": args.records, "eta2": args.eta2,
-                         "error_method": args.error_method, "trials": args.trials},
+                         "error_method": args.error_method, "trials": args.trials,
+                         "bytes": n_bytes},
                         args.seed, started, stages=stages, warnings=warnings,
                         n_trials=table.n_trials, n_trials_from=origin)
     sys.stdout.write(text)

@@ -27,7 +27,10 @@ BINARY = "bin"
 CSV = "csv"
 _CSV_HEADER = "trial_index,detector,offset_ns"
 _CSV_V2 = "# dlczsim records v2 n_trials={} mode={} seed={}"
-_CSV_V2_LINE = re.compile(r"# dlczsim records v2 n_trials=([0-9]+) mode=(single|split) seed=([0-9]+)")
+# the header lines, with what `str.strip` strips around them (`\s` is `str.isspace`)
+_CSV_V2_LINE = re.compile(r"\s*# dlczsim records v2 n_trials=([0-9]+) mode=(single|split) seed=([0-9]+)\s*")
+_CSV_HEADER_LINE = re.compile(rf"\s*{_CSV_HEADER}\s*")
+_BREAKS = [c.encode() for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"]   # `str.splitlines`'s, in UTF-8
 # ",label," right-aligned and NUL-padded in 5 bytes, by detector id
 _LABEL_FIELDS = np.array([list(f",{d.label},".encode().rjust(5, b"\0")) for d in Detector], "u1")
 # the 3 bytes before a label's second comma as a big-endian number, by detector id
@@ -171,18 +174,19 @@ class RecordReader:
                    lambda i, at=at + first * size: at + i * size)
 
     def _csv(self, data: bytes):
-        """Parse the header lines, which the first block holds: it ends at an LF after two."""
-        data = _read_lines(self._source, data, 2 - data.count(b"\n"))
-        cut = data.rfind(b"\n") + 1 if data.count(b"\n") >= 2 else len(data)
-        text = _utf8(data[:cut], 0)
-        head = column = _line(text, 0)
-        if v2 := _CSV_V2_LINE.fullmatch(head.strip()):
+        """Parse the header lines, which the first block holds: it ends at an LF after two.
+        Each line is found on the bytes and decoded once, then the rest of the block."""
+        block, pending = _read_lines(self._source, data, 2 - data.count(b"\n"))
+        view, end = memoryview(block), _line_end(block, 0)
+        at, column = 0, _utf8(view[:end], 0)   # the column header's byte offset and text
+        if v2 := _CSV_V2_LINE.fullmatch(column):
             self.version, self.mode, self.n_trials, self.seed = 2, DetectionMode(v2[2]), int(v2[1]), int(v2[3])
-            column = _line(text, len(head))
-        at = len(head.encode()) if v2 else 0   # the column header's byte offset
-        if column.strip() != _CSV_HEADER:
+            at, end = end, _line_end(block, end)
+            column = _utf8(view[at:end], at)
+        if not _CSV_HEADER_LINE.fullmatch(column):
             self._errors[2] = RecordFormatError("missing or malformed CSV header", at)
-        return self._csv_blocks(data[:cut], at + len(column.encode()), data[cut:])
+        _utf8(view[end:], end)
+        return self._csv_blocks(block, end, pending)
 
     def _csv_blocks(self, block: bytes, rows_at: int, pending: bytes):
         """Blocks that end just after an LF, or at the end of the file; one without an LF
@@ -195,9 +199,7 @@ class RecordReader:
                 except RecordFormatError as exc:
                     self._errors[2] = exc
             at += len(block)
-            pending = _read_lines(self._source, pending, 1)
-            cut = pending.rfind(b"\n") + 1 or len(pending)
-            block, pending = pending[:cut], pending[cut:]
+            block, pending = _read_lines(self._source, pending, 1)
             _utf8(block, at)
 
     def _check(self, trial, det, offset_of) -> None:
@@ -222,69 +224,66 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _read_lines(source, data: bytes, lines: int) -> bytes:
-    """`data` and the next reads of `source` up to the one that brings it `lines` more LFs, or
-    to the end, joined once: a line of any length reads in linear time."""
+def _read_lines(source, data: bytes, lines: int) -> tuple[bytes, bytes]:
+    """`data` and the next reads of `source` up to the one that brings it `lines` more LFs,
+    joined once, so that a line of any length reads in linear time, and cut after their last
+    LF; at the end of the source short of those LFs, all of them and b""."""
     parts = [data]
     while lines > 0 and (more := source.read(_BLOCK)):
         parts.append(more)
         lines -= more.count(b"\n") if lines > 1 else b"\n" in more   # the last: a search
-    return b"".join(parts)
+    if lines > 0:
+        return b"".join(parts), b""
+    cut = parts[-1].rfind(b"\n") + 1   # in the last read: only it is copied to cut
+    return b"".join([*parts[:-1], parts[-1][:cut]]), parts[-1][cut:]
 
 
-def _utf8(data: bytes, at: int) -> str:
+def _utf8(data, at: int) -> str:
+    """The text of bytes, or of a memoryview of them, at byte `at` of the file."""
     try:
-        return data.decode()
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise RecordFormatError("CSV is not UTF-8 text", at + exc.start) from None
 
 
-def _line(text: str, start: int) -> str:
-    """The line of text at `start`, with its end, as `str.splitlines` splits."""
-    return (text[start:text.find("\n", start) + 1 or len(text)].splitlines(keepends=True) or [""])[0]
+def _line_end(data: bytes, start: int) -> int:
+    """The end of the line of UTF-8 `data` at `start`, after its break, as `str.splitlines`
+    splits."""
+    at, size = len(data), 0
+    for brk in _BREAKS:   # the first break, by searches that end where it starts
+        if (found := data.find(brk, start, at)) >= 0:
+            at, size = found, len(brk)
+    return at + size + (data[at:at + 2] == b"\r\n")
 
 
 def _csv_rows(data: bytes, base: int, start: int):
     """Decode the CSV rows of a block at byte `base` of the file, from byte `start` of the
-    block: rows (bytes between line feeds) that are digits, a label and digits, separated
-    by two commas and ended by at most a CR, decode as arrays; the rest go through
-    `_parse_lines`.  Returns the columns in file order and the byte offset of record i."""
+    block.  If every row (bytes between line feeds) but the empty ones (an LF or a CR LF
+    alone) is digits, a label and digits, separated by two commas and ended by at most a
+    CR, the rows decode as arrays; else the whole block goes through `_parse_lines`.
+    Returns the columns in file order and the byte offset of record i."""
     n = len(data)
     buf = np.frombuffer(data + bytes(4), np.uint8)   # a label window that wraps reads NULs
     lf = np.flatnonzero(buf[start:n] == ord("\n")) + start
-    starts = np.concatenate(([start], lf + 1))
-    ends = np.append(lf, n)
-    if starts[-1] == n:   # the block ends with an LF: no row after it
-        starts, ends = starts[:-1], ends[:-1]
+    starts, ends = np.concatenate(([start], lf + 1)), np.append(lf, n)
+    full = ends - starts > (buf[starts] == ord("\r"))
+    starts, ends = starts[full], ends[full]
     commas = np.flatnonzero(buf[start:n] == ord(",")) + start
     # with twice as many commas as rows, pair them off in order: a row whose pair is not its
     # two commas (a row with more or fewer shifts the pairs after it) fails to decode, as
     # it has a comma in a digit field or a field that ends before it starts
-    whole = len(commas) == 2 * len(starts)
-    if whole:
-        rows, lo, hi, c1, c2 = np.arange(len(starts)), starts, ends, commas[0::2], commas[1::2]
-    else:
-        first = np.searchsorted(commas, starts)
-        rows = np.flatnonzero(np.diff(first, append=len(commas)) == 2)
-        lo, hi, c1, c2 = starts[rows], ends[rows], commas[first[rows]], commas[first[rows] + 1]
-    trial, ok = _decode_digits(buf, lo, c1, b"18446744073709551616")
-    off, ok_off = _decode_digits(buf, c2 + 1, hi - (buf[hi - 1] == ord("\r")), b"4294967296")
-    label = sliding_window_view(buf, 4)[c2 - 4].view(">u4").ravel() & 0xFFFFFF
-    det = _LABEL_OF.take(label & 0xFF)
-    ok &= ok_off & (_LABEL_KEYS.take(det) == label) & (c2 - c1 <= 4)
-    if whole and ok.all():   # every row decodes: the columns are in file order
-        return trial, det, off.astype(np.uint32), lambda i: base + int(starts[i])
-    good = np.zeros(len(starts), bool)
-    good[rows[ok]] = True
-
-    # runs of the other rows, line by line; then every record in file order
-    slow = ([], [], [], [])                        # byte offset and the three columns
-    for a, b in np.flatnonzero(np.diff(~good, prepend=False, append=False)).reshape(-1, 2).tolist():
-        _parse_lines(data[starts[a]:ends[b - 1]].decode(), base + int(starts[a]), slow)
-    at, trial, det, off = (np.concatenate((fast, np.array(more, fast.dtype))) for fast, more in zip(
-        (starts[rows[ok]] + base, trial[ok], det[ok], off[ok].astype(np.uint32)), slow))
-    order = np.argsort(at)
-    return trial[order], det[order], off[order], lambda i: int(at[order[i]])
+    if len(commas) == 2 * len(starts):
+        c1, c2 = commas[0::2], commas[1::2]
+        trial, ok = _decode_digits(buf, starts, c1, b"18446744073709551616")
+        off, ok_off = _decode_digits(buf, c2 + 1, ends - (buf[ends - 1] == ord("\r")), b"4294967296")
+        label = sliding_window_view(buf, 4)[c2 - 4].view(">u4").ravel() & 0xFFFFFF
+        det = _LABEL_OF.take(label & 0xFF)
+        if (ok & ok_off & (_LABEL_KEYS.take(det) == label) & (c2 - c1 <= 4)).all():
+            return trial, det, off.astype(np.uint32), lambda i: base + int(starts[i])
+    out = ([], [], [], [])   # byte offset and the three columns
+    _parse_lines(data[start:].decode(), base + start, out)
+    at, *columns = (np.array(c, t) for c, t in zip(out, (np.int64, np.uint64, np.uint8, np.uint32)))
+    return *columns, lambda i: int(at[i])
 
 
 def _decode_digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, limit: bytes):
@@ -315,9 +314,14 @@ def _parse_lines(text: str, offset: int, out) -> None:
                 trial, label, off = line.split(",")
                 record = (offset, int(trial), int(Detector.from_label(label.strip())), int(off))
             except ValueError:
-                raise RecordFormatError(f"bad CSV record {line!r}", offset) from None
+                raise RecordFormatError(f"bad CSV record {_quote(line)}", offset) from None
             if not (0 <= record[1] < 2 ** 64 and 0 <= record[3] < 2 ** 32):
-                raise RecordFormatError(f"CSV record {line!r} out of range", offset)
+                raise RecordFormatError(f"CSV record {_quote(line)} out of range", offset)
             for column, value in zip(out, record):
                 column.append(value)
         offset += len(kept.encode())
+
+
+def _quote(line: str) -> str:
+    """A line as an error message quotes it: its first 80 characters, then `...` if cut."""
+    return f"{line[:80]!r}{'...' if len(line) > 80 else ''}"

@@ -27,16 +27,17 @@ def read_csv(data: bytes, n_trials=None):
     for lineno, line in _csv_records(lines):
         parts = line.split(",")
         if len(parts) != 3:
-            raise RecordFormatError(f"bad CSV record {line!r}", _line_offset(text, lineno))
+            raise RecordFormatError(f"bad CSV record {_quote(line)}",
+                                    _line_offset(text, lineno))
         try:
             trials.append(int(parts[0]))
             dets.append(int(Detector.from_label(parts[1].strip())))
             offs.append(int(parts[2]))
         except ValueError:
-            raise RecordFormatError(f"bad CSV record {line!r}",
+            raise RecordFormatError(f"bad CSV record {_quote(line)}",
                                     _line_offset(text, lineno)) from None
         if not (0 <= trials[-1] < 2 ** 64 and 0 <= offs[-1] < 2 ** 32):
-            raise RecordFormatError(f"CSV record {line!r} out of range",
+            raise RecordFormatError(f"CSV record {_quote(line)} out of range",
                                     _line_offset(text, lineno))
         linenos.append(lineno)
     modes = set()
@@ -66,3 +67,8 @@ def _csv_records(lines):
 def _line_offset(text: str, lineno: int) -> int:
     """Byte position in the UTF-8 file of line `lineno` (0-based) of text.splitlines()."""
     return sum(len(line.encode()) for line in text.splitlines(keepends=True)[:lineno])
+
+
+def _quote(line: str) -> str:
+    """The first 80 characters of a line, quoted, then `...` if the line is longer."""
+    return repr(line[:80]) + ("..." if len(line) > 80 else "")

@@ -236,6 +236,21 @@ def test_simulate_manifest_records_workers(tmp_path, params_file, monkeypatch, f
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_analyze_manifest_records_bytes_read(tmp_path, params_file, fmt):
+    # the size of the record file, named or copied from a pipe
+    records = tmp_path / f"r.{fmt}"
+    assert main(["simulate", "--params", params_file, "--trials", "20000", "--mode", "split",
+                 "--format", fmt, "--out", str(records)]) == 0
+    written = json.loads(Path(f"{records}.manifest.json").read_text())["config"]["bytes"]
+    assert analyze_manifest(tmp_path, records)[1]["config"]["bytes"] == written
+    done = cli_process(["analyze", "/dev/stdin", "--out", "piped.txt"],
+                       tmp_path, input=records.read_bytes())
+    assert done.returncode == 0, done.stderr
+    piped = json.loads((tmp_path / "piped.txt.manifest.json").read_text())
+    assert piped["config"]["bytes"] == written == records.stat().st_size
+
+
 def version_1(path: Path, out: Path) -> None:
     """Write a PDR2 / CSV v2 record file as the version-1 bytes of the same records."""
     data = path.read_bytes()
@@ -778,7 +793,7 @@ def printed_after(code: str, value: str):
     """The JSON of the expression `value` after running `code` in a fresh interpreter."""
     import dlczsim
     src = str(Path(dlczsim.__file__).resolve().parents[1])
-    code = f"import json, sys; {code}; print(json.dumps({value}))"
+    code = f"import json, sys\n{code}\nprint(json.dumps({value}))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
@@ -809,15 +824,46 @@ def test_fit_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_fit_stage_opens_with_numpy_random_loaded(tmp_path):
-    # the import of the starts' generator is start-up, not the fit's own time
-    f, _ = TestFitCmd()._dataset_csv(tmp_path)
-    code = ("from dlczsim import cli; opened = {}; stage = cli._stage; "
-            "cli._stage = lambda stages, name: (opened.update({name: 'numpy.random' in "
-            "sys.modules}), stage(stages, name))[1]; "
-            f"assert cli.main(['fit', {str(f)!r}, '--starts', '1', "
-            f"'--out', {str(tmp_path / 'fit.txt')!r}]) == 0")
-    assert printed_after(code, "opened") == {"read": True, "fit": True, "overlay": True}
+# a command run with `cpus` CPUs; each of its stages notes the modules that first load in it
+STAGE_PROBE = """
+import os
+from contextlib import contextmanager
+from dlczsim import cli
+loaded, stage = {{}}, cli._stage
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+
+@contextmanager
+def probed(stages, name):
+    before = set(sys.modules)
+    with stage(stages, name) as entry:
+        yield entry
+    loaded[name] = sorted(set(sys.modules) - before)
+
+cli._stage = probed
+assert cli.main({argv!r}) == 0
+"""
+
+
+def test_stages_time_only_their_own_work(tmp_path, params_file):
+    # every module a stage needs is loaded before the stages open, as start-up: simulate
+    # with one sampling thread and with two, analyze with each error method, and fit
+    dataset, _ = TestFitCmd()._dataset_csv(tmp_path)
+    csv, pdr = str(tmp_path / "r.csv"), str(tmp_path / "r.pdr")
+    out = lambda name: ["--out", str(tmp_path / name)]
+    runs = {"simulate-1": (1, ["simulate", "--params", params_file, "--trials", "40000",
+                               "--format", "csv", *out("r.csv")]),
+            "simulate-2": (2, ["simulate", "--params", params_file, "--trials", "40000",
+                               *out("r.pdr")]),
+            "analyze-delta": (1, ["analyze", csv, *out("delta.txt")]),
+            "analyze-bootstrap": (1, ["analyze", pdr, "--error-method", "bootstrap",
+                                      *out("boot.txt")]),
+            "fit": (1, ["fit", str(dataset), "--starts", "1", *out("fit.txt")])}
+    loaded = {run: printed_after(STAGE_PROBE.format(cpus=cpus, argv=argv), "loaded")
+              for run, (cpus, argv) in runs.items()}
+    assert all(loaded.values())
+    assert {f"{run} {name}": modules for run, stages in loaded.items()
+            for name, modules in stages.items() if modules} == {}
+    assert json.loads(Path(pdr + ".manifest.json").read_text())["config"]["workers"] == 2
 
 
 def test_public_names_load_on_first_use():
@@ -1042,6 +1088,16 @@ def test_process_exit_status_and_streams(tmp_path, argv, code, stdout, error):
     errors = [line for line in done.stderr.splitlines() if b"error:" in line]
     assert len(errors) == (error is not None)
     assert error is None or errors[0].startswith(error)
+
+
+def test_long_bad_row_is_quoted_in_short(tmp_path):
+    # a bad row of 32 MiB: the error line quotes its first 80 characters
+    (tmp_path / "long.csv").write_bytes(b"# dlczsim records v2 n_trials=5 mode=split seed=0\n"
+                                        b"trial_index,detector,offset_ns\n" + b"x" * (32 << 20))
+    done = cli_process(["analyze", "long.csv"], tmp_path)
+    errors = [line for line in done.stderr.splitlines() if b"error:" in line]
+    assert (done.returncode, len(errors)) == (2, 1), done.stderr[:400]
+    assert len(errors[0]) < 200 and errors[0].endswith(b"... (byte offset 81)"), errors[0][:400]
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

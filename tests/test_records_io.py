@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,9 @@ WHOLE_BLOCK_ROWS = {
     "3-and-1-commas": b"0,D1,0\n1,D1,0,\n2D1,0\n3,D2,5\n",   # the comma count of 4 rows
     "1-and-3-commas": b"0,D1,0\n1D1,0\n2,D1,0,\n3,D2,5\n",
     "blank-line": b"0,D1,0\n\n1,D2,5\n",
+    "crlf-blank": b"0,D1,0\r\n\r\n1,D2,5\r\n",
+    "blank-first": b"\n0,D1,0\n",
+    "spaced-row": b"0,D1,0\n1, D2 ,5\n2,D1,14\n3,D2,21\n",
     "crlf": b"0,D1,0\r\n1,D2,5\r\n",
     "no-final-lf": b"0,D1,0\n1,D2,5",
     "stripped-labels": b"0,D1,0\n1, D2,5\n2,\tD1,0\n",
@@ -299,6 +303,20 @@ def test_writer_rows_decode_as_arrays(monkeypatch, rng):
                rng.choice([0, 9, 10, 999, 1000, 2 ** 32 - 1], len(trials)).astype(np.uint32))
     assert_columns_equal(read(write(columns, CSV, DetectionMode.SPLIT, n_trials=2 ** 64))[0],
                          columns)
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 1 << 18])
+def test_empty_rows_decode_as_arrays(monkeypatch, block, rng):
+    # empty rows, an LF or a CR LF alone, among the writer's rows and first and last, are
+    # skipped on the array path, in blocks that start and end anywhere among them
+    monkeypatch.setattr(records_io, "_BLOCK", block)
+    monkeypatch.setattr(records_io, "_parse_lines", None)
+    columns = make_columns(400, rng)
+    lines = write(columns, CSV).splitlines(keepends=True)
+    blank = [b"\n", b"\r\n"]
+    data = b"".join([*lines[:2], *blank, *(row + b"".join(rng.choice(blank, rng.integers(0, 3)))
+                                           for row in lines[2:]), *blank])
+    assert_columns_equal(read(data)[0], columns)
 
 
 @pytest.mark.parametrize("rows", WHOLE_BLOCK_ROWS.values(), ids=WHOLE_BLOCK_ROWS.keys())
@@ -322,6 +340,43 @@ def test_whole_block_path_falls_back_exactly(rows):
               st.sampled_from([0, 10, 41]), st.integers(0, 2), st.integers(40, 200))))
 def test_version_2_outcome_does_not_depend_on_block_size(data):
     assert _outcome_at(1, data) == _outcome_at(6, data) == _outcome_at(1 << 18, data)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_header_lines_split_and_strip_as_str(brk):
+    # each header line ends at a line break of `str.splitlines` and is stripped as `str.strip`
+    # strips, Unicode spaces included; a bad column header is reported at its first byte
+    first = "\u3000# dlczsim records v2 n_trials=5 mode=split seed=0\xa0" + brk
+    good = (first + "\t trial_index,detector,offset_ns\u2003" + brk + "1,D1,0\n").encode()
+    columns, n_trials, _ = read(good)
+    assert (columns[0].tolist(), n_trials) == ([1], 5)
+    with pytest.raises(RecordFormatError, match="malformed CSV header") as exc:
+        read((first + "trial_index,detector" + brk + "1,D1,0\n").encode())
+    assert exc.value.offset == len(first.encode())
+
+
+@pytest.mark.parametrize("size", [80, 81])
+def test_bad_row_is_quoted_up_to_80_characters(size):
+    with pytest.raises(RecordFormatError) as exc:
+        read(HEADER + b"x" * size + b"\n")
+    assert str(exc.value) == (f"bad CSV record {'x' * 80!r}{'...' if size > 80 else ''} "
+                              f"(byte offset {len(HEADER)})")
+
+
+def test_long_column_header_peaks_at_twice_its_size():
+    # the header lines are found on the bytes and each is decoded once: reading a 16 MiB
+    # column header to its error holds the joined reads, or them and one copy, at a time
+    line = 16 << 20
+    data = V2_SPLIT + b"x" * line
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecordFormatError, match="malformed CSV header"):
+            read(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * line + (1 << 20), peak / line
 
 
 def _read_seconds(data):
